@@ -2,11 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynstc.synthesis import (
+    GAMMA_FLOOR,
+    GAMMA_INFLATION,
     ParameterFamily,
     ParameterSet,
     SynthesisError,
@@ -22,7 +25,98 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
+from dynstc.synthesis import _CHUNK, _grid_pass, _grids
 from dynstc.systems import linear_test, van_der_pol
+
+
+# Reference: the per-grid-point sweeps that the W^2-level pass replaced,
+# kept verbatim so that the level pass can be held to equal them bit for bit.
+
+def _ref_sweep(spec, params, grid_density):
+    xg, eg = _grids(spec, grid_density)
+    n_sets = len(params)
+    vx = np.asarray(spec.v(xg), dtype=float)
+    gx = np.asarray(spec.grad_v(xg), dtype=float)
+    we2 = np.square(np.asarray(spec.w(eg), dtype=float))
+    ne = np.linalg.norm(eg, axis=-1)
+
+    max_s = np.full(n_sets, -np.inf)
+    worst = [(None, None)] * n_sets
+    scale = np.zeros(n_sets)
+    w_slack_min = np.inf
+    e_b = eg[None, :, :]
+    for lo in range(0, xg.shape[0], _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
+        x_b = xg[sl][:, None, :]
+        f = spec.f(x_b, e_b)
+        gvf = np.einsum("bi,bei->be", gx[sl], f)
+        if spec.default_wh:
+            h2 = np.einsum("bei,bei->be", f, f)
+            nz = ne > 1e-12
+            if np.any(nz):
+                rate = np.einsum("ei,bei->be", eg[nz], -f[:, nz, :]) / ne[nz]
+                w_slack_min = min(w_slack_min,
+                                  float(np.min(np.sqrt(h2[:, nz]) - rate)))
+        else:
+            h2 = np.square(np.asarray(spec.h_fn(x_b, e_b), dtype=float))
+        base = gvf + h2
+        absbase = np.abs(gvf) + h2
+        if not np.all(np.isfinite(base)):
+            raise ValueError("non-finite certificate evaluation on the grid")
+        for k, (eps, gam) in enumerate(params):
+            s = base + eps * vx[sl][:, None] - (gam * gam) * we2[None, :]
+            flat = int(np.argmax(s))
+            if s.flat[flat] > max_s[k]:
+                max_s[k] = s.flat[flat]
+                bi, ei = divmod(flat, eg.shape[0])
+                worst[k] = (tuple(xg[sl][bi]), tuple(eg[ei]))
+            mag = absbase + abs(eps) * vx[sl][:, None] + (gam * gam) * we2[None, :]
+            scale[k] = max(scale[k], float(np.max(mag)))
+    n_points = xg.shape[0] * eg.shape[0]
+    slack = float(w_slack_min) if spec.default_wh else None
+    return max_s, worst, np.maximum(scale, 1.0), n_points, slack
+
+
+def _ref_synth_ratios(spec, epsilons, grid_density):
+    xg, eg = _grids(spec, grid_density)
+    vx = np.asarray(spec.v(xg), dtype=float)
+    gx = np.asarray(spec.grad_v(xg), dtype=float)
+    we2 = np.square(np.asarray(spec.w(eg), dtype=float))
+    pos = we2 > 0.0
+    best = np.full(len(epsilons), -np.inf)
+    e_b = eg[None, :, :]
+    for lo in range(0, xg.shape[0], _CHUNK):
+        sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
+        x_b = xg[sl][:, None, :]
+        f = spec.f(x_b, e_b)
+        gvf = np.einsum("bi,bei->be", gx[sl], f)
+        if spec.default_wh:
+            h2 = np.einsum("bei,bei->be", f, f)
+        else:
+            h2 = np.square(np.asarray(spec.h_fn(x_b, e_b), dtype=float))
+        base = gvf + h2
+        if not np.all(np.isfinite(base)):
+            raise ValueError("non-finite certificate evaluation on the grid")
+        for k, eps in enumerate(epsilons):
+            num = base + eps * vx[sl][:, None]
+            if np.any(~pos):
+                bad = num[:, ~pos]
+                if np.any(bad > 0.0):
+                    bi, ei = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                    x_off = tuple(xg[sl][bi])
+                    e_off = tuple(eg[~pos][ei])
+                    raise SynthesisError(
+                        f"epsilon={eps}: positive certificate numerator "
+                        f"{bad[bi, ei]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
+                        epsilon=eps, point=(x_off, e_off))
+            ratio = num[:, pos] / we2[None, pos]
+            best[k] = max(best[k], float(np.max(ratio)))
+    return best
+
+
+def _bits(values):
+    """Exact bytes of float values, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
 
 
 def test_parameter_set_validation():
@@ -118,6 +212,54 @@ def test_synthesize_failure_at_w_zero():
         synthesize_gamma(spec, epsilon=1.5, l_const=0.1, grid_density=17)
     assert exc.value.epsilon == 1.5
     assert exc.value.point is not None
+    # the first offender and the message are those of the per-point sweep
+    with pytest.raises(SynthesisError) as ref:
+        _ref_synth_ratios(spec, [1.5], 17)
+    assert exc.value.point == ref.value.point
+    assert _bits(exc.value.point) == _bits(ref.value.point)
+    assert str(exc.value) == str(ref.value)
+
+
+_LADDERS = {
+    "van_der_pol": (van_der_pol, [0.01, -1.0, -40.0]),
+    # base = e^2 - x^2 for linear_test, so +-x and +-e tie exactly
+    "linear_test": (linear_test, [0.5, -1.0, -3.0]),
+}
+
+
+@pytest.mark.parametrize("weights", ["default", "custom"])
+@pytest.mark.parametrize("density", [16, 33, 48])
+@pytest.mark.parametrize("system", sorted(_LADDERS))
+def test_level_pass_matches_point_sweep(system, density, weights):
+    make, epsilons = _LADDERS[system]
+    spec = make()
+    if weights == "custom":
+        spec = replace(spec, default_wh=False)   # H from h_fn, no W slack
+    ratios = _ref_synth_ratios(spec, epsilons, density)
+    assert _bits(_grid_pass(spec, density, epsilons)[0]) == _bits(ratios)
+    fam = build_family(spec, epsilons, grid_density=density)
+    gammas = [GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR
+              for r in ratios]
+    assert _bits([ps.gamma for ps in fam.sets]) == _bits(gammas)
+
+    # halved gammas fail, which moves the worst points off the W = 0 level
+    sets = fam.sets + tuple(replace(ps, gamma=ps.gamma / 2.0) for ps in fam.sets)
+    reports = verify_family(spec, ParameterFamily(sets=sets), density)
+    max_s, worst, scale, n_points, w_slack = _ref_sweep(
+        spec, [(ps.epsilon, ps.gamma) for ps in sets], density)
+    for k, rep in enumerate(reports):
+        assert _bits(rep.max_violation) == _bits(max_s[k])
+        assert _bits(rep.margin) == _bits(-max_s[k])
+        assert _bits(rep.scale) == _bits(scale[k])
+        assert _bits(rep.worst_x) == _bits(worst[k][0])
+        assert _bits(rep.worst_e) == _bits(worst[k][1])
+        assert rep.n_points == n_points
+        if weights == "custom":
+            assert rep.w_slack_min is None and w_slack is None
+        else:
+            assert _bits(rep.w_slack_min) == _bits(w_slack)
+    for ps, ms in zip(fam.sets, max_s):
+        assert _bits(ps.margin) == _bits(-ms)
 
 
 def test_build_family_ordering_and_fallback():
@@ -175,6 +317,8 @@ def test_family_verify_matches_single(tmp_path):
         assert rep.max_violation == single.max_violation
         assert rep.scale == single.scale
         assert rep.worst_x == single.worst_x
+        assert rep.worst_e == single.worst_e
+        assert rep.w_slack_min == single.w_slack_min
 
 
 def test_corrupted_gamma_rejected():
