@@ -10,10 +10,13 @@ Experiments are described by one JSON config with four blocks::
       "run":       {"x0": [[-0.3, 1.7]], "t_end": 15.0, "baselines": true}
     }
 
-Artifacts land in the --out directory: the parameter-family manifest,
-per-run CSVs (trajectory, decisions, monitors), a summary.json, and on
-`compare` a plain-text report plus a gnuplot script.  Outputs are byte
-deterministic for a fixed config.
+Every subcommand takes --out, the artifact directory; all but `compare`
+also take --config.  Artifacts land there: the parameter-family
+manifest, per-run CSVs (trajectory, decisions, monitors), a summary.json,
+and on `compare` a plain-text report plus a gnuplot script.  Nothing is
+random, so outputs are byte deterministic for a fixed config.  `run`
+simulates every initial state and mechanism in turn before it writes any
+run file, so a numerical failure leaves no partial run artifacts.
 
 Exit codes: 0 success, 2 invalid config or missing artifact, 3 synthesis
 or verification failure, 4 monitor violation, 5 numerical failure.
@@ -25,20 +28,19 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .engine import (
-    RegionViolationError,
+    RegionEscapeError,
     StcConfig,
-    lambda_cap_for,
+    set_lambda_cap,
     t_max_cap,
     t_min_of,
 )
 from .sim import (
     IntegrationBlowupError,
-    RegionEscapeError,
     simulate,
     simulate_periodic,
     write_decisions_csv,
@@ -75,6 +77,17 @@ def _check_keys(block, allowed, name):
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
 
 
+@contextmanager
+def _config_values():
+    """Report a mistyped or invalid config value as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -86,11 +99,8 @@ def _load_config(path):
     _check_keys(doc, {"system", "stc", "synthesis", "run"}, "config")
     if "system" not in doc:
         raise ConfigError("config requires a 'system' block")
-    try:
-        spec = spec_from_config(doc["system"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return doc, spec
+    with _config_values():
+        return doc, spec_from_config(doc["system"])
 
 
 def _epsilons_from(synth_block):
@@ -105,12 +115,9 @@ def _epsilons_from(synth_block):
         return eps
     ladder = dict(synth_block["ladder"])
     _check_keys(ladder, {"n", "top", "bottom"}, "synthesis.ladder")
-    try:
-        return default_epsilon_ladder(int(ladder.get("n", 21)),
-                                      float(ladder.get("top", 0.01)),
-                                      float(ladder.get("bottom", -40.0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return default_epsilon_ladder(int(ladder.get("n", 21)),
+                                  float(ladder.get("top", 0.01)),
+                                  float(ladder.get("bottom", -40.0)))
 
 
 def _synthesis_params(doc):
@@ -118,17 +125,18 @@ def _synthesis_params(doc):
     if block is None:
         return None
     _check_keys(block, {"epsilons", "ladder", "l_const", "grid_density"}, "synthesis")
-    return {
-        "epsilons": _epsilons_from(block),
-        "l_const": float(block.get("l_const", 0.05)),
-        "grid_density": int(block.get("grid_density", 48)),
-    }
+    with _config_values():
+        return {
+            "epsilons": _epsilons_from(block),
+            "l_const": float(block.get("l_const", 0.05)),
+            "grid_density": int(block.get("grid_density", 48)),
+        }
 
 
 def _stc_config(doc, spec, family):
     block = dict(doc.get("stc", {}))
     _check_keys(block, {"delta", "eps_ref", "m", "c", "eta_init"}, "stc")
-    try:
+    with _config_values():
         return StcConfig(
             family=family,
             c=float(block.get("c", spec.region_c)),
@@ -137,8 +145,6 @@ def _stc_config(doc, spec, family):
             m=int(block.get("m", 30)),
             eta_init=str(block.get("eta_init", "v0")),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _run_params(doc, spec, cfg):
@@ -149,40 +155,24 @@ def _run_params(doc, spec, cfg):
     x0s = block.get("x0")
     if not isinstance(x0s, list) or not x0s:
         raise ConfigError("'run.x0' must be a non-empty list of state vectors")
-    starts = []
-    for k, raw in enumerate(x0s):
-        vec = [float(v) for v in (raw if isinstance(raw, list) else [raw])]
+    with _config_values():
+        starts = [[float(v) for v in (raw if isinstance(raw, list) else [raw])]
+                  for raw in x0s]
+        t_end = float(block.get("t_end", 15.0))
+        dt_flow = block.get("dt_flow")
+        if dt_flow is not None:
+            dt_flow = float(dt_flow)
+    for k, vec in enumerate(starts):
         if len(vec) != spec.n_x or not all(math.isfinite(v) for v in vec):
             raise ConfigError(f"run.x0[{k}] is not a finite vector of length {spec.n_x}")
         if float(spec.v(vec)) > cfg.c:
             raise ConfigError(f"run.x0[{k}] starts outside the region V <= c")
-        starts.append(vec)
-    t_end = float(block.get("t_end", 15.0))
     if not (t_end > 0.0):
         raise ConfigError("'run.t_end' must be positive")
-    dt_flow = block.get("dt_flow")
     tmin = t_min_of(cfg)
-    if dt_flow is not None:
-        dt_flow = float(dt_flow)
-        if not (0.0 < dt_flow <= tmin / 16.0):
-            raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
+    if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
+        raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
     return starts, t_end, dt_flow, bool(block.get("baselines", False))
-
-
-def _family_for(doc, spec, out, need_synthesis=False):
-    manifest = out / MANIFEST_NAME
-    params = _synthesis_params(doc)
-    if need_synthesis and params is None:
-        raise ConfigError("config requires a 'synthesis' block for this command")
-    if params is None or (not need_synthesis and manifest.exists()):
-        if not manifest.exists():
-            raise ConfigError(
-                f"no manifest at {manifest} and no 'synthesis' block in the config")
-        family, density = read_manifest(manifest)
-        return family, density, False
-    family = build_family(spec, params["epsilons"], params["l_const"],
-                          params["grid_density"])
-    return family, params["grid_density"], True
 
 
 def cmd_synthesize(args) -> int:
@@ -200,25 +190,18 @@ def cmd_synthesize(args) -> int:
     print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} "
           f"{'margin':>12} {'delta*t_max':>12}")
     for i, ps in enumerate(family.sets):
-        if i == family.fallback_index:
-            lam = ps.l_const + 0.5 * ps.epsilon
-        else:
-            lam = lambda_cap_for(ps, cfg.delta)
-        cap = cfg.delta * t_max(ps.gamma, lam)
+        cap = cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))
         print(f"{i:>4} {ps.epsilon:>12.6g} {ps.gamma:>12.6g} {ps.l_const:>8.4g} "
               f"{ps.margin:>12.6g} {cap:>12.6g}")
     return 0
 
 
-def _one_run(task):
-    _, mech, x0, cfg, spec, t_end, dt_flow = task
+def _simulate(mech, x0, cfg, spec, t_end, dt_flow):
     if mech == "dynamic":
         return simulate(x0, cfg, spec, t_end, dt_flow)
     if mech == "static":
         return simulate(x0, replace(cfg, m=1), spec, t_end, dt_flow)
-    if mech == "periodic":
-        return simulate_periodic(x0, spec, t_min_of(cfg), t_end, c=cfg.c)
-    raise ValueError(mech)
+    return simulate_periodic(x0, spec, t_min_of(cfg), t_end, c=cfg.c)
 
 
 def _interval_stats(traj):
@@ -232,24 +215,25 @@ def cmd_run(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    family, density, fresh = _family_for(doc, spec, out)
-    if fresh:
-        write_manifest(out / MANIFEST_NAME, family, density)
+    params = _synthesis_params(doc)
+    manifest = out / MANIFEST_NAME
+    if manifest.exists():
+        family, _ = read_manifest(manifest)
+    elif params is None:
+        raise ConfigError(f"no manifest at {manifest} and no 'synthesis' block in the config")
+    else:
+        family = build_family(spec, params["epsilons"], params["l_const"],
+                              params["grid_density"])
+        write_manifest(manifest, family, params["grid_density"])
     cfg = _stc_config(doc, spec, family)
     starts, t_end, dt_flow, baselines = _run_params(doc, spec, cfg)
     mechanisms = ["dynamic"] + (["static", "periodic"] if baselines else [])
-    tasks = [(idx, mech, x0, cfg, spec, t_end, dt_flow)
-             for idx, x0 in enumerate(starts) for mech in mechanisms]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            trajs = list(pool.map(_one_run, tasks))
-    else:
-        trajs = [_one_run(t) for t in tasks]
-    summary = {"seed": args.seed, "t_min": t_min_of(cfg),
-               "t_max_cap": t_max_cap(cfg), "t_end": t_end, "runs": []}
+    runs = [(f"run{idx}_{mech}", x0, mech, _simulate(mech, x0, cfg, spec, t_end, dt_flow))
+            for idx, x0 in enumerate(starts) for mech in mechanisms]
+    summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
+               "t_end": t_end, "runs": []}
     violations = 0
-    for (idx, mech, x0, *_), traj in zip(tasks, trajs):
-        stem = f"run{idx}_{mech}"
+    for stem, x0, mech, traj in runs:
         write_trajectory_csv(out / f"{stem}_trajectory.csv", traj)
         write_monitors_csv(out / f"{stem}_monitors.csv", traj)
         if traj.decisions:
@@ -379,10 +363,6 @@ def _build_parser():
         if name != "compare":
             p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--out", default="out", help="artifact directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded with the artifacts")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent simulation workers")
         p.set_defaults(func=fn)
     return parser
 
@@ -397,8 +377,8 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis failure: {exc}", file=sys.stderr)
         return 3
-    except (RegionEscapeError, RegionViolationError, IntegrationBlowupError,
-            HorizonError, FloatingPointError, OverflowError) as exc:
+    except (RegionEscapeError, IntegrationBlowupError, HorizonError,
+            FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 5
     except ValueError as exc:

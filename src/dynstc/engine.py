@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 import numpy as np
 
@@ -32,16 +31,16 @@ from .timing import t_max
 __all__ = [
     "WINDOW_BOUND",
     "FALLBACK_DECREASE",
-    "RegionViolationError",
-    "JumpConditionError",
+    "REGION_TOL_REL",
+    "RegionEscapeError",
     "DynamicVariable",
     "StcConfig",
     "TriggerDecision",
-    "HybridState",
     "eta_initial",
     "update_eta",
     "window_average_c",
     "lambda_cap_for",
+    "set_lambda_cap",
     "t_min_of",
     "t_max_cap",
     "interval_for_set",
@@ -56,12 +55,14 @@ FALLBACK_DECREASE = "fallback-decrease"
 REGION_TOL_REL = 1e-6  # relative slack on V <= c before declaring escape
 
 
-class RegionViolationError(RuntimeError):
-    """The sampled state left {V <= c}; trigger guarantees are void."""
+class RegionEscapeError(RuntimeError):
+    """V exceeded c (plus tolerance); the guarantees no longer apply."""
 
-
-class JumpConditionError(RuntimeError):
-    """stc_step called off the jump set (tau != s)."""
+    def __init__(self, message, t=None, x=None, v=None):
+        super().__init__(message)
+        self.t = t
+        self.x = x
+        self.v = v
 
 
 @dataclass(frozen=True)
@@ -151,24 +152,26 @@ def lambda_cap_for(ps: ParameterSet, delta: float) -> float:
     return max(ps.l_const + 0.5 * ps.epsilon, 1.0 - delta)
 
 
-def _fallback_interval(cfg: StcConfig) -> float:
-    fb = cfg.family.fallback
-    return cfg.delta * t_max(fb.gamma, fb.l_const + 0.5 * fb.epsilon)
+def set_lambda_cap(cfg: StcConfig, i: int) -> float:
+    """Rate cap of set i: L + eps/2 for the fall-back, lambda_cap_for otherwise."""
+    ps = cfg.family.sets[i]
+    if i == cfg.family.fallback_index:
+        return ps.l_const + 0.5 * ps.epsilon
+    return lambda_cap_for(ps, cfg.delta)
+
+
+def _interval_cap(cfg: StcConfig, i: int) -> float:
+    return cfg.delta * t_max(cfg.family.sets[i].gamma, set_lambda_cap(cfg, i))
 
 
 def t_min_of(cfg: StcConfig) -> float:
     """Guaranteed sampling floor delta * t_max(gamma_1, L_1 + eps_1/2)."""
-    return _fallback_interval(cfg)
+    return _interval_cap(cfg, cfg.family.fallback_index)
 
 
 def t_max_cap(cfg: StcConfig) -> float:
     """Largest interval any decision can return."""
-    cap = _fallback_interval(cfg)
-    for i, ps in enumerate(cfg.family.sets):
-        if i == cfg.family.fallback_index:
-            continue
-        cap = max(cap, cfg.delta * t_max(ps.gamma, lambda_cap_for(ps, cfg.delta)))
-    return cap
+    return max(_interval_cap(cfg, i) for i in range(len(cfg.family.sets)))
 
 
 def interval_for_set(v_now: float, c_val: float, ps: ParameterSet,
@@ -207,11 +210,12 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
     """
     v = float(spec.v(np.asarray(x, dtype=float)))
     if v > cfg.c * (1.0 + REGION_TOL_REL):
-        raise RegionViolationError(
-            f"V(x) = {v:.6g} exceeds the region level c = {cfg.c:.6g}")
+        raise RegionEscapeError(
+            f"V(x) = {v:.6g} exceeds the region level c = {cfg.c:.6g}",
+            x=np.array(x, dtype=float), v=v)
     c_val = window_average_c(v, dyn, cfg.c, cfg.m)
     fam = cfg.family
-    h_fb = _fallback_interval(cfg)
+    h_fb = t_min_of(cfg)
     best_h, best_i, window = h_fb, fam.fallback_index, False
     for i, ps in enumerate(fam.sets):
         if i == fam.fallback_index:
@@ -221,18 +225,13 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
             continue
         if not window or h_i > best_h:
             best_h, best_i, window = h_i, i, True
-    winner = fam.sets[best_i]
-    if window:
-        lam_cap = lambda_cap_for(winner, cfg.delta)
-    else:
-        lam_cap = winner.l_const + 0.5 * winner.epsilon
     return TriggerDecision(
         h=best_h,
         set_index=best_i,
         used_fallback=not window,
         bound_type=WINDOW_BOUND if window else FALLBACK_DECREASE,
-        lambda_cap_used=lam_cap,
-        epsilon=winner.epsilon,
+        lambda_cap_used=set_lambda_cap(cfg, best_i),
+        epsilon=fam.sets[best_i].epsilon,
         v_now=v,
         c_val=c_val,
     )
@@ -244,38 +243,11 @@ def static_trigger(x, cfg: StcConfig, spec) -> TriggerDecision:
     return gamma_trigger(x, DynamicVariable(), cfg1, spec)
 
 
-@dataclass(frozen=True)
-class HybridState:
-    """One point of the hybrid state (x, e, eta, tau, s)."""
+def stc_step(x, dyn: DynamicVariable, cfg: StcConfig, spec):
+    """Jump map at a sampling instant: (decision, shifted register).
 
-    x: np.ndarray
-    e: np.ndarray
-    eta: DynamicVariable
-    tau: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "e", np.asarray(self.e, dtype=float))
-
-
-def stc_step(state: HybridState, cfg: StcConfig, spec) -> Tuple[HybridState, TriggerDecision]:
-    """Jump map at a sampling instant (tau = s).
-
-    The state is re-sampled (e reset to 0), the register shifts in the
-    current energy, and the trigger schedules the next interval from the
-    pre-shift register.
+    The trigger schedules the next interval from V(x) and the pre-shift
+    register; the register then drops its oldest entry and takes V(x).
     """
-    if state.tau != state.s:
-        raise JumpConditionError(
-            f"jump requested at tau = {state.tau!r}, scheduled s = {state.s!r}")
-    decision = gamma_trigger(state.x, state.eta, cfg, spec)
-    eta_next = update_eta(state.eta, decision.v_now)
-    nxt = HybridState(
-        x=state.x,
-        e=np.zeros(spec.n_e),
-        eta=eta_next,
-        tau=0.0,
-        s=decision.h,
-    )
-    return nxt, decision
+    decision = gamma_trigger(x, dyn, cfg, spec)
+    return decision, update_eta(dyn, decision.v_now)

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .engine import (
-    FALLBACK_DECREASE,
+    REGION_TOL_REL,
     WINDOW_BOUND,
-    HybridState,
+    RegionEscapeError,
     StcConfig,
     eta_initial,
     stc_step,
@@ -42,7 +42,6 @@ from .engine import (
 from .timing import HorizonError, phi_solve, solve_lambda_for_horizon
 
 __all__ = [
-    "RegionEscapeError",
     "IntegrationBlowupError",
     "Sample",
     "FlowPoint",
@@ -58,19 +57,8 @@ __all__ = [
     "write_monitors_csv",
 ]
 
-REGION_TOL_REL = 1e-6
 MON_TOL = 1e-7
 FLOW_RECORD_TARGET = 64  # dense records per segment before striding
-
-
-class RegionEscapeError(RuntimeError):
-    """V exceeded c + tolerance during flow; guarantees no longer apply."""
-
-    def __init__(self, message, t=None, x=None, v=None):
-        super().__init__(message)
-        self.t = t
-        self.x = x
-        self.v = v
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -165,11 +153,19 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
     return xs, taus
 
 
-def _check_flow(xs, vs, c, t_start, taus):
+def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
+    """Flow one hold interval from x_hold; returns (end state, V at nodes, records).
+
+    Raises on a non-finite node or on V above c + tolerance.  Records keep
+    every stride-th node plus the last one; with cert = (gamma, lambda_cap)
+    they carry U = V + gamma*phi(tau)*W(e)^2, otherwise U is NaN.
+    """
+    xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
     if not np.all(np.isfinite(xs)):
         bad = int(np.nonzero(~np.all(np.isfinite(xs), axis=-1))[0][0])
         raise IntegrationBlowupError(
             f"non-finite state at t = {t_start + taus[bad]:.6g}")
+    vs = np.asarray(spec.v(xs), dtype=float)
     lim = c * (1.0 + REGION_TOL_REL)
     if np.any(vs > lim):
         bad = int(np.nonzero(vs > lim)[0][0])
@@ -177,18 +173,17 @@ def _check_flow(xs, vs, c, t_start, taus):
             f"V = {vs[bad]:.6g} left the region level c = {c:.6g} "
             f"at t = {t_start + taus[bad]:.6g}",
             t=float(t_start + taus[bad]), x=xs[bad].copy(), v=float(vs[bad]))
-
-
-def _record_stride(n_steps):
-    return max(1, int(n_steps / FLOW_RECORD_TARGET))
-
-
-def _flow_u(spec, dec, gamma, xs, taus, x_hold):
-    """U = V + gamma*phi(tau)*W(e)^2 at the given nodes."""
-    phi = _phi_for(dec.h, gamma, dec.lambda_cap_used)
-    w = spec.w(x_hold - xs)
-    vs = np.asarray(spec.v(xs), dtype=float)
-    return vs + gamma * phi.evaluate(taus) * w * w
+    if cert is None:
+        us = np.full(len(taus), math.nan)
+    else:
+        gamma, lam_cap = cert
+        w = spec.w(x_hold - xs)
+        us = vs + gamma * _phi_for(h, gamma, lam_cap).evaluate(taus) * w * w
+    stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
+    idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
+    points = [FlowPoint(t=t_start + taus[k], j=j, x=xs[k].copy(), v=float(vs[k]),
+                        u=float(us[k])) for k in idx]
+    return xs[-1], vs, points
 
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = None,
@@ -201,33 +196,21 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
         raise ValueError(f"dt_flow must lie in (0, t_min/16] = (0, {tmin / 16.0:.6g}]")
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
-    x0 = np.asarray(x0, dtype=float)
-    v0 = float(spec.v(x0))
-    state = HybridState(x=x0, e=np.zeros(spec.n_e),
-                        eta=eta_initial(cfg.m, v0, cfg.eta_init), tau=0.0, s=0.0)
+    x = np.asarray(x0, dtype=float)
+    dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
     t = 0.0
     samples, decisions, flow_points = [], [], []
     while True:
-        state, dec = stc_step(state, cfg, spec)
+        dec, dyn = stc_step(x, dyn, cfg, spec)
         j = len(decisions) + 1
         decisions.append(dec)
-        samples.append(Sample(t=t, j=j, x=state.x.copy(), v=dec.v_now,
-                              eta=state.eta.eta))
+        samples.append(Sample(t=t, j=j, x=x.copy(), v=dec.v_now, eta=dyn.eta))
         if t >= t_end:
             break
-        xs, taus = _rk4_segment(spec, state.x, dec.h, dt_flow)
-        vs = np.asarray(spec.v(xs), dtype=float)
-        _check_flow(xs, vs, cfg.c, t, taus)
-        gamma = cfg.family.sets[dec.set_index].gamma
-        us = _flow_u(spec, dec, gamma, xs, taus, state.x)
-        stride = _record_stride(len(taus) - 1)
-        idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-        for k in idx:
-            flow_points.append(FlowPoint(t=t + taus[k], j=j, x=xs[k].copy(),
-                                         v=float(vs[k]), u=float(us[k])))
+        cert = (cfg.family.sets[dec.set_index].gamma, dec.lambda_cap_used)
+        x, _, points = _flow(spec, x, dec.h, dt_flow, cfg.c, t, j, cert)
+        flow_points.extend(points)
         t += dec.h
-        state = HybridState(x=xs[-1], e=xs[0] - xs[-1], eta=state.eta,
-                            tau=dec.h, s=dec.h)
     traj = HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
                             flow_points=tuple(flow_points))
     if monitors:
@@ -249,9 +232,8 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         dt_flow = period / 32.0
     if not (0.0 < dt_flow <= period / 16.0):
         raise ValueError("dt_flow must lie in (0, period/16]")
-    x0 = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     t = 0.0
-    x = x0
     samples, flow_points = [], []
     monitors = []
     while True:
@@ -264,18 +246,11 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         samples.append(Sample(t=t, j=j, x=x.copy(), v=v, eta=()))
         if t >= t_end:
             break
-        xs, taus = _rk4_segment(spec, x, period, dt_flow)
-        vs = np.asarray(spec.v(xs), dtype=float)
-        _check_flow(xs, vs, c, t, taus)
-        stride = _record_stride(len(taus) - 1)
-        idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-        for k in idx:
-            flow_points.append(FlowPoint(t=t + taus[k], j=j, x=xs[k].copy(),
-                                         v=float(vs[k]), u=math.nan))
+        x, vs, points = _flow(spec, x, period, dt_flow, c, t, j)
+        flow_points.extend(points)
         monitors.append(MonitorRecord(
             monitor="region", j=j,
             slack=float(c * (1.0 + REGION_TOL_REL) - np.max(vs)), passed=True))
-        x = xs[-1]
         t += period
     return HybridTrajectory(samples=tuple(samples), decisions=(),
                             flow_points=tuple(flow_points),

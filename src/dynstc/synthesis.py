@@ -269,21 +269,28 @@ def verify_family(spec, family: ParameterFamily, grid_density: int):
     return _reports(spec, family.sets, grid_density)
 
 
+def _synthesize(spec, epsilons, l_const, grid_density):
+    """Inflated grid-feasible gamma per epsilon, verified on the same grid."""
+    ratios = _grid_pass(spec, grid_density, epsilons)[0]
+    sets = [ParameterSet(epsilon=float(eps), l_const=float(l_const),
+                         gamma=GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR)
+            for eps, r in zip(epsilons, ratios)]
+    reports = _reports(spec, sets, grid_density)
+    for eps, ps, rep in zip(epsilons, sets, reports):
+        if not rep.certified:
+            raise SynthesisError(
+                f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "
+                f"certificate by {rep.max_violation:.3e}",
+                epsilon=eps, point=(rep.worst_x, rep.worst_e))
+    return [replace(ps, margin=rep.margin) for ps, rep in zip(sets, reports)]
+
+
 def synthesize_gamma(spec, epsilon: float, l_const: float = 0.05,
                      grid_density: int = 48) -> ParameterSet:
     """Smallest grid-feasible gamma for one epsilon, inflated by 5%."""
     if not (l_const > 0.0):
         raise ValueError("L must be positive")
-    ratio = _grid_pass(spec, grid_density, [epsilon])[0][0]
-    gamma = GAMMA_INFLATION * math.sqrt(ratio) if ratio > 0.0 else GAMMA_FLOOR
-    ps = ParameterSet(epsilon=float(epsilon), gamma=gamma, l_const=float(l_const))
-    report = verify_assumption(spec, ps, grid_density)
-    if not report.certified:
-        raise SynthesisError(
-            f"epsilon={epsilon}: inflated gamma={gamma:.6g} still violates the "
-            f"certificate by {report.max_violation:.3e}",
-            epsilon=epsilon, point=(report.worst_x, report.worst_e))
-    return replace(ps, margin=report.margin)
+    return _synthesize(spec, [epsilon], l_const, grid_density)[0]
 
 
 def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
@@ -298,20 +305,7 @@ def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
         raise ValueError("family needs a positive epsilon for the fall-back set")
     order = [int(np.argmax(epsilons))]
     order += [i for i in range(len(epsilons)) if i != order[0]]
-    eps_ordered = [epsilons[i] for i in order]
-    ratios = _grid_pass(spec, grid_density, eps_ordered)[0]
-    sets = []
-    for eps, ratio in zip(eps_ordered, ratios):
-        gamma = GAMMA_INFLATION * math.sqrt(ratio) if ratio > 0.0 else GAMMA_FLOOR
-        sets.append(ParameterSet(epsilon=eps, gamma=gamma, l_const=float(l_const)))
-    reports = _reports(spec, sets, grid_density)
-    for k, rep in enumerate(reports):
-        if not rep.certified:
-            raise SynthesisError(
-                f"epsilon={sets[k].epsilon}: inflated gamma={sets[k].gamma:.6g} "
-                f"still violates the certificate by {rep.max_violation:.3e}",
-                epsilon=sets[k].epsilon, point=(rep.worst_x, rep.worst_e))
-        sets[k] = replace(sets[k], margin=rep.margin)
+    sets = _synthesize(spec, [epsilons[i] for i in order], l_const, grid_density)
     return ParameterFamily(sets=tuple(sets), fallback_index=0)
 
 

@@ -12,6 +12,10 @@ errors are arrays whose last axis is the respective dimension, energies
 drop that axis.  The hold error e is never integrated; the simulator
 reconstructs it as e(t) = x(t_j) - x(t), which is exact under zero-order
 hold since the error flows with -f.
+
+The built-ins use the default weights W(e) = ||e|| and H(x, e) =
+||f(x, e)||, for which the error-growth inequality d||e||/dt <= L*W + H
+holds for every L >= 0 (the error rate is -f pointwise).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "SystemSpec",
     "eval_f",
     "in_region",
-    "default_w_h",
     "van_der_pol",
     "linear_test",
     "spec_from_config",
@@ -40,10 +43,8 @@ VDP_P_DEFAULT = ((4.68, 1.10), (1.10, 3.56))
 class SystemSpec:
     """Immutable description of one closed-loop system.
 
-    The four ``alpha_*`` maps are scalar envelopes sandwiching V and W:
-    alpha_v_lower(||x||) <= V(x) <= alpha_v_upper(||x||) on the state
-    ball, and likewise for W over the error ball.  They are only needed
-    by the runtime monitors and accept numpy arrays.
+    ``default_wh`` marks the default weights W = ||e||, H = ||f||, which
+    synthesis exploits (H^2 from f directly, the error-growth slack).
     """
 
     name: str
@@ -57,10 +58,6 @@ class SystemSpec:
     region_c: float
     x_radius: float
     e_radius: float
-    alpha_v_lower: Callable[[np.ndarray], np.ndarray]
-    alpha_v_upper: Callable[[np.ndarray], np.ndarray]
-    alpha_w_lower: Callable[[np.ndarray], np.ndarray]
-    alpha_w_upper: Callable[[np.ndarray], np.ndarray]
     default_wh: bool = True
 
     def __post_init__(self):
@@ -91,22 +88,6 @@ def in_region(spec: SystemSpec, x):
     return spec.v(_as_vec(x, spec.n_x, "state")) <= spec.region_c
 
 
-def default_w_h(spec: SystemSpec):
-    """Canonical weight pair: W(e) = ||e|| and H(x, e) = ||f(x, e)||.
-
-    With this choice the error-growth inequality d||e||/dt <= L*W + H
-    holds for every L >= 0, since the error rate is -f pointwise.
-    """
-    def w(e):
-        return np.linalg.norm(np.asarray(e, dtype=float), axis=-1)
-
-    def h_fn(x, e):
-        return np.linalg.norm(spec.f(np.asarray(x, dtype=float),
-                                      np.asarray(e, dtype=float)), axis=-1)
-
-    return w, h_fn
-
-
 def _quadratic_spec(name, n, p, c, f):
     if not (c > 0.0):
         raise ValueError("region level c must be positive")
@@ -116,8 +97,7 @@ def _quadratic_spec(name, n, p, c, f):
     eigs = np.linalg.eigvalsh(p)
     if eigs[0] <= 0.0:
         raise ValueError("P must be positive definite")
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-    a_bar = float(np.sqrt(c / lam_min))
+    a_bar = float(np.sqrt(c / float(eigs[0])))
 
     def v(x):
         x = np.asarray(x, dtype=float)
@@ -133,7 +113,6 @@ def _quadratic_spec(name, n, p, c, f):
         return np.linalg.norm(f(np.asarray(x, dtype=float),
                                 np.asarray(e, dtype=float)), axis=-1)
 
-    ident = lambda r: np.asarray(r, dtype=float)
     return SystemSpec(
         name=name,
         n_x=n,
@@ -146,10 +125,6 @@ def _quadratic_spec(name, n, p, c, f):
         region_c=float(c),
         x_radius=a_bar,
         e_radius=2.0 * a_bar,  # Minkowski bound: both x-hat and x lie in the state ball
-        alpha_v_lower=lambda r: lam_min * np.square(np.asarray(r, dtype=float)),
-        alpha_v_upper=lambda r: lam_max * np.square(np.asarray(r, dtype=float)),
-        alpha_w_lower=ident,
-        alpha_w_upper=ident,
     )
 
 

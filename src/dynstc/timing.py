@@ -1,7 +1,8 @@
 """Timing functions for sampled-data Lyapunov analysis.
 
 This module provides the closed-form flow horizons used by the trigger
-logic and the comparison function needed by the runtime certificates:
+logic and the comparison function needed by the runtime certificates,
+where the simulator forms the combined energy ``V + gamma*phi(tau)*W^2``:
 
 * ``t_max(gamma, lambda_cap)`` -- the largest flow horizon over which the
   combined energy estimate of the sampled loop stays valid for a supply
@@ -14,7 +15,6 @@ logic and the comparison function needed by the runtime certificates:
   used to certify an already-issued inter-sample interval.
 * ``phi_solve`` -- dense numerical solution of the scalar comparison ODE
   ``dphi/dtau = -2*lambda_cap*phi - gamma*(phi^2 + 1)``.
-* ``u_value`` -- the combined energy ``V + gamma*phi(tau)*W^2``.
 
 All functions are scalar and deterministic; ``PhiSolution.evaluate``
 accepts arrays.
@@ -28,13 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "TimingParams",
+    "HorizonError",
     "PhiSolution",
     "t_max",
     "t_tilde_max",
     "solve_lambda_for_horizon",
     "phi_solve",
-    "u_value",
 ]
 
 
@@ -52,25 +51,6 @@ def _check_rates(gamma: float, lambda_cap: float) -> None:
 def _check_lam(lam: float) -> None:
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lam must lie strictly inside (0, 1), got {lam}")
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    """Validated bundle (gamma, lambda_cap, lam) for the timing functions.
-
-    ``gamma`` is the supply gain on the error energy, ``lambda_cap`` the
-    rate cap on the state energy, and ``lam`` (optional) the comparison
-    contraction ratio in (0, 1).
-    """
-
-    gamma: float
-    lambda_cap: float
-    lam: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_rates(self.gamma, self.lambda_cap)
-        if self.lam is not None:
-            _check_lam(self.lam)
 
 
 def t_max(gamma: float, lambda_cap: float) -> float:
@@ -237,13 +217,3 @@ def phi_solve(lam: float, gamma: float, lambda_cap: float,
     return PhiSolution(lam=lam, gamma=gamma, lambda_cap=lambda_cap,
                        horizon=horizon, _taus=taus, _vals=vals, _ders=ders)
 
-
-def u_value(v: float, w: float, phi_tau: float, gamma: float) -> float:
-    """Combined energy V + gamma * phi(tau) * W^2 of the sampled loop."""
-    if v < 0.0 or w < 0.0:
-        raise ValueError("energy V and error measure W must be non-negative")
-    if phi_tau < 0.0:
-        raise ValueError("phi must be non-negative over the certified horizon")
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return v + gamma * phi_tau * w * w

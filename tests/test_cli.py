@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from dynstc import cli
+from dynstc.engine import StcConfig, t_max_cap, t_min_of
 from dynstc.sim import IntegrationBlowupError
 from dynstc.synthesis import read_manifest
 
@@ -22,7 +23,9 @@ def _write_config(path, **overrides):
 
 
 def test_synthesize_writes_manifest(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "cfg.json")
+    # delta = 0.5 puts 1 - delta above the fall-back's L + eps/2 = 0.3
+    cfg = _write_config(tmp_path / "cfg.json",
+                        stc={"delta": 0.5, "eps_ref": 0.01, "m": 5})
     out = tmp_path / "out"
     assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
     family, density = read_manifest(out / "family.json")
@@ -32,8 +35,16 @@ def test_synthesize_writes_manifest(tmp_path, capsys):
     assert "t_min =" in text
     assert "delta*t_max" in text
     # one table row per set
-    assert sum(line.strip().startswith(("0 ", "1 ", "2 "))
-               for line in text.splitlines()) == 3
+    rows = [line.split() for line in text.splitlines()
+            if line.strip().startswith(("0 ", "1 ", "2 "))]
+    assert len(rows) == 3
+    # one rate-cap rule: the fall-back row's delta*t_max is the printed
+    # t_min, and the column maximum is t_max_cap
+    stc = StcConfig(family=family, c=1.0, delta=0.5, eps_ref=0.01, m=5)
+    caps = [row[5] for row in rows]
+    assert text.splitlines()[0] == f"t_min = {caps[family.fallback_index]}"
+    assert caps[family.fallback_index] == f"{t_min_of(stc):.6g}"
+    assert max(map(float, caps)) == float(f"{t_max_cap(stc):.6g}")
 
 
 def test_run_produces_artifacts(tmp_path):
@@ -58,8 +69,7 @@ def test_run_is_byte_deterministic(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(["run", "--config", cfg, "--out", str(out1)]) == 0
-    assert cli.main(["run", "--config", cfg, "--out", str(out2),
-                     "--jobs", "3"]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
@@ -176,6 +186,24 @@ def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("run", "x0", [{"a": 1}]),
+    ("run", "t_end", [1]),
+    ("stc", "m", [3]),
+    ("system", "c", [1]),
+    ("synthesis", "grid_density", [48]),
+])
+def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    doc = json.loads(cfg_path.read_text())
+    doc[block][key] = value
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the dynamic trigger and jump map."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,14 @@ from dynstc.engine import (
     FALLBACK_DECREASE,
     WINDOW_BOUND,
     DynamicVariable,
-    HybridState,
-    JumpConditionError,
-    RegionViolationError,
+    RegionEscapeError,
     StcConfig,
     TriggerDecision,
     eta_initial,
     gamma_trigger,
     interval_for_set,
     lambda_cap_for,
+    set_lambda_cap,
     static_trigger,
     stc_step,
     t_max_cap,
@@ -183,8 +183,10 @@ def test_trigger_single_set_family():
 def test_trigger_region_violation():
     spec = linear_test()
     cfg = StcConfig(family=_family(FB), c=1.0, m=1)
-    with pytest.raises(RegionViolationError):
+    with pytest.raises(RegionEscapeError) as exc:
         gamma_trigger([2.0], DynamicVariable(), cfg, spec)
+    assert exc.value.v == pytest.approx(4.0)
+    assert np.array_equal(exc.value.x, [2.0])
 
 
 def test_trigger_prefers_longer_window_interval():
@@ -310,26 +312,15 @@ def test_static_trigger_matches_m1():
 
 
 def test_stc_step_jump_semantics():
+    # the decision comes from the pre-shift register, which then takes V(x)
     spec = linear_test()
-    cfg = StcConfig(family=_family(FB), c=1.0, m=3)
-    state = HybridState(x=np.array([0.5]), e=np.array([0.2]),
-                        eta=eta_initial(3, 0.25), tau=0.7, s=0.7)
-    nxt, dec = stc_step(state, cfg, spec)
-    assert np.array_equal(nxt.x, state.x)
-    assert np.all(nxt.e == 0.0)
-    assert nxt.tau == 0.0
-    assert nxt.s == dec.h
-    assert nxt.eta.eta == (0.25, 0.25)  # shifted, V(x) = 0.25 appended
-    assert spec.v(nxt.x) == spec.v(state.x)
-
-
-def test_stc_step_off_jump_set():
-    spec = linear_test()
-    cfg = StcConfig(family=_family(FB), c=1.0, m=1)
-    state = HybridState(x=np.array([0.1]), e=np.zeros(1),
-                        eta=DynamicVariable(), tau=0.1, s=0.5)
-    with pytest.raises(JumpConditionError):
-        stc_step(state, cfg, spec)
+    cfg = StcConfig(family=_family(FB, (0.02, 1.0, 0.05)), c=1.0, m=3)
+    dyn = DynamicVariable(eta=(0.5, 0.75))
+    dec, nxt = stc_step(np.array([0.5]), dyn, cfg, spec)
+    assert dec == gamma_trigger(np.array([0.5]), dyn, cfg, spec)
+    assert dec.c_val == pytest.approx((0.25 + 0.5 + 0.75) / 3)
+    assert nxt.eta == (0.75, 0.25)  # shifted, V(x) = 0.25 appended
+    assert dyn.eta == (0.5, 0.75)   # the input register is left as it was
 
 
 def test_eta_fill_induction():
@@ -338,12 +329,28 @@ def test_eta_fill_induction():
     m = 5
     cfg = StcConfig(family=_family(FB), c=1.0, m=m)
     xs = [0.9, 0.8, 0.7, 0.6]
-    state = HybridState(x=np.array([xs[0]]), e=np.zeros(1),
-                        eta=eta_initial(m, xs[0] ** 2), tau=0.0, s=0.0)
+    dyn = eta_initial(m, xs[0] ** 2)
     seen = []
     for xk in xs:
-        state = HybridState(x=np.array([xk]), e=state.e, eta=state.eta,
-                            tau=state.s, s=state.s)
-        state, dec = stc_step(state, cfg, spec)
+        _, dyn = stc_step(np.array([xk]), dyn, cfg, spec)
         seen.append(xk ** 2)
-    assert state.eta.eta == pytest.approx(tuple(seen))
+    assert dyn.eta == pytest.approx(tuple(seen))
+
+
+def test_lambda_cap_used_is_the_set_cap():
+    # one rule for every caller: L + eps/2 for the fall-back, else
+    # lambda_cap_for; delta = 0.9 makes the two differ for the fall-back
+    spec = linear_test()
+    fam = _family(FB, (0.02, 1.0, 0.05))
+    cfg = StcConfig(family=fam, c=1.0, m=2, delta=0.9)
+    assert lambda_cap_for(fam.sets[0], cfg.delta) == pytest.approx(0.1)
+    win = gamma_trigger([0.5], DynamicVariable(eta=(0.3,)), cfg, spec)
+    fb = gamma_trigger([0.5], DynamicVariable(eta=(0.3,)),
+                       replace(cfg, family=_family(FB)), spec)
+    assert not win.used_fallback and fb.used_fallback
+    assert win.lambda_cap_used == set_lambda_cap(cfg, win.set_index) \
+        == lambda_cap_for(fam.sets[1], cfg.delta)
+    assert fb.lambda_cap_used == set_lambda_cap(cfg, fb.set_index) == 0.05 + 0.5 * 0.01
+    assert t_min_of(cfg) == cfg.delta * t_max(2.0, set_lambda_cap(cfg, 0))
+    assert t_max_cap(cfg) == max(cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))
+                                 for i, ps in enumerate(fam.sets))

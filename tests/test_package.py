@@ -1,0 +1,29 @@
+"""Export lists of the package and its modules."""
+
+import importlib
+
+import pytest
+
+import dynstc
+
+MODULES = ["dynstc", "dynstc.cli", "dynstc.engine", "dynstc.sim",
+           "dynstc.synthesis", "dynstc.systems", "dynstc.timing"]
+REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
+           "TimingParams", "u_value", "default_w_h"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_resolve(name):
+    mod = importlib.import_module(name)
+    missing = [attr for attr in mod.__all__ if not hasattr(mod, attr)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert not set(REMOVED) & set(mod.__all__)
+    assert not [attr for attr in REMOVED if hasattr(mod, attr)]
+
+
+def test_region_escape_is_one_class():
+    from dynstc import engine, sim
+
+    assert dynstc.RegionEscapeError is engine.RegionEscapeError is sim.RegionEscapeError
+    assert sim.REGION_TOL_REL is engine.REGION_TOL_REL

@@ -5,7 +5,6 @@ import pytest
 
 from dynstc.systems import (
     SystemSpec,
-    default_w_h,
     eval_f,
     in_region,
     linear_test,
@@ -73,7 +72,8 @@ def test_in_region(vdp):
 
 
 def test_default_w_h(vdp):
-    w, h = default_w_h(vdp)
+    w, h = vdp.w, vdp.h_fn
+    assert vdp.default_wh
     assert w(np.zeros(2)) == 0.0
     assert h(np.zeros(2), np.zeros(2)) == 0.0
     assert h(np.array([1.0, 0.0]), np.zeros(2)) == pytest.approx(1.0)
@@ -92,19 +92,6 @@ def test_default_w_growth_inequality(vdp):
     rate = np.einsum("ij,ij->i", e, -f)[mask] / ne[mask]
     slack = vdp.h_fn(x, e)[mask] - rate
     assert np.all(slack >= -1e-12)
-
-
-def test_alpha_bounds_sandwich(vdp):
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-vdp.x_radius, vdp.x_radius, size=(500, 2))
-    r = np.linalg.norm(x, axis=-1)
-    v = vdp.v(x)
-    assert np.all(vdp.alpha_v_lower(r) <= v * (1 + 1e-12) + 1e-15)
-    assert np.all(v <= vdp.alpha_v_upper(r) * (1 + 1e-12) + 1e-15)
-    e = rng.uniform(-vdp.e_radius, vdp.e_radius, size=(500, 2))
-    wv = vdp.w(e)
-    assert np.all(vdp.alpha_w_lower(np.linalg.norm(e, axis=-1)) <= wv + 1e-15)
-    assert np.all(wv <= vdp.alpha_w_upper(np.linalg.norm(e, axis=-1)) + 1e-15)
 
 
 def test_region_error_containment(vdp):
@@ -180,8 +167,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SystemSpec(name="bad", n_x=0, n_e=1, f=good.f, v=good.v,
                    grad_v=good.grad_v, w=good.w, h_fn=good.h_fn,
-                   region_c=1.0, x_radius=1.0, e_radius=2.0,
-                   alpha_v_lower=good.alpha_v_lower,
-                   alpha_v_upper=good.alpha_v_upper,
-                   alpha_w_lower=good.alpha_w_lower,
-                   alpha_w_upper=good.alpha_w_upper)
+                   region_c=1.0, x_radius=1.0, e_radius=2.0)

@@ -7,12 +7,10 @@ import pytest
 
 from dynstc.timing import (
     HorizonError,
-    TimingParams,
     phi_solve,
     solve_lambda_for_horizon,
     t_max,
     t_tilde_max,
-    u_value,
 )
 
 
@@ -200,25 +198,3 @@ def test_phi_rejects_tau_outside_horizon():
     with pytest.raises(ValueError):
         sol.evaluate(-0.1)
 
-
-def test_u_value():
-    assert u_value(1.0, 0.0, 2.0, 1.0) == 1.0
-    assert u_value(1.0, 2.0, 0.5, 3.0) == 1.0 + 3.0 * 0.5 * 4.0
-    assert u_value(0.0, 0.0, 1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        u_value(-1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        u_value(1.0, -1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        u_value(1.0, 1.0, -0.1, 1.0)
-    with pytest.raises(ValueError):
-        u_value(1.0, 1.0, 1.0, 0.0)
-
-
-def test_timing_params_validation():
-    TimingParams(gamma=1.0, lambda_cap=2.0)
-    TimingParams(gamma=1.0, lambda_cap=2.0, lam=0.5)
-    with pytest.raises(ValueError):
-        TimingParams(gamma=0.0, lambda_cap=1.0)
-    with pytest.raises(ValueError):
-        TimingParams(gamma=1.0, lambda_cap=1.0, lam=1.0)
