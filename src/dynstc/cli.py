@@ -18,8 +18,8 @@ random, so outputs are byte deterministic for a fixed config.  `run`
 simulates every initial state and mechanism in turn before it writes any
 run file, so a numerical failure leaves no partial run artifacts.
 
-Exit codes: 0 success, 2 invalid config or missing artifact, 3 synthesis
-or verification failure, 4 monitor violation, 5 numerical failure.
+Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
+3 synthesis or verification failure, 4 monitor violation, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -341,7 +341,10 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"no run summary at {summary_path}; run 'run' first")
     with open(summary_path, "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    text = _compare_text(summary)
+    try:
+        text = _compare_text(summary)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed run summary {summary_path}: {exc!r}") from exc
     (out / "compare.txt").write_text(text, encoding="utf-8")
     dec = out / "run0_dynamic_decisions.csv"
     traj = out / "run0_dynamic_trajectory.csv"

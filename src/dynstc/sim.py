@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .engine import (
     stc_step,
     t_min_of,
 )
-from .timing import HorizonError, phi_solve, solve_lambda_for_horizon
+from .timing import phi_solve, solve_lambda_for_horizon, t_max
 
 __all__ = [
     "IntegrationBlowupError",
@@ -114,12 +113,6 @@ class HybridTrajectory:
         return [r for r in self.monitors if not r.passed]
 
 
-@lru_cache(maxsize=512)
-def _phi_for(h: float, gamma: float, lam_cap: float):
-    lam = solve_lambda_for_horizon(h, gamma, lam_cap)
-    return phi_solve(lam, gamma, lam_cap)
-
-
 def _rk4_segment(spec, x_hold, h, dt_flow):
     """Integrate one hold interval; returns node states and offsets.
 
@@ -178,10 +171,11 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
     else:
         gamma, lam_cap = cert
         w = spec.w(x_hold - xs)
-        us = vs + gamma * _phi_for(h, gamma, lam_cap).evaluate(taus) * w * w
+        phi = phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap)
+        us = vs + gamma * phi.evaluate(taus) * w * w
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
     idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-    points = [FlowPoint(t=t_start + taus[k], j=j, x=xs[k].copy(), v=float(vs[k]),
+    points = [FlowPoint(t=float(t_start + taus[k]), j=j, x=xs[k].copy(), v=float(vs[k]),
                         u=float(us[k])) for k in idx]
     return xs[-1], vs, points
 
@@ -266,9 +260,7 @@ def monitor_flow_bound(points, dec, gamma, l_const, v_plus, t_start) -> MonitorR
     happen for trigger output, but callers may fabricate decisions) the
     monitor reports itself inapplicable instead of failing.
     """
-    try:
-        solve_lambda_for_horizon(dec.h, gamma, dec.lambda_cap_used)
-    except HorizonError:
+    if dec.h >= t_max(gamma, dec.lambda_cap_used):
         return MonitorRecord(monitor="flow-bound", j=points[0].j, slack=math.nan,
                              passed=True, note="inapplicable: h >= t_max")
     rate = max(-dec.epsilon, 2.0 * (l_const - dec.lambda_cap_used))
@@ -383,7 +375,7 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
         else:
             dec = traj.decisions[p.j - 1]
             interval, idx, fb = dec.h, dec.set_index, dec.used_fallback
-        rows.append([p.t, p.j] + list(p.x) + [p.v, p.u, interval, idx, fb])
+        rows.append([p.t, p.j] + p.x.tolist() + [p.v, p.u, interval, idx, fb])
     _write_rows(path, header, rows)
 
 

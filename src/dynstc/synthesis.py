@@ -369,5 +369,8 @@ def read_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     family = manifest_to_family(doc)
-    density = int(doc["sets"][0].get("grid_density", 0)) if doc.get("sets") else 0
+    try:
+        density = int(doc["sets"][0].get("grid_density", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed parameter-family manifest: {exc}") from exc
     return family, density

@@ -13,17 +13,18 @@ where the simulator forms the combined energy ``V + gamma*phi(tau)*W^2``:
   as ``lam -> 1``.
 * ``solve_lambda_for_horizon`` -- inverse of ``t_tilde_max`` in ``lam``,
   used to certify an already-issued inter-sample interval.
-* ``phi_solve`` -- dense numerical solution of the scalar comparison ODE
-  ``dphi/dtau = -2*lambda_cap*phi - gamma*(phi^2 + 1)``.
+* ``phi_solve`` -- exact solution of the scalar comparison ODE
+  ``dphi/dtau = -2*lambda_cap*phi - gamma*(phi^2 + 1)``, a Riccati
+  equation with constant coefficients.
 
-All functions are scalar and deterministic; ``PhiSolution.evaluate``
-accepts arrays.
+Everything is a closed form and deterministic.  The functions take and
+return scalars; ``PhiSolution.evaluate`` accepts scalars and arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "solve_lambda_for_horizon",
     "phi_solve",
 ]
+
+HORIZON_REL_TOL = 1e-10  # |t_tilde_max(lam) - h| allowed, relative to max(1, h)
 
 
 class HorizonError(ValueError):
@@ -100,13 +103,16 @@ def t_tilde_max(lam: float, gamma: float, lambda_cap: float) -> float:
     return atanh_arg / (lambda_cap * r)
 
 
-def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float,
-                             rel_tol: float = 1e-10) -> float:
+def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float) -> float:
     """Find lam in (0, 1) with t_tilde_max(lam, gamma, lambda_cap) = h.
 
-    Bisection on the strictly decreasing map lam -> t_tilde_max.  Raises
-    ``HorizonError`` when ``h >= t_max(gamma, lambda_cap)`` (no solution)
-    and ``ValueError`` for a non-positive horizon.
+    With q = gamma/lambda_cap, r^2 = q^2 - 1 and T = tan(lambda_cap*r*h)/r
+    (tanh for r^2 < 0, lambda_cap*h for q = 1), the condition is the
+    quadratic (1 + T)*lam^2 + 2*q*T*lam + T - 1 = 0, whose root in (0, 1)
+    is taken in a form without cancellation.  Raises ``HorizonError`` when
+    ``h >= t_max(gamma, lambda_cap)`` (no solution) or when the root misses
+    the horizon by more than ``HORIZON_REL_TOL``, and ``ValueError`` for a
+    non-positive horizon.
     """
     _check_rates(gamma, lambda_cap)
     if not (h > 0.0) or not math.isfinite(h):
@@ -116,104 +122,69 @@ def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float,
         raise HorizonError(
             f"horizon {h} is not below t_max {horizon_cap}; no contraction "
             f"ratio exists for this gain pair")
-    lo, hi = 0.0, 1.0
-    lam = 0.5
-    for _ in range(120):
-        lam = 0.5 * (lo + hi)
-        if t_tilde_max(lam, gamma, lambda_cap) > h:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-16:
-            break
-    lam = 0.5 * (lo + hi)
-    achieved = t_tilde_max(lam, gamma, lambda_cap)
-    if abs(achieved - h) > rel_tol * max(1.0, h):
+    q = gamma / lambda_cap
+    r2 = q * q - 1.0
+    r = math.sqrt(abs(r2))
+    if r2 > 0.0:
+        tt = math.tan(lambda_cap * r * h) / r
+    elif r2 < 0.0:
+        tt = math.tanh(lambda_cap * r * h) / r
+    else:
+        tt = lambda_cap * h
+    lam = (1.0 - tt) / (q * tt + math.sqrt(tt * tt * r2 + 1.0))
+    tol = HORIZON_REL_TOL * max(1.0, h)
+    if not (0.0 < lam < 1.0) or abs(t_tilde_max(lam, gamma, lambda_cap) - h) > tol:
         raise HorizonError(
-            f"bisection failed to meet tolerance: |{achieved} - {h}| > "
-            f"{rel_tol * max(1.0, h)}")
+            f"no contraction ratio within {tol} of horizon {h} (got lam = {lam})")
     return lam
 
 
 @dataclass(frozen=True)
 class PhiSolution:
-    """Dense solution of the comparison ODE on [0, horizon].
+    """Exact solution of the comparison ODE on [0, horizon].
 
-    ``evaluate`` (also available as call syntax) interpolates between the
-    integrator nodes with a cubic Hermite polynomial, using the exact ODE
-    right-hand side as nodal derivative.  ``evaluate(0.0)`` returns the
-    initial value ``1/lam`` exactly.
+    phi = y/z with (y, z)(tau) = exp(tau*M) (1/lam, 1) and
+    M = [[-lambda_cap, -gamma], [gamma, lambda_cap]].  Since
+    M^2 = (lambda_cap^2 - gamma^2) I, exp(tau*M) = C(tau) I + S(tau) M
+    with (C, S) = (cos(w*tau), sin(w*tau)/w) for gamma > lambda_cap,
+    (cosh(w*tau), sinh(w*tau)/w) for gamma < lambda_cap and (1, tau) at
+    equality, w^2 = |lambda_cap^2 - gamma^2|.  ``evaluate`` (also
+    available as call syntax) accepts scalars and arrays;
+    ``evaluate(0.0)`` returns the initial value ``1/lam`` exactly.
     """
 
     lam: float
     gamma: float
     lambda_cap: float
     horizon: float
-    _taus: np.ndarray = field(repr=False)
-    _vals: np.ndarray = field(repr=False)
-    _ders: np.ndarray = field(repr=False)
 
     def evaluate(self, tau):
         tau_arr = np.asarray(tau, dtype=float)
         if np.any(tau_arr < -1e-12) or np.any(tau_arr > self.horizon * (1.0 + 1e-12)):
             raise ValueError("tau outside [0, horizon]")
         tau_arr = np.clip(tau_arr, 0.0, self.horizon)
-        step = self._taus[1] - self._taus[0]
-        idx = np.clip((tau_arr / step).astype(int), 0, len(self._taus) - 2)
-        t = (tau_arr - self._taus[idx]) / step
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        out = (h00 * self._vals[idx] + h10 * step * self._ders[idx]
-               + h01 * self._vals[idx + 1] + h11 * step * self._ders[idx + 1])
-        if np.isscalar(tau) or tau_arr.ndim == 0:
+        gamma, cap = self.gamma, self.lambda_cap
+        w2 = (gamma - cap) * (gamma + cap)
+        if w2 > 0.0:
+            w = math.sqrt(w2)
+            c, s = np.cos(w * tau_arr), np.sin(w * tau_arr) / w
+        elif w2 < 0.0:
+            w = math.sqrt(-w2)
+            c, s = np.cosh(w * tau_arr), np.sinh(w * tau_arr) / w
+        else:
+            c, s = np.ones_like(tau_arr), tau_arr
+        p0 = 1.0 / self.lam
+        out = (c * p0 - s * (cap * p0 + gamma)) / (c + s * (gamma * p0 + cap))
+        if tau_arr.ndim == 0:
             return float(out)
         return out
 
     __call__ = evaluate
 
 
-def phi_solve(lam: float, gamma: float, lambda_cap: float,
-              min_steps: int = 2048) -> PhiSolution:
-    """Integrate the comparison ODE from phi(0) = 1/lam over its horizon.
-
-    Fixed-step classical Runge-Kutta.  The step count is raised above
-    ``min_steps`` whenever the initial stiffness 2*lambda_cap + 2*gamma/lam
-    would put the first steps outside the integrator's stability region
-    (relevant for lam below about 1e-3).
-    """
+def phi_solve(lam: float, gamma: float, lambda_cap: float) -> PhiSolution:
+    """Comparison function with phi(0) = 1/lam over its horizon t_tilde_max."""
     _check_lam(lam)
     _check_rates(gamma, lambda_cap)
-    horizon = t_tilde_max(lam, gamma, lambda_cap)
-    # keep step * max|d(rhs)/dphi| <= 0.5; the Jacobian is largest at tau = 0
-    jac0 = 2.0 * lambda_cap + 2.0 * gamma / lam
-    n = max(int(min_steps), int(math.ceil(2.0 * horizon * jac0)))
-    step = horizon / n
-
-    two_cap = 2.0 * lambda_cap
-
-    def rhs(p: float) -> float:
-        return -two_cap * p - gamma * (p * p + 1.0)
-
-    vals = np.empty(n + 1)
-    ders = np.empty(n + 1)
-    p = 1.0 / lam
-    vals[0] = p
-    ders[0] = rhs(p)
-    half = 0.5 * step
-    sixth = step / 6.0
-    for i in range(n):
-        k1 = rhs(p)
-        k2 = rhs(p + half * k1)
-        k3 = rhs(p + half * k2)
-        k4 = rhs(p + step * k3)
-        p = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        vals[i + 1] = p
-        ders[i + 1] = rhs(p)
-    taus = np.linspace(0.0, horizon, n + 1)
     return PhiSolution(lam=lam, gamma=gamma, lambda_cap=lambda_cap,
-                       horizon=horizon, _taus=taus, _vals=vals, _ders=ders)
-
+                       horizon=t_tilde_max(lam, gamma, lambda_cap))

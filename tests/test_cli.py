@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -63,6 +64,14 @@ def test_run_produces_artifacts(tmp_path):
     dyn, sta, per = summary["runs"]
     assert dyn["n_total"] <= sta["n_total"]
     assert per["intervals"]["max"] == pytest.approx(summary["t_min"])
+    # every CSV cell is a plain number, apart from the monitor names
+    for path in out.glob("*.csv"):
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))[1:]
+        assert rows, path.name
+        skip = 1 if path.name.endswith("_monitors.csv") else 0
+        for row in rows:
+            for cell in row[skip:]:
+                float(cell)
 
 
 def test_run_is_byte_deterministic(tmp_path):
@@ -167,6 +176,24 @@ def test_compare_empty_run_list(tmp_path, capsys):
 def test_compare_missing_summary(tmp_path, capsys):
     assert cli.main(["compare", "--out", str(tmp_path / "nothing")]) == 2
     assert "no run summary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, artifact, doc", [
+    ("compare", "summary.json", {"runs": [{"mechanism": "dynamic"}]}),
+    ("compare", "summary.json", [1, 2]),
+    ("verify", "family.json", {"sets": [{"epsilon": 0.5, "gamma": 1.0, "L": 0.05,
+                                         "grid_density": [40]}]}),
+])
+def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / artifact).write_text(json.dumps(doc))
+    argv = [command, "--out", str(out)]
+    if command != "compare":
+        argv += ["--config", cfg]
+    assert cli.main(argv) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mangle", [

@@ -1,6 +1,8 @@
 """Export lists of the package and its modules."""
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -27,3 +29,16 @@ def test_region_escape_is_one_class():
 
     assert dynstc.RegionEscapeError is engine.RegionEscapeError is sim.RegionEscapeError
     assert sim.REGION_TOL_REL is engine.REGION_TOL_REL
+
+
+def test_comparison_function_has_no_tuning_knobs():
+    from dynstc import sim, timing
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(timing.phi_solve) == ["lam", "gamma", "lambda_cap"]
+    assert params(timing.solve_lambda_for_horizon) == ["h", "gamma", "lambda_cap"]
+    assert [f.name for f in dataclasses.fields(timing.PhiSolution)] == \
+        ["lam", "gamma", "lambda_cap", "horizon"]
+    assert not hasattr(sim, "_phi_for")

@@ -1,4 +1,4 @@
-"""Tests for the closed-form timing functions and the comparison ODE."""
+"""Tests for the closed-form timing functions and the comparison function."""
 
 import math
 
@@ -17,8 +17,9 @@ from dynstc.timing import (
 def _phi_exact(lam, gamma, lam_cap, tau):
     """Closed-form solution of dphi/dtau = -2*lam_cap*phi - gamma*(phi^2+1).
 
-    Independent oracle for the numerical integrator: tangent, rational and
-    hyperbolic-cotangent branches obtained by completing the square.
+    Independent oracle for ``phi_solve``'s closed form, which linearises
+    the Riccati equation instead: tangent, rational and hyperbolic-cotangent
+    branches obtained by completing the square.
     """
     b = lam_cap / gamma
     p0 = 1.0 / lam
@@ -128,6 +129,14 @@ def test_solve_lambda_near_cap():
     lam = solve_lambda_for_horizon(h, 2.0, 1.0)
     assert 0.0 < lam < 0.05
     assert t_tilde_max(lam, 2.0, 1.0) == pytest.approx(h, abs=1e-10)
+    # the gains and rate caps at which issued intervals sit
+    for frac in (0.999, 0.9, 0.5):
+        for gamma in (25.0, 26.4):
+            for cap in (0.001, 0.055):
+                h = frac * t_max(gamma, cap)
+                lam = solve_lambda_for_horizon(h, gamma, cap)
+                assert 0.0 < lam < 1.0
+                assert abs(t_tilde_max(lam, gamma, cap) - h) <= 1e-12 * h
 
 
 def test_solve_lambda_tiny_horizon():
@@ -153,13 +162,15 @@ def test_phi_matches_closed_form_all_branches():
         (0.5, 0.5, 1.0),    # gamma below cap: hyperbolic branch
         (0.1, 3.0, 0.3),
         (0.85, 0.2, 1.5),
+        (7.8e-4, 26.4, 0.055),  # contraction ratios of intervals at their cap
+        (1e-3, 25.0, 0.001),
     ]
     for lam, gamma, cap in cases:
         sol = phi_solve(lam, gamma, cap)
         taus = np.linspace(0.0, sol.horizon, 257)
         exact = np.array([_phi_exact(lam, gamma, cap, t) for t in taus])
         got = sol.evaluate(taus)
-        assert np.max(np.abs(got - exact)) <= 1e-8 * max(1.0, 1.0 / lam)
+        assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-10
 
 
 def test_phi_initial_value_exact():
