@@ -167,8 +167,8 @@ def _run_params(doc, spec, cfg):
             raise ConfigError(f"run.x0[{k}] is not a finite vector of length {spec.n_x}")
         if float(spec.v(vec)) > cfg.c:
             raise ConfigError(f"run.x0[{k}] starts outside the region V <= c")
-    if not (t_end > 0.0):
-        raise ConfigError("'run.t_end' must be positive")
+    if not (0.0 < t_end < math.inf):
+        raise ConfigError("'run.t_end' must be positive and finite")
     tmin = t_min_of(cfg)
     if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
         raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")

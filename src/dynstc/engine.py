@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -134,6 +135,12 @@ class StcConfig:
         if self.eta_init not in ("v0", "zero"):
             raise ValueError(f"unknown eta-init policy {self.eta_init!r}")
 
+    @cached_property
+    def _interval_caps(self) -> tuple:
+        """delta * t_max of each set at its rate cap, computed once per config."""
+        return tuple(self.delta * t_max(ps.gamma, set_lambda_cap(self, i))
+                     for i, ps in enumerate(self.family.sets))
+
 
 @dataclass(frozen=True)
 class TriggerDecision:
@@ -160,18 +167,14 @@ def set_lambda_cap(cfg: StcConfig, i: int) -> float:
     return lambda_cap_for(ps, cfg.delta)
 
 
-def _interval_cap(cfg: StcConfig, i: int) -> float:
-    return cfg.delta * t_max(cfg.family.sets[i].gamma, set_lambda_cap(cfg, i))
-
-
 def t_min_of(cfg: StcConfig) -> float:
     """Guaranteed sampling floor delta * t_max(gamma_1, L_1 + eps_1/2)."""
-    return _interval_cap(cfg, cfg.family.fallback_index)
+    return cfg._interval_caps[cfg.family.fallback_index]
 
 
 def t_max_cap(cfg: StcConfig) -> float:
     """Largest interval any decision can return."""
-    return max(_interval_cap(cfg, i) for i in range(len(cfg.family.sets)))
+    return max(cfg._interval_caps)
 
 
 def interval_for_set(v_now: float, c_val: float, ps: ParameterSet,
@@ -184,10 +187,14 @@ def interval_for_set(v_now: float, c_val: float, ps: ParameterSet,
     """
     if v_now < 0.0:
         raise ValueError("energy must be non-negative")
-    dt = delta * t_max(ps.gamma, lambda_cap_for(ps, delta))
+    return _interval(v_now, c_val, eps_ref - ps.epsilon,
+                     delta * t_max(ps.gamma, lambda_cap_for(ps, delta)))
+
+
+def _interval(v_now, c_val, a, dt):
+    """The case split of :func:`interval_for_set` given a = eps_ref - eps_i and its cap dt."""
     if v_now == 0.0:
         return dt
-    a = eps_ref - ps.epsilon
     if c_val >= v_now:
         if a > 0.0:
             return min(dt, math.log(c_val / v_now) / a)
@@ -215,12 +222,13 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
             x=np.array(x, dtype=float), v=v)
     c_val = window_average_c(v, dyn, cfg.c, cfg.m)
     fam = cfg.family
-    h_fb = t_min_of(cfg)
+    caps = cfg._interval_caps
+    h_fb = caps[fam.fallback_index]
     best_h, best_i, window = h_fb, fam.fallback_index, False
     for i, ps in enumerate(fam.sets):
         if i == fam.fallback_index:
             continue
-        h_i = interval_for_set(v, c_val, ps, cfg.delta, cfg.eps_ref)
+        h_i = _interval(v, c_val, cfg.eps_ref - ps.epsilon, caps[i])
         if h_i < h_fb:
             continue
         if not window or h_i > best_h:

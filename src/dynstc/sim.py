@@ -180,6 +180,11 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
     return xs[-1], vs, points
 
 
+def _check_t_end(t_end):
+    if not (0.0 <= t_end < math.inf):
+        raise ValueError("t_end must be finite and non-negative")
+
+
 def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = None,
              monitors: bool = True) -> HybridTrajectory:
     """Run the dynamic mechanism from x0 until the first sample >= t_end."""
@@ -188,8 +193,7 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
         dt_flow = tmin / 32.0
     if not (0.0 < dt_flow <= tmin / 16.0):
         raise ValueError(f"dt_flow must lie in (0, t_min/16] = (0, {tmin / 16.0:.6g}]")
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    _check_t_end(t_end)
     x = np.asarray(x0, dtype=float)
     dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
     t = 0.0
@@ -218,8 +222,9 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
                       dt_flow: float | None = None,
                       c: float | None = None) -> HybridTrajectory:
     """Constant-interval baseline on the same flow/jump machinery."""
-    if not (period > 0.0):
-        raise ValueError("period must be positive")
+    if not (0.0 < period < math.inf):
+        raise ValueError("period must be positive and finite")
+    _check_t_end(t_end)
     if c is None:
         c = spec.region_c
     if dt_flow is None:
@@ -365,18 +370,20 @@ def _write_rows(path, header, rows):
 
 
 def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
+    """One row per flow record, streamed; the same bytes as :func:`_write_rows`."""
     n = traj.flow_points[0].x.shape[0] if traj.flow_points else 0
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
-    rows = []
-    for p in traj.flow_points:
-        if traj.kind == "periodic":
-            interval, idx, fb = traj.period, -1, False
-        else:
-            dec = traj.decisions[p.j - 1]
-            interval, idx, fb = dec.h, dec.set_index, dec.used_fallback
-        rows.append([p.t, p.j] + p.x.tolist() + [p.v, p.u, interval, idx, fb])
-    _write_rows(path, header, rows)
+    if traj.kind == "periodic":
+        tails = [(traj.period, -1, False)] * len(traj.samples)
+    else:
+        tails = [(d.h, d.set_index, d.used_fallback) for d in traj.decisions]
+    tails = [",".join(_fmt(v) for v in tail) for tail in tails]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for p in traj.flow_points:
+            xs = ",".join(map(repr, p.x.tolist()))
+            fh.write(f"{p.t!r},{p.j},{xs},{p.v!r},{p.u!r},{tails[p.j - 1]}\n")
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:

@@ -204,6 +204,8 @@ def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     lambda d: d["run"].update(t_end=-1.0),
     lambda d: d["run"].update(dt_flow=100.0),
     lambda d: d["synthesis"].update(epsilons=[0.5], ladder={"n": 3}),
+    lambda d: d["run"].update(t_end=float("inf")),
+    lambda d: d["run"].update(t_end=float("nan")),
 ])
 def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dynstc import engine
 from dynstc.engine import (
     FALLBACK_DECREASE,
     WINDOW_BOUND,
@@ -277,6 +278,41 @@ def test_trigger_matches_line_search_oracle():
         assert dec.h >= t_min_of(cfg)
         assert dec.h <= t_max_cap(cfg) * (1 + 1e-12)
         assert abs(dec.h - _oracle_h(v, c_val, cfg)) <= 1e-5 * dt_scale
+
+
+def test_trigger_agrees_bitwise_with_interval_for_set():
+    # the trigger reads each set's cap from the config; the public
+    # per-set function computes it afresh: same floats, same winner
+    rng = np.random.default_rng(17)
+    spec = linear_test(c=1e9)
+    for _ in range(300):
+        fam = _random_family(rng)
+        c = float(10.0 ** rng.uniform(-1, 2))
+        cfg = StcConfig(family=fam, c=c, m=2, eps_ref=float(10.0 ** rng.uniform(-3, 0)))
+        x = math.sqrt(c * rng.uniform(0.0, 1.0))
+        v = float(spec.v([x]))
+        dyn = DynamicVariable(eta=(float(rng.uniform(0.0, c * 2.0)),))
+        c_val = window_average_c(v, dyn, c, 2)
+        best_h, best_i = t_min_of(cfg), 0
+        for i, ps in enumerate(fam.sets[1:], start=1):
+            h_i = interval_for_set(v, c_val, ps, cfg.delta, cfg.eps_ref)
+            if h_i >= t_min_of(cfg) and (best_i == 0 or h_i > best_h):
+                best_h, best_i = h_i, i
+        dec = gamma_trigger([x], dyn, cfg, spec)
+        assert (dec.h, dec.set_index) == (best_h, best_i)
+
+
+def test_set_caps_computed_once_per_config(monkeypatch):
+    calls = []
+    real = engine.t_max
+    monkeypatch.setattr(engine, "t_max", lambda g, lam: calls.append(g) or real(g, lam))
+    fam = _family(FB, (0.02, 1.0, 0.05), (-1.0, 1.5, 0.05))
+    cfg = StcConfig(family=fam, c=1.0, m=2)
+    spec = linear_test()
+    for v in np.linspace(0.0, 1.0, 40):
+        gamma_trigger([math.sqrt(v)], DynamicVariable(eta=(0.3,)), cfg, spec)
+    assert t_min_of(cfg) <= t_max_cap(cfg)
+    assert len(calls) == len(fam.sets)
 
 
 def test_trigger_scale_invariance():

@@ -9,6 +9,7 @@ import pytest
 from dynstc.engine import StcConfig, TriggerDecision, t_max_cap, t_min_of
 from dynstc.sim import (
     FlowPoint,
+    _write_rows,
     IntegrationBlowupError,
     MonitorRecord,
     RegionEscapeError,
@@ -20,7 +21,7 @@ from dynstc.sim import (
     write_trajectory_csv,
 )
 from dynstc.synthesis import ParameterFamily, ParameterSet
-from dynstc.systems import linear_test
+from dynstc.systems import linear_test, van_der_pol
 from dynstc.timing import t_max
 
 
@@ -193,6 +194,23 @@ def test_dt_flow_validation():
         simulate_periodic([0.5], spec, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_end_rejected(t_end):
+    cfg, spec = _linear_cfg()
+    with pytest.raises(ValueError):
+        simulate([0.5], cfg, spec, t_end=t_end)
+    with pytest.raises(ValueError):
+        simulate_periodic([0.5], spec, period=0.25, t_end=t_end)
+
+
+@pytest.mark.parametrize("period, t_end", [
+    (0.25, -1.0), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+])
+def test_periodic_rejects_bad_horizon(period, t_end):
+    with pytest.raises(ValueError):
+        simulate_periodic([0.5], linear_test(), period=period, t_end=t_end)
+
+
 def test_periodic_baseline():
     spec = linear_test()
     traj = simulate_periodic([0.5], spec, period=0.25, t_end=1.0)
@@ -246,3 +264,62 @@ def test_periodic_csv(tmp_path):
     write_trajectory_csv(path, traj)
     lines = path.read_text().splitlines()
     assert lines[1].split(",")[6] == "-1"   # set_index column
+
+
+def _vdp_cfg():
+    # the shipped fall-back row of the README family plus two window sets
+    fam = _family((0.01, 25.7003, 0.05), (-1.0, 25.69, 0.05), (-10.0, 25.4, 0.05))
+    return StcConfig(family=fam, c=10.0, m=5), van_der_pol()
+
+
+def _run_key(traj):
+    """Every sample, decision, flow point and monitor record, as exact text."""
+    return repr((
+        [(s.t, s.j, s.x.tolist(), s.v, s.eta) for s in traj.samples],
+        [dataclasses.astuple(d) for d in traj.decisions],
+        [(p.t, p.j, p.x.tolist(), p.v, p.u) for p in traj.flow_points],
+        [dataclasses.astuple(r) for r in traj.monitors],
+    ))
+
+
+@pytest.mark.parametrize("setup, x0, t_end", [
+    (_linear_cfg, [0.9], 6.0), (_vdp_cfg, [-0.3, 1.2], 1.5),
+])
+def test_point_drift_matches_array_drift_in_simulation(setup, x0, t_end):
+    cfg, spec = setup()
+    # route every flow evaluation through the array branch of the same drift
+    arrays = dataclasses.replace(spec, f=lambda x, e: spec.f(x[None], e[None])[0])
+    plain = simulate(x0, cfg, spec, t_end=t_end)
+    assert len(plain.samples) > 5 and plain.monitors
+    assert _run_key(simulate(x0, cfg, arrays, t_end=t_end)) == _run_key(plain)
+
+
+def _reference_trajectory_csv(path, traj):
+    """The row-list writer that the streamed trajectory writer replaced."""
+    n = traj.flow_points[0].x.shape[0] if traj.flow_points else 0
+    header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
+        ["V", "U", "interval", "set_index", "used_fallback"]
+    rows = []
+    for p in traj.flow_points:
+        if traj.kind == "periodic":
+            interval, idx, fb = traj.period, -1, False
+        else:
+            dec = traj.decisions[p.j - 1]
+            interval, idx, fb = dec.h, dec.set_index, dec.used_fallback
+        rows.append([p.t, p.j] + p.x.tolist() + [p.v, p.u, interval, idx, fb])
+    _write_rows(path, header, rows)
+
+
+@pytest.mark.parametrize("kind", ["dynamic", "periodic"])
+def test_trajectory_csv_matches_row_writer(tmp_path, kind):
+    cfg, spec = _vdp_cfg()
+    if kind == "dynamic":
+        traj = simulate([-0.3, 1.2], cfg, spec, t_end=1.0)
+        assert {d.used_fallback for d in traj.decisions} == {False, True}
+    else:
+        traj = simulate_periodic([-0.3, 1.2], spec, t_min_of(cfg), t_end=1.0)
+    write_trajectory_csv(tmp_path / "stream.csv", traj)
+    _reference_trajectory_csv(tmp_path / "rows.csv", traj)
+    data = (tmp_path / "stream.csv").read_bytes()
+    assert data == (tmp_path / "rows.csv").read_bytes()
+    assert data.count(b"\n") == 1 + len(traj.flow_points)

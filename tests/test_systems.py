@@ -48,6 +48,46 @@ def test_vdp_drift_batched(vdp):
             np.testing.assert_allclose(out[i, k], eval_f(vdp, x[i, 0], e[0, k]))
 
 
+def _mixed_values(rng, shape):
+    """Both signs, magnitudes 1e-3..1e3, and a share of +0.0 and -0.0."""
+    z = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    zero = rng.random(shape) < 0.2
+    z[zero] = np.copysign(0.0, z[zero])
+    return z
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("make", [van_der_pol, linear_test])
+def test_point_and_grid_drift_agree_bitwise(make):
+    spec = make()
+    n = spec.n_x
+    rng = np.random.default_rng(11)
+    x = _mixed_values(rng, (6, 1, n))
+    e = _mixed_values(rng, (1, 9, n))
+    x[0, 0] = 0.0
+    x[1, 0] = -0.0
+    e[0, :3] = [[0.0] * n, [-0.0] * n, [0.0, -0.0][:n]]
+
+    def point(xi, ei):
+        out = spec.f(xi, ei)   # the 1-D branch, on Python floats
+        assert out.shape == (n,) and out.dtype == np.float64
+        return out
+
+    grid = spec.f(x, e)
+    assert grid.shape == (6, 9, n)
+    for i in range(6):
+        for k in range(9):
+            assert _same_bits(grid[i, k], point(x[i, 0], e[0, k]))
+    rows = spec.f(x[:, 0], e[0, 4])   # (k, n) with (n,)
+    assert rows.shape == (6, n)
+    for i in range(6):
+        assert _same_bits(rows[i], point(x[i, 0], e[0, 4]))
+        assert _same_bits(spec.f(x[i], e[0, 4])[0], rows[i])
+
+
 def test_vdp_energy(vdp):
     assert vdp.v(np.zeros(2)) == 0.0
     assert vdp.v([2.0, 2.0]) == pytest.approx(41.76)
