@@ -135,11 +135,11 @@ def _synthesis_params(doc):
 
 def _stc_config(doc, spec, family):
     block = dict(doc.get("stc", {}))
-    _check_keys(block, {"delta", "eps_ref", "m", "c", "eta_init"}, "stc")
+    _check_keys(block, {"delta", "eps_ref", "m", "eta_init"}, "stc")
     with _config_values():
         return StcConfig(
             family=family,
-            c=float(block.get("c", spec.region_c)),
+            c=spec.region_c,
             delta=float(block.get("delta", 0.999)),
             eps_ref=float(block.get("eps_ref", 0.01)),
             m=int(block.get("m", 30)),
@@ -187,12 +187,11 @@ def cmd_synthesize(args) -> int:
     write_manifest(out / MANIFEST_NAME, family, params["grid_density"])
     cfg = _stc_config(doc, spec, family)
     print(f"t_min = {t_min_of(cfg):.6g}")
-    print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} "
-          f"{'margin':>12} {'delta*t_max':>12}")
+    print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} {'delta*t_max':>12}")
     for i, ps in enumerate(family.sets):
         cap = cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))
         print(f"{i:>4} {ps.epsilon:>12.6g} {ps.gamma:>12.6g} {ps.l_const:>8.4g} "
-              f"{ps.margin:>12.6g} {cap:>12.6g}")
+              f"{cap:>12.6g}")
     return 0
 
 
@@ -201,7 +200,7 @@ def _simulate(mech, x0, cfg, spec, t_end, dt_flow):
         return simulate(x0, cfg, spec, t_end, dt_flow)
     if mech == "static":
         return simulate(x0, replace(cfg, m=1), spec, t_end, dt_flow)
-    return simulate_periodic(x0, spec, t_min_of(cfg), t_end, c=cfg.c)
+    return simulate_periodic(x0, spec, t_min_of(cfg), t_end)
 
 
 def _interval_stats(traj):

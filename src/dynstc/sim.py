@@ -8,8 +8,8 @@ at t = 0, so sample k lives at hybrid time (t_k, k+1).
 Every run can be checked against the inequalities that back the design:
 
 * flow bound:  V(x(t)) <= U(xi(t)) <= exp(rate*(t - t_j)) * V(t_j+)
-  along each segment, where U = V + gamma*phi(tau)*W^2 and phi is the
-  comparison-ODE solution pinned to the issued interval;
+  along each segment, where U = V + gamma*phi(tau)*W^2 with W = ||e||,
+  and phi is the comparison-ODE solution pinned to the issued interval;
 * sample decrease: the certificate recorded with each decision
   (window bound or fall-back decrease), their combination with
   rate min{eps_1, eps_ref}, a running cap, and a windowed geometric
@@ -103,9 +103,6 @@ class HybridTrajectory:
     def intervals(self):
         return [s2.t - s1.t for s1, s2 in zip(self.samples, self.samples[1:])]
 
-    def sample_times(self):
-        return [s.t for s in self.samples]
-
     def n_samples_before(self, t_lim: float) -> int:
         return sum(1 for s in self.samples if s.t < t_lim)
 
@@ -170,7 +167,7 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
         us = np.full(len(taus), math.nan)
     else:
         gamma, lam_cap = cert
-        w = spec.w(x_hold - xs)
+        w = np.linalg.norm(x_hold - xs, axis=-1)
         phi = phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap)
         us = vs + gamma * phi.evaluate(taus) * w * w
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
@@ -187,7 +184,12 @@ def _check_t_end(t_end):
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = None,
              monitors: bool = True) -> HybridTrajectory:
-    """Run the dynamic mechanism from x0 until the first sample >= t_end."""
+    """Run the dynamic mechanism from x0 until the first sample >= t_end.
+
+    cfg.c may not exceed spec.region_c, the level the certificates hold on.
+    """
+    if cfg.c > spec.region_c:
+        raise ValueError(f"c = {cfg.c:.6g} exceeds the verified level {spec.region_c:.6g}")
     tmin = t_min_of(cfg)
     if dt_flow is None:
         dt_flow = tmin / 32.0
@@ -219,14 +221,12 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
 
 
 def simulate_periodic(x0, spec, period: float, t_end: float,
-                      dt_flow: float | None = None,
-                      c: float | None = None) -> HybridTrajectory:
-    """Constant-interval baseline on the same flow/jump machinery."""
+                      dt_flow: float | None = None) -> HybridTrajectory:
+    """Constant-interval baseline on {V <= spec.region_c}, same flow/jump machinery."""
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
     _check_t_end(t_end)
-    if c is None:
-        c = spec.region_c
+    c = spec.region_c
     if dt_flow is None:
         dt_flow = period / 32.0
     if not (0.0 < dt_flow <= period / 16.0):

@@ -4,7 +4,8 @@ A parameter set (epsilon, gamma, L) certifies the supply-rate inequality
 
     <grad V(x), f(x, e)> <= -epsilon*V(x) + gamma^2*W(e)^2 - H(x, e)^2
 
-on the compact working sets of a system.  This module checks the
+on the compact working sets of a system, with the one weight model
+W(e) = ||e|| and H(x, e) = ||f(x, e)||.  This module checks the
 inequality on uniform grids, synthesizes the smallest grid-feasible
 gamma for a given epsilon (with a 5% safety inflation), and assembles
 ordered families whose first member is the positive-epsilon fall-back
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +33,7 @@ __all__ = [
     "ParameterFamily",
     "VerificationReport",
     "ball_grid",
-    "verify_assumption",
     "verify_family",
-    "synthesize_gamma",
     "build_family",
     "default_epsilon_ladder",
     "family_to_manifest",
@@ -62,7 +61,6 @@ class ParameterSet:
     epsilon: float
     gamma: float
     l_const: float
-    margin: float = math.nan  # smallest verified slack at synthesis time
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon)):
@@ -99,22 +97,18 @@ class VerificationReport:
     """Outcome of one grid pass for one parameter set.
 
     max_violation is the grid maximum of
-    s = <grad V, f> + eps*V + H^2 - gamma^2*W^2 (certified iff <= 0);
-    margin is its negation, the smallest slack.  scale normalizes
-    tolerances: the largest magnitude the individual terms of s reach.
-    w_slack_min is the smallest slack of the error-growth inequality
-    under the default W, H (None when custom weights are installed).
+    s = <grad V, f> + eps*V + H^2 - gamma^2*W^2 (certified iff <= 0).
+    scale normalizes tolerances: the largest magnitude the individual
+    terms of s reach.
     """
 
     certified: bool
     max_violation: float
-    margin: float
     worst_x: tuple
     worst_e: tuple
     grid_density: int
     n_points: int
     scale: float
-    w_slack_min: float | None = None
 
 
 def ball_grid(radius: float, dim: int, density: int) -> np.ndarray:
@@ -142,10 +136,10 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
     """One chunked pass over the X x E grid, shared by several sets.
 
     Every quantity checked here has the form
-    base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2,
-    so it depends on e only through W(e)^2.  The error grid is sorted once
-    (stably) by W^2, which makes each level of exactly equal W^2 a
-    contiguous run of columns.  Each x-chunk evaluates f once and reduces
+    base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2
+    and H^2 = <f, f>, so it depends on e only through W(e)^2 = ||e||^2.
+    The error grid is sorted once (stably) by W^2, which makes each level
+    of exactly equal W^2 a contiguous run of columns.  Each x-chunk evaluates f once and reduces
     base, and |<grad V, f>| + H^2, to their maximum over every level; the
     per-set work then runs on chunk x levels instead of chunk x error
     points.  The cost is one shared f pass plus per-set work over the
@@ -163,10 +157,10 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
     (base + eps*V)/W^2; a W = 0 grid point with a positive numerator is
     raised as a SynthesisError (no finite gamma can help there).
     Verification returns per set (max_s, worst (x, e), scale) plus the
-    shared n_points and w_slack_min.
+    shared n_points.
     """
     xg, eg = _grids(spec, grid_density)
-    we2 = np.square(np.asarray(spec.w(eg), dtype=float))
+    we2 = np.square(np.linalg.norm(eg, axis=-1))
     if not np.all(np.isfinite(we2)):
         raise ValueError("non-finite certificate evaluation on the grid")
     perm = np.argsort(we2, kind="stable")
@@ -179,16 +173,10 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
     verify = gammas is not None
-    slack_on = verify and spec.default_wh
-    if slack_on:
-        ne = np.linalg.norm(eg_s, axis=-1)
-        nz = ne > 1e-12  # the error-growth rate is defined off e = 0
-        ne_div = np.where(nz, ne, 1.0)
 
     best = np.full(len(epsilons), -np.inf)
     worst = [(None, None)] * len(epsilons)
     scale = np.zeros(len(epsilons))
-    w_slack_min = np.inf
     e_b = eg_s[None, :, :]
     for lo in range(0, xg.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
@@ -196,10 +184,7 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
         v_b = vx[sl][:, None]
         f = spec.f(x_b, e_b)
         gvf = np.einsum("bi,bei->be", gx[sl], f)
-        if spec.default_wh:
-            h2 = np.einsum("bei,bei->be", f, f)
-        else:
-            h2 = np.square(np.asarray(spec.h_fn(x_b, e_b), dtype=float))
+        h2 = np.einsum("bei,bei->be", f, f)
         base = gvf + h2
         if not np.all(np.isfinite(base)):
             raise ValueError("non-finite certificate evaluation on the grid")
@@ -218,11 +203,6 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
                         epsilon=eps, point=(x_off, e_off))
                 best[k] = max(best[k], float(np.max(num[:, w_pos] / lev[w_pos])))
             continue
-        if slack_on:
-            # error-growth slack H - <e/|e|, -f> = H + <e, f>/|e|
-            rate = np.einsum("ei,bei->be", eg_s, f) / ne_div
-            w_slack_min = min(w_slack_min, float(np.min(
-                np.sqrt(h2) + rate, where=nz, initial=np.inf)))
         abs_max = np.maximum.reduceat(np.abs(gvf) + h2, starts, axis=1)
         for k, (eps, gam) in enumerate(zip(epsilons, gammas)):
             s = base_max + eps * v_b - (gam * gam) * lev
@@ -234,13 +214,11 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
                 worst[k] = (tuple(xg[lo + bi]), tuple(eg[perm[row == best[k]].min()]))
             mag = abs_max + abs(eps) * v_b + (gam * gam) * lev
             scale[k] = max(scale[k], float(np.max(mag)))
-    n_points = xg.shape[0] * eg.shape[0]
-    slack = float(w_slack_min) if spec.default_wh else None
-    return best, worst, np.maximum(scale, 1.0), n_points, slack
+    return best, worst, np.maximum(scale, 1.0), xg.shape[0] * eg.shape[0]
 
 
 def _reports(spec, sets, grid_density):
-    max_s, worst, scale, n_points, w_slack = _grid_pass(
+    max_s, worst, scale, n_points = _grid_pass(
         spec, grid_density, [ps.epsilon for ps in sets], [ps.gamma for ps in sets])
     out = []
     for k in range(len(sets)):
@@ -248,20 +226,13 @@ def _reports(spec, sets, grid_density):
         out.append(VerificationReport(
             certified=ms <= 0.0,
             max_violation=ms,
-            margin=-ms,
             worst_x=worst[k][0],
             worst_e=worst[k][1],
             grid_density=int(grid_density),
             n_points=n_points,
             scale=float(scale[k]),
-            w_slack_min=w_slack,
         ))
     return out
-
-
-def verify_assumption(spec, ps: ParameterSet, grid_density: int) -> VerificationReport:
-    """Check one parameter set on a grid_density^(n_x+n_e) grid."""
-    return _reports(spec, [ps], grid_density)[0]
 
 
 def verify_family(spec, family: ParameterFamily, grid_density: int):
@@ -282,15 +253,7 @@ def _synthesize(spec, epsilons, l_const, grid_density):
                 f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "
                 f"certificate by {rep.max_violation:.3e}",
                 epsilon=eps, point=(rep.worst_x, rep.worst_e))
-    return [replace(ps, margin=rep.margin) for ps, rep in zip(sets, reports)]
-
-
-def synthesize_gamma(spec, epsilon: float, l_const: float = 0.05,
-                     grid_density: int = 48) -> ParameterSet:
-    """Smallest grid-feasible gamma for one epsilon, inflated by 5%."""
-    if not (l_const > 0.0):
-        raise ValueError("L must be positive")
-    return _synthesize(spec, [epsilon], l_const, grid_density)[0]
+    return sets
 
 
 def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
@@ -337,7 +300,6 @@ def family_to_manifest(family: ParameterFamily, grid_density: int) -> dict:
                 "epsilon": ps.epsilon,
                 "gamma": ps.gamma,
                 "L": ps.l_const,
-                "margin": ps.margin,
                 "grid_density": int(grid_density),
             }
             for ps in family.sets
@@ -349,7 +311,7 @@ def manifest_to_family(doc: dict) -> ParameterFamily:
     try:
         sets = tuple(
             ParameterSet(epsilon=float(d["epsilon"]), gamma=float(d["gamma"]),
-                         l_const=float(d["L"]), margin=float(d.get("margin", math.nan)))
+                         l_const=float(d["L"]))
             for d in doc["sets"]
         )
         return ParameterFamily(sets=sets, fallback_index=int(doc.get("fallback_index", 0)))

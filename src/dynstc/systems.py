@@ -2,10 +2,10 @@
 
 A :class:`SystemSpec` bundles the sampled-data closed loop: the drift
 f(x, e) under a held input, an energy function V with its gradient, the
-error weight W and disturbance-style term H, and the compact working
-sets on which certificates are checked (a state ball of radius
-``x_radius`` intersected with {V <= c}, and an error ball of radius
-``e_radius``).
+level c of the region {V <= c} on which guarantees hold, and the radii
+of the working sets on which certificates are checked.  Those sets are
+the whole state ball of radius ``x_radius`` (a superset of the ball
+intersected with {V <= c}) and the error ball of radius ``e_radius``.
 
 All evaluation callables are vectorized over leading axes: states and
 errors are arrays whose last axis is the respective dimension, energies
@@ -20,14 +20,15 @@ avoids numpy's per-operation cost on 2-vectors; on a grid it evaluates it
 on the component arrays.  Both do the same IEEE double operations in the
 same order, so a point gives the same bits either way.
 
-The built-ins use the default weights W(e) = ||e|| and H(x, e) =
-||f(x, e)||, for which the error-growth inequality d||e||/dt <= L*W + H
-holds for every L >= 0 (the error rate is -f pointwise).
+The certificate uses one weight model, which :mod:`dynstc.synthesis` and
+:mod:`dynstc.sim` compute from f: the error weight W(e) = ||e|| and the
+term H(x, e) = ||f(x, e)||.  The error-growth inequality
+d||e||/dt <= L*W + H then holds for every L >= 0, since the error rate
+is -f pointwise.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,12 +36,9 @@ import numpy as np
 
 __all__ = [
     "SystemSpec",
-    "eval_f",
-    "in_region",
     "van_der_pol",
     "linear_test",
     "spec_from_config",
-    "spec_from_json",
 ]
 
 VDP_P_DEFAULT = ((4.68, 1.10), (1.10, 3.56))
@@ -48,11 +46,7 @@ VDP_P_DEFAULT = ((4.68, 1.10), (1.10, 3.56))
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Immutable description of one closed-loop system.
-
-    ``default_wh`` marks the default weights W = ||e||, H = ||f||, which
-    synthesis exploits (H^2 from f directly, the error-growth slack).
-    """
+    """Immutable description of one closed-loop system."""
 
     name: str
     n_x: int
@@ -60,12 +54,9 @@ class SystemSpec:
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     v: Callable[[np.ndarray], np.ndarray]
     grad_v: Callable[[np.ndarray], np.ndarray]
-    w: Callable[[np.ndarray], np.ndarray]
-    h_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     region_c: float
     x_radius: float
     e_radius: float
-    default_wh: bool = True
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_e < 1:
@@ -74,25 +65,6 @@ class SystemSpec:
             raise ValueError("region level c must be positive")
         if not (self.x_radius > 0.0 and self.e_radius > 0.0):
             raise ValueError("working-set radii must be positive")
-
-
-def _as_vec(z, dim, what):
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0 or z.shape[-1] != dim:
-        raise ValueError(f"{what} must have trailing dimension {dim}, got shape {z.shape}")
-    return z
-
-
-def eval_f(spec: SystemSpec, x, e) -> np.ndarray:
-    """Closed-loop drift f(x, e); raises on trailing-dimension mismatch."""
-    x = _as_vec(x, spec.n_x, "state")
-    e = _as_vec(e, spec.n_e, "error")
-    return spec.f(x, e)
-
-
-def in_region(spec: SystemSpec, x):
-    """True where V(x) <= c, the sublevel set on which guarantees hold."""
-    return spec.v(_as_vec(x, spec.n_x, "state")) <= spec.region_c
 
 
 def _drift(rhs):
@@ -129,13 +101,6 @@ def _quadratic_spec(name, n, p, c, f):
     def grad_v(x):
         return 2.0 * np.asarray(x, dtype=float) @ p
 
-    def w(e):
-        return np.linalg.norm(np.asarray(e, dtype=float), axis=-1)
-
-    def h_fn(x, e):
-        return np.linalg.norm(f(np.asarray(x, dtype=float),
-                                np.asarray(e, dtype=float)), axis=-1)
-
     return SystemSpec(
         name=name,
         n_x=n,
@@ -143,8 +108,6 @@ def _quadratic_spec(name, n, p, c, f):
         f=f,
         v=v,
         grad_v=grad_v,
-        w=w,
-        h_fn=h_fn,
         region_c=float(c),
         x_radius=a_bar,
         e_radius=2.0 * a_bar,  # Minkowski bound: both x-hat and x lie in the state ball
@@ -210,8 +173,3 @@ def spec_from_config(cfg: dict) -> SystemSpec:
     if "dimension" in cfg and int(cfg["dimension"]) != spec.n_x:
         raise ValueError(f"dimension {cfg['dimension']} does not match {name} (n_x={spec.n_x})")
     return spec
-
-
-def spec_from_json(path) -> SystemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_config(json.load(fh))

@@ -59,7 +59,7 @@ def bench():
     family = build_family(spec, default_epsilon_ladder(), 0.05, 48)
     cfg = StcConfig(family=family, c=10.0, delta=0.999, eps_ref=0.01, m=30)
     traj = simulate(X0, cfg, spec, 15.0)
-    periodic = simulate_periodic(X0, spec, t_min_of(cfg), 15.0, c=10.0)
+    periodic = simulate_periodic(X0, spec, t_min_of(cfg), 15.0)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(spec=spec, family=family, cfg=cfg, traj=traj,
                            periodic=periodic, elapsed=elapsed)

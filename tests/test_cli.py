@@ -34,15 +34,15 @@ def test_synthesize_writes_manifest(tmp_path, capsys):
     assert family.fallback.epsilon == 0.5
     text = capsys.readouterr().out
     assert "t_min =" in text
-    assert "delta*t_max" in text
+    assert text.splitlines()[1].split() == ["set", "epsilon", "gamma", "L", "delta*t_max"]
     # one table row per set
     rows = [line.split() for line in text.splitlines()
             if line.strip().startswith(("0 ", "1 ", "2 "))]
-    assert len(rows) == 3
+    assert len(rows) == 3 and all(len(row) == 5 for row in rows)
     # one rate-cap rule: the fall-back row's delta*t_max is the printed
     # t_min, and the column maximum is t_max_cap
     stc = StcConfig(family=family, c=1.0, delta=0.5, eps_ref=0.01, m=5)
-    caps = [row[5] for row in rows]
+    caps = [row[4] for row in rows]
     assert text.splitlines()[0] == f"t_min = {caps[family.fallback_index]}"
     assert caps[family.fallback_index] == f"{t_min_of(stc):.6g}"
     assert max(map(float, caps)) == float(f"{t_max_cap(stc):.6g}")
@@ -92,6 +92,55 @@ def test_run_reuses_existing_manifest(tmp_path):
     before = (out / "family.json").read_bytes()
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "family.json").read_bytes() == before
+
+
+# family.json as an earlier version wrote it for _write_config, with the
+# per-set "margin" key that manifests no longer carry
+_MARGIN_MANIFEST = """\
+{
+  "fallback_index": 0,
+  "sets": [
+    {
+      "L": 0.05,
+      "epsilon": 0.5,
+      "gamma": 1.0497082928128176,
+      "grid_density": 16,
+      "margin": 0.004033555555555556
+    },
+    {
+      "L": 0.05,
+      "epsilon": -1.0,
+      "gamma": 1.0488326844640188,
+      "grid_density": 16,
+      "margin": 0.010667555555555548
+    },
+    {
+      "L": 0.05,
+      "epsilon": -5.0,
+      "gamma": 1.0464941471408238,
+      "grid_density": 16,
+      "margin": 0.028358222222222212
+    }
+  ]
+}
+"""
+
+
+def test_run_on_manifest_with_margin_keys(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json")
+    old, fresh = tmp_path / "old", tmp_path / "fresh"
+    old.mkdir()
+    (old / "family.json").write_text(_MARGIN_MANIFEST, encoding="utf-8")
+    assert cli.main(["run", "--config", cfg, "--out", str(old)]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", str(fresh)]) == 0
+    doc = json.loads(_MARGIN_MANIFEST)
+    for d in doc["sets"]:
+        del d["margin"]
+    assert json.loads((fresh / "family.json").read_text()) == doc
+    names = sorted(p.name for p in fresh.iterdir() if p.name != "family.json")
+    assert names == sorted(p.name for p in old.iterdir() if p.name != "family.json")
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_run_without_manifest_or_synthesis(tmp_path, capsys):
@@ -206,6 +255,8 @@ def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     lambda d: d["synthesis"].update(epsilons=[0.5], ladder={"n": 3}),
     lambda d: d["run"].update(t_end=float("inf")),
     lambda d: d["run"].update(t_end=float("nan")),
+    # the trigger's level is the verified region level; no config may raise it
+    lambda d: d["stc"].update(c=100.0) or d["run"].update(x0=[[9.0]]),
 ])
 def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path = tmp_path / "cfg.json"

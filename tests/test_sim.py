@@ -194,6 +194,14 @@ def test_dt_flow_validation():
         simulate_periodic([0.5], spec, 0.0, 1.0)
 
 
+def test_region_level_above_verified_rejected():
+    # the certificates hold on {V <= spec.region_c}; a trigger level above it
+    # would let a run leave the verified region with every monitor passing
+    cfg, _ = _linear_cfg(c=100.0)
+    with pytest.raises(ValueError):
+        simulate([9.0], cfg, linear_test(c=1.0), t_end=1.0)
+
+
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
 def test_non_finite_t_end_rejected(t_end):
     cfg, spec = _linear_cfg()
@@ -216,7 +224,7 @@ def test_periodic_baseline():
     traj = simulate_periodic([0.5], spec, period=0.25, t_end=1.0)
     assert traj.kind == "periodic"
     assert traj.period == 0.25
-    np.testing.assert_allclose(traj.sample_times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose([s.t for s in traj.samples], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert traj.n_samples_before(1.0) == 4
     assert traj.decisions == ()
     assert all(math.isnan(p.u) for p in traj.flow_points)

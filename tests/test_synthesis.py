@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,13 +20,11 @@ from dynstc.synthesis import (
     family_to_manifest,
     manifest_to_family,
     read_manifest,
-    synthesize_gamma,
-    verify_assumption,
     verify_family,
     write_manifest,
 )
 from dynstc.synthesis import _CHUNK, _grid_pass, _grids
-from dynstc.systems import linear_test, van_der_pol
+from dynstc.systems import linear_test, spec_from_config, van_der_pol
 
 
 # Reference: the per-grid-point sweeps that the W^2-level pass replaced,
@@ -37,28 +35,18 @@ def _ref_sweep(spec, params, grid_density):
     n_sets = len(params)
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
-    we2 = np.square(np.asarray(spec.w(eg), dtype=float))
-    ne = np.linalg.norm(eg, axis=-1)
+    we2 = np.square(np.linalg.norm(eg, axis=-1))
 
     max_s = np.full(n_sets, -np.inf)
     worst = [(None, None)] * n_sets
     scale = np.zeros(n_sets)
-    w_slack_min = np.inf
     e_b = eg[None, :, :]
     for lo in range(0, xg.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
         x_b = xg[sl][:, None, :]
         f = spec.f(x_b, e_b)
         gvf = np.einsum("bi,bei->be", gx[sl], f)
-        if spec.default_wh:
-            h2 = np.einsum("bei,bei->be", f, f)
-            nz = ne > 1e-12
-            if np.any(nz):
-                rate = np.einsum("ei,bei->be", eg[nz], -f[:, nz, :]) / ne[nz]
-                w_slack_min = min(w_slack_min,
-                                  float(np.min(np.sqrt(h2[:, nz]) - rate)))
-        else:
-            h2 = np.square(np.asarray(spec.h_fn(x_b, e_b), dtype=float))
+        h2 = np.einsum("bei,bei->be", f, f)
         base = gvf + h2
         absbase = np.abs(gvf) + h2
         if not np.all(np.isfinite(base)):
@@ -73,15 +61,14 @@ def _ref_sweep(spec, params, grid_density):
             mag = absbase + abs(eps) * vx[sl][:, None] + (gam * gam) * we2[None, :]
             scale[k] = max(scale[k], float(np.max(mag)))
     n_points = xg.shape[0] * eg.shape[0]
-    slack = float(w_slack_min) if spec.default_wh else None
-    return max_s, worst, np.maximum(scale, 1.0), n_points, slack
+    return max_s, worst, np.maximum(scale, 1.0), n_points
 
 
 def _ref_synth_ratios(spec, epsilons, grid_density):
     xg, eg = _grids(spec, grid_density)
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
-    we2 = np.square(np.asarray(spec.w(eg), dtype=float))
+    we2 = np.square(np.linalg.norm(eg, axis=-1))
     pos = we2 > 0.0
     best = np.full(len(epsilons), -np.inf)
     e_b = eg[None, :, :]
@@ -90,10 +77,7 @@ def _ref_synth_ratios(spec, epsilons, grid_density):
         x_b = xg[sl][:, None, :]
         f = spec.f(x_b, e_b)
         gvf = np.einsum("bi,bei->be", gx[sl], f)
-        if spec.default_wh:
-            h2 = np.einsum("bei,bei->be", f, f)
-        else:
-            h2 = np.square(np.asarray(spec.h_fn(x_b, e_b), dtype=float))
+        h2 = np.einsum("bei,bei->be", f, f)
         base = gvf + h2
         if not np.all(np.isfinite(base)):
             raise ValueError("non-finite certificate evaluation on the grid")
@@ -117,6 +101,19 @@ def _ref_synth_ratios(spec, epsilons, grid_density):
 def _bits(values):
     """Exact bytes of float values, so that 0.0 and -0.0 differ."""
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _verify_one(spec, ps, grid_density):
+    """The report of one set, verified as a one-set family."""
+    return verify_family(spec, ParameterFamily(sets=(ps,)), grid_density)[0]
+
+
+def test_record_fields():
+    assert [f.name for f in fields(ParameterSet)] == \
+        ["epsilon", "gamma", "l_const"]
+    assert [f.name for f in fields(VerificationReport)] == \
+        ["certified", "max_violation", "worst_x", "worst_e", "grid_density",
+         "n_points", "scale"]
 
 
 def test_parameter_set_validation():
@@ -158,22 +155,20 @@ def test_verify_linear_certified():
     # s = -2x(x+e) + eps*x^2 + (x+e)^2 - gamma^2 e^2 = (eps-1)x^2 + (1-gamma^2)e^2
     spec = linear_test()
     ps = ParameterSet(epsilon=1.0, gamma=1.5, l_const=0.1)
-    rep = verify_assumption(spec, ps, grid_density=33)
+    rep = _verify_one(spec, ps, grid_density=33)
     assert rep.certified
-    assert rep.margin >= 0.0
     # s = (eps-1)x^2 + (1-gamma^2)e^2 <= 0, tight at the origin grid point
     assert rep.max_violation == 0.0
-    assert rep.w_slack_min is not None and rep.w_slack_min >= -1e-12
     assert rep.n_points == 33 * 33
     # even density omits the origin, leaving strictly negative maxima
-    rep_even = verify_assumption(spec, ps, grid_density=32)
+    rep_even = _verify_one(spec, ps, grid_density=32)
     assert rep_even.max_violation < 0.0
 
 
 def test_verify_uncertified_reports_worst_point():
     spec = linear_test()
     ps = ParameterSet(epsilon=1.0, gamma=0.5, l_const=0.1)
-    rep = verify_assumption(spec, ps, grid_density=33)
+    rep = _verify_one(spec, ps, grid_density=33)
     assert not rep.certified
     assert rep.max_violation == pytest.approx(0.75 * 4.0, rel=1e-9)
     assert abs(rep.worst_e[0]) == pytest.approx(2.0)
@@ -181,26 +176,24 @@ def test_verify_uncertified_reports_worst_point():
 
 def test_verify_rejects_coarse_grid():
     with pytest.raises(ValueError):
-        verify_assumption(linear_test(),
-                          ParameterSet(epsilon=0.0, gamma=1.0, l_const=0.1), 7)
+        _verify_one(linear_test(), ParameterSet(epsilon=0.5, gamma=1.0, l_const=0.1), 7)
 
 
 def test_synthesize_linear():
     spec = linear_test()
-    ps = synthesize_gamma(spec, epsilon=1.0, l_const=0.1, grid_density=32)
+    ps = build_family(spec, [1.0], l_const=0.1, grid_density=32).fallback
     # ratio ((eps-1)x^2 + e^2)/e^2 peaks at exactly 1 for eps = 1
     assert ps.gamma == pytest.approx(1.05, rel=1e-12)
     assert 0.0 < ps.gamma <= 3.0
     assert ps.l_const == 0.1
-    assert ps.margin >= 0.0
-    rep = verify_assumption(spec, ps, grid_density=64)
-    assert rep.certified
+    assert _verify_one(spec, ps, grid_density=32).certified
+    assert _verify_one(spec, ps, grid_density=64).certified
 
 
 def test_synthesize_gamma_monotone_in_epsilon():
     spec = linear_test()
-    gammas = [synthesize_gamma(spec, eps, grid_density=32).gamma
-              for eps in (-4.0, -1.0, 0.0, 0.9, 1.2, 1.5)]
+    fam = build_family(spec, [-4.0, -1.0, 0.0, 0.9, 1.2, 1.5], grid_density=32)
+    gammas = [ps.gamma for ps in sorted(fam.sets, key=lambda ps: ps.epsilon)]
     assert all(b >= a * (1 - 1e-12) for a, b in zip(gammas, gammas[1:]))
 
 
@@ -209,7 +202,7 @@ def test_synthesize_failure_at_w_zero():
     # which no finite gamma can absorb; odd density puts e = 0 on the grid
     spec = linear_test()
     with pytest.raises(SynthesisError) as exc:
-        synthesize_gamma(spec, epsilon=1.5, l_const=0.1, grid_density=17)
+        build_family(spec, [1.5], l_const=0.1, grid_density=17)
     assert exc.value.epsilon == 1.5
     assert exc.value.point is not None
     # the first offender and the message are those of the per-point sweep
@@ -221,20 +214,21 @@ def test_synthesize_failure_at_w_zero():
 
 
 _LADDERS = {
-    "van_der_pol": (van_der_pol, [0.01, -1.0, -40.0]),
+    "van_der_pol": [0.01, -1.0, -40.0],
     # base = e^2 - x^2 for linear_test, so +-x and +-e tie exactly
-    "linear_test": (linear_test, [0.5, -1.0, -3.0]),
+    "linear_test": [0.5, -1.0, -3.0],
 }
+# a custom system block: another region level, hence other grid radii and levels
+_CUSTOM = {"van_der_pol": {"c": 6.0}, "linear_test": {"c": 4.0}}
 
 
-@pytest.mark.parametrize("weights", ["default", "custom"])
+@pytest.mark.parametrize("config", ["default", "custom"])
 @pytest.mark.parametrize("density", [16, 33, 48])
 @pytest.mark.parametrize("system", sorted(_LADDERS))
-def test_level_pass_matches_point_sweep(system, density, weights):
-    make, epsilons = _LADDERS[system]
-    spec = make()
-    if weights == "custom":
-        spec = replace(spec, default_wh=False)   # H from h_fn, no W slack
+def test_level_pass_matches_point_sweep(system, density, config):
+    epsilons = _LADDERS[system]
+    block = {"name": system, **(_CUSTOM[system] if config == "custom" else {})}
+    spec = spec_from_config(block)
     ratios = _ref_synth_ratios(spec, epsilons, density)
     assert _bits(_grid_pass(spec, density, epsilons)[0]) == _bits(ratios)
     fam = build_family(spec, epsilons, grid_density=density)
@@ -245,21 +239,14 @@ def test_level_pass_matches_point_sweep(system, density, weights):
     # halved gammas fail, which moves the worst points off the W = 0 level
     sets = fam.sets + tuple(replace(ps, gamma=ps.gamma / 2.0) for ps in fam.sets)
     reports = verify_family(spec, ParameterFamily(sets=sets), density)
-    max_s, worst, scale, n_points, w_slack = _ref_sweep(
+    max_s, worst, scale, n_points = _ref_sweep(
         spec, [(ps.epsilon, ps.gamma) for ps in sets], density)
     for k, rep in enumerate(reports):
         assert _bits(rep.max_violation) == _bits(max_s[k])
-        assert _bits(rep.margin) == _bits(-max_s[k])
         assert _bits(rep.scale) == _bits(scale[k])
         assert _bits(rep.worst_x) == _bits(worst[k][0])
         assert _bits(rep.worst_e) == _bits(worst[k][1])
         assert rep.n_points == n_points
-        if weights == "custom":
-            assert rep.w_slack_min is None and w_slack is None
-        else:
-            assert _bits(rep.w_slack_min) == _bits(w_slack)
-    for ps, ms in zip(fam.sets, max_s):
-        assert _bits(ps.margin) == _bits(-ms)
 
 
 def test_build_family_ordering_and_fallback():
@@ -268,7 +255,7 @@ def test_build_family_ordering_and_fallback():
     assert [ps.epsilon for ps in fam.sets] == [0.5, -1.0, -2.0]
     assert fam.fallback_index == 0
     assert fam.fallback.epsilon == 0.5
-    assert all(ps.margin >= 0.0 for ps in fam.sets)
+    assert all(rep.certified for rep in verify_family(spec, fam, grid_density=16))
 
 
 def test_build_family_requires_positive_epsilon():
@@ -301,24 +288,21 @@ def test_default_epsilon_ladder():
 
 def test_vdp_synthesis_and_refined_reverify():
     spec = van_der_pol()
-    ps = synthesize_gamma(spec, epsilon=0.01, l_const=0.05, grid_density=48)
-    assert ps.margin >= 0.0
-    rep = verify_assumption(spec, ps, grid_density=96)
+    fam = build_family(spec, [0.01], l_const=0.05, grid_density=48)
+    assert verify_family(spec, fam, grid_density=48)[0].certified
+    rep = verify_family(spec, fam, grid_density=96)[0]
     # soundness at grid scale: a 2x-finer grid stays within tolerance
     assert rep.max_violation <= 1e-6 * rep.scale
 
 
 def test_family_verify_matches_single(tmp_path):
+    # a set's report does not depend on the other sets of the pass
     spec = linear_test()
     fam = build_family(spec, [0.5, -1.0], grid_density=16)
     reports = verify_family(spec, fam, grid_density=16)
     for ps, rep in zip(fam.sets, reports):
-        single = verify_assumption(spec, ps, grid_density=16)
-        assert rep.max_violation == single.max_violation
-        assert rep.scale == single.scale
-        assert rep.worst_x == single.worst_x
-        assert rep.worst_e == single.worst_e
-        assert rep.w_slack_min == single.w_slack_min
+        single = verify_family(spec, ParameterFamily(sets=(fam.fallback, ps)), 16)[1]
+        assert rep == single
 
 
 def test_corrupted_gamma_rejected():
@@ -327,7 +311,7 @@ def test_corrupted_gamma_rejected():
     good = fam.fallback
     bad = ParameterSet(epsilon=good.epsilon, gamma=good.gamma / 2.0,
                        l_const=good.l_const)
-    rep = verify_assumption(spec, bad, grid_density=32)
+    rep = _verify_one(spec, bad, grid_density=32)
     assert not rep.certified or rep.max_violation > 1e-6 * rep.scale
 
 
@@ -337,13 +321,15 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "family.json"
     write_manifest(path, fam, grid_density=16)
     doc = json.loads(path.read_text())
-    assert {"epsilon", "gamma", "L", "margin", "grid_density"} <= set(doc["sets"][0])
+    assert set(doc["sets"][0]) == {"epsilon", "gamma", "L", "grid_density"}
     back, density = read_manifest(path)
     assert density == 16
-    assert back.fallback_index == fam.fallback_index
-    for a, b in zip(back.sets, fam.sets):
-        assert (a.epsilon, a.gamma, a.l_const) == (b.epsilon, b.gamma, b.l_const)
-        assert a.margin == b.margin
+    assert back == fam
+    # a manifest with the per-set "margin" key of earlier versions still
+    # loads; the key is ignored
+    for d in doc["sets"]:
+        d["margin"] = 0.5
+    assert manifest_to_family(doc) == fam
 
 
 def test_manifest_malformed():

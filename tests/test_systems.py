@@ -1,17 +1,13 @@
 """Tests for the bundled system models."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from dynstc.systems import (
-    SystemSpec,
-    eval_f,
-    in_region,
-    linear_test,
-    spec_from_config,
-    spec_from_json,
-    van_der_pol,
-)
+from dynstc.cli import _load_config
+from dynstc.systems import SystemSpec, linear_test, spec_from_config, van_der_pol
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +25,11 @@ def test_vdp_metadata(vdp):
 
 def test_vdp_drift_values(vdp):
     z = np.zeros(2)
-    np.testing.assert_allclose(eval_f(vdp, z, z), [0.0, 0.0])
-    np.testing.assert_allclose(eval_f(vdp, [1.0, 0.0], z), [0.0, -1.0])
+    np.testing.assert_allclose(vdp.f(z, z), [0.0, 0.0])
+    np.testing.assert_allclose(vdp.f([1.0, 0.0], z), [0.0, -1.0])
     # at the origin with e=(1,1): a1 = e1*e2 = 1, a2 = e1^2 = 1,
     # so f2 = a1*e1 + (a2-2)*e2 = 1 - 1 = 0
-    np.testing.assert_allclose(eval_f(vdp, z, [1.0, 1.0]), [0.0, 0.0],
+    np.testing.assert_allclose(vdp.f(z, [1.0, 1.0]), [0.0, 0.0],
                                atol=1e-15)
 
 
@@ -41,11 +37,11 @@ def test_vdp_drift_batched(vdp):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 1, 2))
     e = rng.normal(size=(1, 7, 2))
-    out = eval_f(vdp, x, e)
+    out = vdp.f(x, e)
     assert out.shape == (5, 7, 2)
     for i in range(5):
         for k in range(7):
-            np.testing.assert_allclose(out[i, k], eval_f(vdp, x[i, 0], e[0, k]))
+            np.testing.assert_allclose(out[i, k], vdp.f(x[i, 0], e[0, k]))
 
 
 def _mixed_values(rng, shape):
@@ -103,34 +99,33 @@ def test_vdp_energy_symmetry(vdp):
 
 
 def test_in_region(vdp):
-    assert in_region(vdp, np.zeros(2))
-    assert not in_region(vdp, [2.0, 2.0])
-    # boundary point V = c counts as inside
+    # the region {V <= c}, closed at its boundary
+    assert vdp.v(np.zeros(2)) <= vdp.region_c
+    assert not vdp.v([2.0, 2.0]) <= vdp.region_c
     x = np.array([1.0, 0.0]) * np.sqrt(10.0 / 4.68)
     assert vdp.v(x) == pytest.approx(10.0)
-    assert in_region(vdp, x * (1.0 - 1e-12))
+    assert vdp.v(x * (1.0 - 1e-12)) <= vdp.region_c
 
 
-def test_default_w_h(vdp):
-    w, h = vdp.w, vdp.h_fn
-    assert vdp.default_wh
-    assert w(np.zeros(2)) == 0.0
-    assert h(np.zeros(2), np.zeros(2)) == 0.0
-    assert h(np.array([1.0, 0.0]), np.zeros(2)) == pytest.approx(1.0)
-    assert w(np.array([3.0, 4.0])) == pytest.approx(5.0)
+def test_default_w_h():
+    # W = ||e|| and H = ||f|| are the one weight model, computed by the
+    # synthesis grid pass and the simulator; a spec carries no weights
+    assert [f.name for f in dataclasses.fields(SystemSpec)] == \
+        ["name", "n_x", "n_e", "f", "v", "grad_v", "region_c", "x_radius", "e_radius"]
 
 
 def test_default_w_growth_inequality(vdp):
     # the hold error flows with -f, so |d||e||/dt| = |<e/||e||, -f>| <= ||f|| = H;
-    # the growth inequality then holds with slack >= 0 for every L >= 0
+    # the growth inequality then holds with slack >= 0 for every L >= 0,
+    # which is why verification reports no separate slack for it
     rng = np.random.default_rng(2)
     x = rng.uniform(-vdp.x_radius, vdp.x_radius, size=(400, 2))
     e = rng.uniform(-vdp.e_radius, vdp.e_radius, size=(400, 2))
-    f = eval_f(vdp, x, e)
+    f = vdp.f(x, e)
     ne = np.linalg.norm(e, axis=-1)
     mask = ne > 1e-12
     rate = np.einsum("ij,ij->i", e, -f)[mask] / ne[mask]
-    slack = vdp.h_fn(x, e)[mask] - rate
+    slack = np.linalg.norm(f, axis=-1)[mask] - rate
     assert np.all(slack >= -1e-12)
 
 
@@ -138,19 +133,21 @@ def test_region_error_containment(vdp):
     # any two points of {V <= c} differ by at most the error-ball radius
     rng = np.random.default_rng(4)
     x = rng.uniform(-vdp.x_radius, vdp.x_radius, size=(2000, 2))
-    x = x[np.asarray(in_region(vdp, x))]
+    x = x[vdp.v(x) <= vdp.region_c]
     assert len(x) > 100
     diffs = x[:, None, :] - x[None, :, :]
     assert np.max(np.linalg.norm(diffs, axis=-1)) <= vdp.e_radius * (1 + 1e-12)
 
 
 def test_dimension_mismatch(vdp):
+    # the drift takes one argument per component, so a state or error of
+    # the wrong length cannot be evaluated
+    with pytest.raises(TypeError):
+        vdp.f([1.0, 2.0, 3.0], [0.0, 0.0])
+    with pytest.raises(TypeError):
+        vdp.f(np.zeros((4, 2)), np.zeros((4, 1)))
     with pytest.raises(ValueError):
-        eval_f(vdp, [1.0, 2.0, 3.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
-        eval_f(vdp, [1.0, 2.0], [0.0])
-    with pytest.raises(ValueError):
-        in_region(vdp, [1.0])
+        spec_from_config({"name": "van_der_pol", "dimension": 3})
 
 
 def test_linear_test_system():
@@ -158,11 +155,9 @@ def test_linear_test_system():
     assert spec.n_x == spec.n_e == 1
     assert spec.region_c == 1.0
     assert spec.x_radius == pytest.approx(1.0)
-    np.testing.assert_allclose(eval_f(spec, [1.0], [2.0]), [-3.0])
+    np.testing.assert_allclose(spec.f([1.0], [2.0]), [-3.0])
     assert spec.v([2.0]) == pytest.approx(4.0)
     np.testing.assert_allclose(spec.grad_v([2.0]), [4.0])
-    assert spec.w([0.5]) == pytest.approx(0.5)
-    assert spec.h_fn([1.0], [2.0]) == pytest.approx(3.0)
 
 
 def test_bad_p_rejected():
@@ -195,9 +190,10 @@ def test_spec_from_config():
 
 
 def test_spec_from_json(tmp_path):
-    path = tmp_path / "sys.json"
-    path.write_text('{"name": "van_der_pol", "c": 10.0}')
-    spec = spec_from_json(path)
+    # a config file's system block builds the spec
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"system": {"name": "van_der_pol", "c": 10.0}}))
+    _, spec = _load_config(path)
     assert spec.name == "van_der_pol"
     assert spec.v([2.0, 2.0]) == pytest.approx(41.76)
 
@@ -206,5 +202,4 @@ def test_spec_validation():
     good = linear_test()
     with pytest.raises(ValueError):
         SystemSpec(name="bad", n_x=0, n_e=1, f=good.f, v=good.v,
-                   grad_v=good.grad_v, w=good.w, h_fn=good.h_fn,
-                   region_c=1.0, x_radius=1.0, e_radius=2.0)
+                   grad_v=good.grad_v, region_c=1.0, x_radius=1.0, e_radius=2.0)
