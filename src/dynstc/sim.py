@@ -18,7 +18,12 @@ Every run can be checked against the inequalities that back the design:
 
 Integration is fixed-step RK4 with the last step shortened to land
 exactly on the next sample; sampling instants are known in advance, so
-no event detection is needed.
+no event detection is needed.  Each hold interval is integrated on
+Python floats, calling a built-in drift's per-component ``f.rhs`` (any
+other ``spec.f`` is called on 1-D arrays); the stages do the same IEEE
+operations as numpy arithmetic on the state vectors would, so they give
+the same bits.  A trajectory keeps its flow records as columns
+(:class:`FlowRecords`), one row per record.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .timing import phi_solve, solve_lambda_for_horizon, t_max
 __all__ = [
     "IntegrationBlowupError",
     "Sample",
-    "FlowPoint",
+    "FlowRecords",
     "MonitorRecord",
     "HybridTrajectory",
     "simulate",
@@ -74,12 +79,21 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class FlowPoint:
-    t: float
-    j: int
+class FlowRecords:
+    """Flow records as columns: times t, jump counters j, states x (N x n), V and U."""
+    t: np.ndarray
+    j: np.ndarray
     x: np.ndarray
-    v: float
-    u: float
+    v: np.ndarray
+    u: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def rows(self, lo, hi):
+        """Records lo..hi-1, as columns."""
+        return FlowRecords(self.t[lo:hi], self.j[lo:hi], self.x[lo:hi],
+                           self.v[lo:hi], self.u[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,7 @@ class MonitorRecord:
 class HybridTrajectory:
     samples: tuple
     decisions: tuple
-    flow_points: tuple
+    flow_points: FlowRecords
     monitors: tuple = ()
     kind: str = "dynamic"
     period: float | None = None
@@ -108,6 +122,16 @@ class HybridTrajectory:
 
     def violations(self):
         return [r for r in self.monitors if not r.passed]
+
+
+def _point_rhs(f):
+    """One point's drift on floats: a built-in's ``f.rhs``, else ``f`` on 1-D arrays."""
+    rhs = getattr(f, "rhs", None)
+    if rhs is None:
+        def rhs(*xe):
+            n = len(xe) // 2
+            return np.asarray(f(np.array(xe[:n]), np.array(xe[n:])), dtype=float).tolist()
+    return rhs
 
 
 def _rk4_segment(spec, x_hold, h, dt_flow):
@@ -124,31 +148,35 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
         steps[-1] += rem
     else:
         steps = [h]
-    xs = np.empty((len(steps) + 1, x_hold.shape[0]))
-    xs[0] = x_hold
-    x = x_hold
-    f = spec.f
-    for k, st in enumerate(steps):
-        k1 = f(x, x_hold - x)
-        x2 = x + 0.5 * st * k1
-        k2 = f(x2, x_hold - x2)
-        x3 = x + 0.5 * st * k2
-        k3 = f(x3, x_hold - x3)
-        x4 = x + st * k3
-        k4 = f(x4, x_hold - x4)
-        x = x + (st / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[k + 1] = x
+    rhs = _point_rhs(spec.f)
+    xh = x_hold.tolist()
+    x = xh
+    rows = [x]
+    for st in steps:
+        hs = 0.5 * st
+        k1 = rhs(*x, *[a - b for a, b in zip(xh, x)])
+        y = [a + hs * b for a, b in zip(x, k1)]
+        k2 = rhs(*y, *[a - b for a, b in zip(xh, y)])
+        y = [a + hs * b for a, b in zip(x, k2)]
+        k3 = rhs(*y, *[a - b for a, b in zip(xh, y)])
+        y = [a + st * b for a, b in zip(x, k3)]
+        k4 = rhs(*y, *[a - b for a, b in zip(xh, y)])
+        s6 = st / 6.0
+        x = [a + s6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        rows.append(x)
     taus = np.concatenate([[0.0], np.cumsum(steps)])
     taus[-1] = h
-    return xs, taus
+    return np.array(rows), taus
 
 
 def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
     """Flow one hold interval from x_hold; returns (end state, V at nodes, records).
 
-    Raises on a non-finite node or on V above c + tolerance.  Records keep
-    every stride-th node plus the last one; with cert = (gamma, lambda_cap)
-    they carry U = V + gamma*phi(tau)*W(e)^2, otherwise U is NaN.
+    Raises on a non-finite node or on V above c + tolerance.  The records
+    (columns t, j, x, V, U) keep every stride-th node plus the last one;
+    with cert = (gamma, lambda_cap) they carry U = V + gamma*phi(tau)*W(e)^2,
+    otherwise U is NaN.
     """
     xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
     if not np.all(np.isfinite(xs)):
@@ -172,9 +200,23 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
         us = vs + gamma * phi.evaluate(taus) * w * w
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
     idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-    points = [FlowPoint(t=float(t_start + taus[k]), j=j, x=xs[k].copy(), v=float(vs[k]),
-                        u=float(us[k])) for k in idx]
-    return xs[-1], vs, points
+    records = (t_start + taus[idx], np.full(len(idx), j), xs[idx], vs[idx], us[idx])
+    return xs[-1], vs, records
+
+
+def _flow_records(segments, n):
+    """One trajectory's records: each segment's columns, concatenated."""
+    if not segments:
+        return FlowRecords(np.empty(0), np.empty(0, dtype=int), np.empty((0, n)),
+                           np.empty(0), np.empty(0))
+    return FlowRecords(*(np.concatenate(col) for col in zip(*segments)))
+
+
+def _check_x0(x0, spec):
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (spec.n_x,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be a finite vector of shape ({spec.n_x},)")
+    return x
 
 
 def _check_t_end(t_end):
@@ -196,10 +238,10 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
     if not (0.0 < dt_flow <= tmin / 16.0):
         raise ValueError(f"dt_flow must lie in (0, t_min/16] = (0, {tmin / 16.0:.6g}]")
     _check_t_end(t_end)
-    x = np.asarray(x0, dtype=float)
+    x = _check_x0(x0, spec)
     dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
     t = 0.0
-    samples, decisions, flow_points = [], [], []
+    samples, decisions, segments = [], [], []
     while True:
         dec, dyn = stc_step(x, dyn, cfg, spec)
         j = len(decisions) + 1
@@ -208,11 +250,11 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
         if t >= t_end:
             break
         cert = (cfg.family.sets[dec.set_index].gamma, dec.lambda_cap_used)
-        x, _, points = _flow(spec, x, dec.h, dt_flow, cfg.c, t, j, cert)
-        flow_points.extend(points)
+        x, _, records = _flow(spec, x, dec.h, dt_flow, cfg.c, t, j, cert)
+        segments.append(records)
         t += dec.h
     traj = HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
-                            flow_points=tuple(flow_points))
+                            flow_points=_flow_records(segments, spec.n_x))
     if monitors:
         traj = HybridTrajectory(samples=traj.samples, decisions=traj.decisions,
                                 flow_points=traj.flow_points,
@@ -231,9 +273,9 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         dt_flow = period / 32.0
     if not (0.0 < dt_flow <= period / 16.0):
         raise ValueError("dt_flow must lie in (0, period/16]")
-    x = np.asarray(x0, dtype=float)
+    x = _check_x0(x0, spec)
     t = 0.0
-    samples, flow_points = [], []
+    samples, segments = [], []
     monitors = []
     while True:
         j = len(samples) + 1
@@ -245,48 +287,41 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         samples.append(Sample(t=t, j=j, x=x.copy(), v=v, eta=()))
         if t >= t_end:
             break
-        x, vs, points = _flow(spec, x, period, dt_flow, c, t, j)
-        flow_points.extend(points)
+        x, vs, records = _flow(spec, x, period, dt_flow, c, t, j)
+        segments.append(records)
         monitors.append(MonitorRecord(
             monitor="region", j=j,
             slack=float(c * (1.0 + REGION_TOL_REL) - np.max(vs)), passed=True))
         t += period
     return HybridTrajectory(samples=tuple(samples), decisions=(),
-                            flow_points=tuple(flow_points),
+                            flow_points=_flow_records(segments, spec.n_x),
                             monitors=tuple(monitors), kind="periodic",
                             period=period)
 
 
-def monitor_flow_bound(points, dec, gamma, l_const, v_plus, t_start) -> MonitorRecord:
-    """Check V <= U <= exp(rate*tau)*V(t_j+) on one segment's dense nodes.
+def monitor_flow_bound(seg: FlowRecords, dec, gamma, l_const, v_plus,
+                       t_start) -> MonitorRecord:
+    """Check V <= U <= exp(rate*tau)*V(t_j+) on one segment's records.
 
     rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound.
     When the issued interval is not below the horizon t_max (cannot
     happen for trigger output, but callers may fabricate decisions) the
     monitor reports itself inapplicable instead of failing.
     """
+    j = int(seg.j[0])
     if dec.h >= t_max(gamma, dec.lambda_cap_used):
-        return MonitorRecord(monitor="flow-bound", j=points[0].j, slack=math.nan,
+        return MonitorRecord(monitor="flow-bound", j=j, slack=math.nan,
                              passed=True, note="inapplicable: h >= t_max")
     rate = max(-dec.epsilon, 2.0 * (l_const - dec.lambda_cap_used))
-    taus = np.array([p.t - t_start for p in points])
-    us = np.array([p.u for p in points])
-    vs = np.array([p.v for p in points])
-    env = np.exp(rate * taus) * v_plus
+    us, vs = seg.u, seg.v
+    env = np.exp(rate * (seg.t - t_start)) * v_plus
     slack_env = env - us
     slack_vu = us - vs
     ok = np.all(us <= env + MON_TOL * (1.0 + np.abs(env))) and \
         np.all(vs <= us + MON_TOL * (1.0 + np.abs(us)))
-    return MonitorRecord(monitor="flow-bound", j=points[0].j,
+    return MonitorRecord(monitor="flow-bound", j=j,
                          slack=float(min(slack_env.min(), slack_vu.min())),
                          passed=bool(ok))
-
-
-def _segment_points(traj):
-    by_j = {}
-    for p in traj.flow_points:
-        by_j.setdefault(p.j, []).append(p)
-    return by_j
 
 
 def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
@@ -336,16 +371,18 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
     """All monitor records for a dynamic trajectory."""
     records = []
-    seg = _segment_points(traj)
+    fp = traj.flow_points
+    # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
+    edges = np.searchsorted(fp.j, np.arange(1, len(traj.decisions) + 2)).tolist()
+    lim = cfg.c * (1.0 + REGION_TOL_REL)
     for k, dec in enumerate(traj.decisions):
-        pts = seg.get(k + 1)
-        if not pts:
+        if edges[k] == edges[k + 1]:
             continue
+        seg = fp.rows(edges[k], edges[k + 1])
         ps = cfg.family.sets[dec.set_index]
-        records.append(monitor_flow_bound(pts, dec, ps.gamma, ps.l_const,
+        records.append(monitor_flow_bound(seg, dec, ps.gamma, ps.l_const,
                                           traj.samples[k].v, traj.samples[k].t))
-        vmax = max(p.v for p in pts)
-        lim = cfg.c * (1.0 + REGION_TOL_REL)
+        vmax = seg.v.max()
         records.append(MonitorRecord(monitor="region", j=k + 1,
                                      slack=float(lim - vmax),
                                      passed=bool(vmax <= lim)))
@@ -371,7 +408,8 @@ def _write_rows(path, header, rows):
 
 def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
     """One row per flow record, streamed; the same bytes as :func:`_write_rows`."""
-    n = traj.flow_points[0].x.shape[0] if traj.flow_points else 0
+    fp = traj.flow_points
+    n = fp.x.shape[1] if len(fp) else 0
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
     if traj.kind == "periodic":
@@ -381,9 +419,10 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
     tails = [",".join(_fmt(v) for v in tail) for tail in tails]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for p in traj.flow_points:
-            xs = ",".join(map(repr, p.x.tolist()))
-            fh.write(f"{p.t!r},{p.j},{xs},{p.v!r},{p.u!r},{tails[p.j - 1]}\n")
+        for t, j, x, v, u in zip(fp.t.tolist(), fp.j.tolist(), fp.x.tolist(),
+                                 fp.v.tolist(), fp.u.tolist()):
+            xs = ",".join(map(repr, x))
+            fh.write(f"{t!r},{j},{xs},{v!r},{u!r},{tails[j - 1]}\n")
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:

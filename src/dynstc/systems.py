@@ -15,10 +15,12 @@ hold since the error flows with -f.
 
 A built-in drift is written once, per component, as
 ``rhs(x1, .., xn, e1, .., en) -> (f1, .., fn)``.  On one point (1-D x and
-e, as the simulator calls it) ``f`` evaluates it on Python floats, which
-avoids numpy's per-operation cost on 2-vectors; on a grid it evaluates it
-on the component arrays.  Both do the same IEEE double operations in the
-same order, so a point gives the same bits either way.
+e) ``f`` evaluates it on Python floats, which avoids numpy's
+per-operation cost on 2-vectors; on a grid it evaluates it on the
+component arrays.  Both do the same IEEE double operations in the same
+order, so a point gives the same bits either way.  ``f.rhs`` exposes the
+per-component form, which the simulator's RK4 loop calls directly on
+floats; any other ``f`` is called there on 1-D arrays.
 
 The certificate uses one weight model, which :mod:`dynstc.synthesis` and
 :mod:`dynstc.sim` compute from f: the error weight W(e) = ||e|| and the
@@ -80,6 +82,7 @@ def _drift(rhs):
             out[..., k] = comp
         return out
 
+    f.rhs = rhs  # the simulator's RK4 loop calls it on floats directly
     return f
 
 
@@ -96,6 +99,8 @@ def _quadratic_spec(name, n, p, c, f):
 
     def v(x):
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (n,):
+            raise ValueError(f"state has last axis {x.shape[-1:]}, expected ({n},)")
         return np.einsum("...i,ij,...j->...", x, p, x)
 
     def grad_v(x):

@@ -12,7 +12,8 @@ MODULES = ["dynstc", "dynstc.cli", "dynstc.engine", "dynstc.sim",
            "dynstc.synthesis", "dynstc.systems", "dynstc.timing"]
 REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "TimingParams", "u_value", "default_w_h", "synthesize_gamma",
-           "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh"]
+           "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh",
+           "FlowPoint"]
 
 
 @pytest.mark.parametrize("name", MODULES)

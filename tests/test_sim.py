@@ -8,7 +8,8 @@ import pytest
 
 from dynstc.engine import StcConfig, TriggerDecision, t_max_cap, t_min_of
 from dynstc.sim import (
-    FlowPoint,
+    FlowRecords,
+    _rk4_segment,
     _write_rows,
     IntegrationBlowupError,
     MonitorRecord,
@@ -50,7 +51,8 @@ def test_equilibrium_run():
     cfg, spec = _linear_cfg()
     traj = simulate([0.0], cfg, spec, t_end=5.0)
     assert all(s.v == 0.0 for s in traj.samples)
-    assert all(p.v == 0.0 and p.u == 0.0 for p in traj.flow_points)
+    fp = traj.flow_points
+    assert np.all(fp.v == 0.0) and np.all(fp.u == 0.0)
     # at the origin every set certifies its full cap
     cap = t_max_cap(cfg)
     for d in traj.decisions:
@@ -94,18 +96,17 @@ def test_window_lengthens_intervals():
 def test_jump_and_flow_consistency():
     cfg, spec = _linear_cfg()
     traj = simulate([0.7], cfg, spec, t_end=2.0)
-    by_j = {}
-    for p in traj.flow_points:
-        by_j.setdefault(p.j, []).append(p)
+    fp = traj.flow_points
     for k, smp in enumerate(traj.samples[:-1]):
-        pts = by_j[smp.j]
-        assert pts[0].t == smp.t
+        rows = np.flatnonzero(fp.j == smp.j)
+        first, last = rows[0], rows[-1]
+        assert fp.t[first] == smp.t
         # post-jump e = 0, so U(t_j+) = V(t_j+) and x matches the sample
-        np.testing.assert_array_equal(pts[0].x, smp.x)
-        assert pts[0].u == pytest.approx(pts[0].v, rel=1e-12)
+        np.testing.assert_array_equal(fp.x[first], smp.x)
+        assert fp.u[first] == pytest.approx(fp.v[first], rel=1e-12)
         # flow is continuous into the next sample
-        np.testing.assert_allclose(pts[-1].x, traj.samples[k + 1].x, rtol=1e-12)
-        assert pts[-1].t == pytest.approx(traj.samples[k + 1].t, rel=1e-12)
+        np.testing.assert_allclose(fp.x[last], traj.samples[k + 1].x, rtol=1e-12)
+        assert fp.t[last] == pytest.approx(traj.samples[k + 1].t, rel=1e-12)
 
 
 def test_monitor_suite_passes_on_linear():
@@ -124,8 +125,9 @@ def test_monitor_inapplicable_beyond_horizon():
                           bound_type="fallback-decrease", lambda_cap_used=1.0,
                           epsilon=0.5, v_now=1.0, c_val=1.0)
     assert 10.0 >= t_max(2.0, 1.0)
-    pts = [FlowPoint(t=0.0, j=1, x=np.array([1.0]), v=1.0, u=1.0)]
-    rec = monitor_flow_bound(pts, dec, gamma=2.0, l_const=0.5, v_plus=1.0,
+    seg = FlowRecords(t=np.array([0.0]), j=np.array([1]), x=np.array([[1.0]]),
+                      v=np.array([1.0]), u=np.array([1.0]))
+    rec = monitor_flow_bound(seg, dec, gamma=2.0, l_const=0.5, v_plus=1.0,
                              t_start=0.0)
     assert rec.passed
     assert "inapplicable" in rec.note
@@ -164,6 +166,7 @@ def test_refinement_stability():
 
 
 def test_region_escape():
+    # a drift without a per-component rhs: the flow calls it on 1-D arrays
     base = linear_test(c=1.0)
     spec = dataclasses.replace(base, f=lambda x, e: np.asarray(x, dtype=float))
     cfg = StcConfig(family=_family((0.5, 1.05, 0.05)), c=1.0, m=1)
@@ -227,7 +230,7 @@ def test_periodic_baseline():
     np.testing.assert_allclose([s.t for s in traj.samples], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert traj.n_samples_before(1.0) == 4
     assert traj.decisions == ()
-    assert all(math.isnan(p.u) for p in traj.flow_points)
+    assert np.all(np.isnan(traj.flow_points.u))
     assert all(s.v <= 0.25 for s in traj.samples)   # contraction
     # equilibrium stays put
     still = simulate_periodic([0.0], spec, period=0.25, t_end=1.0)
@@ -281,11 +284,12 @@ def _vdp_cfg():
 
 
 def _run_key(traj):
-    """Every sample, decision, flow point and monitor record, as exact text."""
+    """Every sample, decision, flow record and monitor record, as exact text."""
+    fp = traj.flow_points
     return repr((
         [(s.t, s.j, s.x.tolist(), s.v, s.eta) for s in traj.samples],
         [dataclasses.astuple(d) for d in traj.decisions],
-        [(p.t, p.j, p.x.tolist(), p.v, p.u) for p in traj.flow_points],
+        [fp.t.tolist(), fp.j.tolist(), fp.x.tolist(), fp.v.tolist(), fp.u.tolist()],
         [dataclasses.astuple(r) for r in traj.monitors],
     ))
 
@@ -304,17 +308,20 @@ def test_point_drift_matches_array_drift_in_simulation(setup, x0, t_end):
 
 def _reference_trajectory_csv(path, traj):
     """The row-list writer that the streamed trajectory writer replaced."""
-    n = traj.flow_points[0].x.shape[0] if traj.flow_points else 0
+    fp = traj.flow_points
+    n = fp.x.shape[1] if len(fp) else 0
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
     rows = []
-    for p in traj.flow_points:
+    for k in range(len(fp)):
+        t, j, x, v, u = (fp.t[k].item(), fp.j[k].item(), fp.x[k].tolist(),
+                         fp.v[k].item(), fp.u[k].item())
         if traj.kind == "periodic":
             interval, idx, fb = traj.period, -1, False
         else:
-            dec = traj.decisions[p.j - 1]
+            dec = traj.decisions[j - 1]
             interval, idx, fb = dec.h, dec.set_index, dec.used_fallback
-        rows.append([p.t, p.j] + p.x.tolist() + [p.v, p.u, interval, idx, fb])
+        rows.append([t, j] + x + [v, u, interval, idx, fb])
     _write_rows(path, header, rows)
 
 
@@ -331,3 +338,105 @@ def test_trajectory_csv_matches_row_writer(tmp_path, kind):
     data = (tmp_path / "stream.csv").read_bytes()
     assert data == (tmp_path / "rows.csv").read_bytes()
     assert data.count(b"\n") == 1 + len(traj.flow_points)
+
+
+def _reference_rk4_segment(spec, x_hold, h, dt_flow):
+    """The numpy RK4 loop that the float loop replaced, kept as its bit reference."""
+    n_full = int(h / dt_flow)
+    rem = h - n_full * dt_flow
+    steps = [dt_flow] * n_full
+    if rem > 1e-12 * h:
+        steps.append(rem)
+    elif steps:
+        steps[-1] += rem
+    else:
+        steps = [h]
+    xs = np.empty((len(steps) + 1, x_hold.shape[0]))
+    xs[0] = x_hold
+    x = x_hold
+    f = spec.f
+    for k, st in enumerate(steps):
+        k1 = f(x, x_hold - x)
+        x2 = x + 0.5 * st * k1
+        k2 = f(x2, x_hold - x2)
+        x3 = x + 0.5 * st * k2
+        k3 = f(x3, x_hold - x3)
+        x4 = x + st * k3
+        k4 = f(x4, x_hold - x4)
+        x = x + (st / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[k + 1] = x
+    taus = np.concatenate([[0.0], np.cumsum(steps)])
+    taus[-1] = h
+    return xs, taus
+
+
+def _edge_state(spec, direction, level=0.999):
+    """The state on the ray through direction with V = level * c."""
+    d = np.asarray(direction, dtype=float)
+    return d * math.sqrt(level * spec.region_c / float(spec.v(d)))
+
+
+@pytest.mark.parametrize("make, holds, edge_directions", [
+    (van_der_pol, [[-0.3, 1.7], [0.0, -0.0], [-0.0, -0.0]], [[1.0, -2.0], [-1.0, 0.3]]),
+    (linear_test, [[0.9], [0.0], [-0.0]], [[1.0], [-1.0]]),
+])
+@pytest.mark.parametrize("h, dt_flow", [
+    (1.0, 0.125),           # an exact multiple: 8 full steps
+    (0.0537, 0.01),         # remainder above 1e-12*h: a short last step
+    (0.5 + 1e-14, 0.125),   # remainder absorbed into the last full step
+    (0.03, 0.1),            # h < dt_flow: one short step
+])
+@pytest.mark.parametrize("route", ["rhs", "adapter"])
+def test_float_rk4_matches_numpy_reference(make, holds, edge_directions, h, dt_flow, route):
+    spec = make()
+    assert hasattr(spec.f, "rhs")
+    if route == "adapter":
+        spec = dataclasses.replace(spec, f=lambda x, e, f=spec.f: f(x, e))
+    x_holds = [np.array(x) for x in holds] + [_edge_state(spec, d) for d in edge_directions]
+    for x_hold in x_holds:
+        xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
+        ref_xs, ref_taus = _reference_rk4_segment(make(), x_hold, h, dt_flow)
+        assert xs.shape == ref_xs.shape and xs.dtype == ref_xs.dtype
+        assert xs.tobytes() == ref_xs.tobytes()
+        assert taus.tobytes() == ref_taus.tobytes()
+        np.testing.assert_array_equal(np.signbit(xs), np.signbit(ref_xs))
+        np.testing.assert_array_equal(np.signbit(xs[0]), np.signbit(x_hold))
+
+
+def test_drift_without_rhs_runs_through_adapter(tmp_path):
+    cfg, spec = _vdp_cfg()
+    calls = []
+
+    def wrapper(x, e):
+        # what perfbench's tracer reads: one point as 1-D ndarrays
+        assert isinstance(x, np.ndarray) and isinstance(e, np.ndarray)
+        assert x.ndim == 1 and e.ndim == 1 and x.shape == e.shape == (2,)
+        calls.append(1)
+        return spec.f(x, e)
+
+    wrapped = dataclasses.replace(spec, f=wrapper)
+    runs = []
+    for s in (spec, wrapped):
+        traj = simulate([-0.3, 1.2], cfg, s, t_end=1.5)
+        per = simulate_periodic([-0.3, 1.2], s, t_min_of(cfg), t_end=0.5)
+        out = tmp_path / s.f.__name__
+        out.mkdir()
+        write_trajectory_csv(out / "t.csv", traj)
+        write_decisions_csv(out / "d.csv", traj)
+        write_monitors_csv(out / "m.csv", traj)
+        write_trajectory_csv(out / "p.csv", per)
+        files = [(out / name).read_bytes() for name in ("t.csv", "d.csv", "m.csv", "p.csv")]
+        runs.append((_run_key(traj), _run_key(per), files))
+    assert len(calls) > 0 and len(calls) % 4 == 0   # four stages per RK4 step
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("x0", [[1.0], [0.1, 0.2, 0.3], [[-0.3, 1.2]], [math.nan, 0.0],
+                                [0.0, math.inf], 0.5])
+def test_wrong_state_shape_rejected(x0):
+    # [1.0] used to broadcast against P (V = 10.44 > c: a RegionEscapeError)
+    cfg, spec = _vdp_cfg()
+    for run in (lambda: simulate(x0, cfg, spec, t_end=1.0),
+                lambda: simulate_periodic(x0, spec, period=0.25, t_end=1.0)):
+        with pytest.raises(ValueError, match="x0 must be a finite vector"):
+            run()

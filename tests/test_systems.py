@@ -150,6 +150,16 @@ def test_dimension_mismatch(vdp):
         spec_from_config({"name": "van_der_pol", "dimension": 3})
 
 
+@pytest.mark.parametrize("make, x", [
+    (van_der_pol, [1.0]), (van_der_pol, [1.0, 2.0, 3.0]), (van_der_pol, np.zeros((4, 1))),
+    (van_der_pol, 1.0), (linear_test, [1.0, 2.0]), (linear_test, np.zeros((3, 2))),
+])
+def test_energy_rejects_wrong_state_length(make, x):
+    # a length-1 last axis used to broadcast against P: v([1.0]) == v([1.0, 1.0])
+    with pytest.raises(ValueError):
+        make().v(x)
+
+
 def test_linear_test_system():
     spec = linear_test()
     assert spec.n_x == spec.n_e == 1
