@@ -200,7 +200,7 @@ def _simulate(mech, x0, cfg, spec, t_end, dt_flow):
         return simulate(x0, cfg, spec, t_end, dt_flow)
     if mech == "static":
         return simulate(x0, replace(cfg, m=1), spec, t_end, dt_flow)
-    return simulate_periodic(x0, spec, t_min_of(cfg), t_end)
+    return simulate_periodic(x0, spec, t_min_of(cfg), t_end, dt_flow)
 
 
 def _interval_stats(traj):

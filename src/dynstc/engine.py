@@ -9,10 +9,11 @@ m-1 previous sampled energies.  The window average
 relaxes the trigger: a candidate set (epsilon_i, gamma_i, L_i) may
 certify a long interval h whenever exp(-epsilon_i h) V stays below
 exp(-eps_ref h) C, which has the closed-form case split implemented in
-:func:`interval_for_set`.  A positive-rate fall-back set guarantees the
-strictly positive floor t_min = delta * t_max(gamma_1, L_1 + eps_1/2)
-independently of the window, so every decision certifies one of two
-inequalities for the next sample (recorded as ``bound_type``):
+:func:`interval_for_set`.  The fall-back, set 0 of the family, has a
+positive rate and guarantees the strictly positive floor
+t_min = delta * t_max(gamma_1, L_1 + eps_1/2) independently of the
+window, so every decision certifies one of two inequalities for the
+next sample (recorded as ``bound_type``):
 
 * ``window-bound``:      V(t_{j+1}) <= exp(-eps_ref h) C(t_j)
 * ``fallback-decrease``: V(t_{j+1}) <= exp(-eps_1 t_min) V(t_j)
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .synthesis import ParameterFamily, ParameterSet
+from .synthesis import ParameterFamily
 from .timing import t_max
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "eta_initial",
     "update_eta",
     "window_average_c",
-    "lambda_cap_for",
     "set_lambda_cap",
     "t_min_of",
     "t_max_cap",
@@ -154,22 +154,16 @@ class TriggerDecision:
     c_val: float
 
 
-def lambda_cap_for(ps: ParameterSet, delta: float) -> float:
-    """Contraction-rate cap for a candidate set: max{L + eps/2, 1 - delta}."""
-    return max(ps.l_const + 0.5 * ps.epsilon, 1.0 - delta)
-
-
 def set_lambda_cap(cfg: StcConfig, i: int) -> float:
-    """Rate cap of set i: L + eps/2 for the fall-back, lambda_cap_for otherwise."""
+    """Rate cap of set i: L + eps/2 for the fall-back (set 0), else max{L + eps/2, 1 - delta}."""
     ps = cfg.family.sets[i]
-    if i == cfg.family.fallback_index:
-        return ps.l_const + 0.5 * ps.epsilon
-    return lambda_cap_for(ps, cfg.delta)
+    lam = ps.l_const + 0.5 * ps.epsilon
+    return lam if i == 0 else max(lam, 1.0 - cfg.delta)
 
 
 def t_min_of(cfg: StcConfig) -> float:
     """Guaranteed sampling floor delta * t_max(gamma_1, L_1 + eps_1/2)."""
-    return cfg._interval_caps[cfg.family.fallback_index]
+    return cfg._interval_caps[0]
 
 
 def t_max_cap(cfg: StcConfig) -> float:
@@ -177,24 +171,20 @@ def t_max_cap(cfg: StcConfig) -> float:
     return max(cfg._interval_caps)
 
 
-def interval_for_set(v_now: float, c_val: float, ps: ParameterSet,
-                     delta: float, eps_ref: float) -> float:
-    """Longest h <= delta*t_max certifiable by one set; 0 when infeasible.
+def interval_for_set(v_now: float, c_val: float, cfg: StcConfig, i: int) -> float:
+    """Longest h <= delta*t_max certifiable by set i; 0 when infeasible.
 
     The certified inequality is (eps_ref - eps_i) * h <= log(c_val / v_now),
     split into four sign cases.  v_now = 0 is the origin, where any
-    interval is admissible, so the cap is returned.
+    interval is admissible, so the cap is returned.  The cap is the set's
+    delta*t_max at its rate cap, :func:`set_lambda_cap`.
     """
     if v_now < 0.0:
         raise ValueError("energy must be non-negative")
-    return _interval(v_now, c_val, eps_ref - ps.epsilon,
-                     delta * t_max(ps.gamma, lambda_cap_for(ps, delta)))
-
-
-def _interval(v_now, c_val, a, dt):
-    """The case split of :func:`interval_for_set` given a = eps_ref - eps_i and its cap dt."""
+    dt = cfg._interval_caps[i]
     if v_now == 0.0:
         return dt
+    a = cfg.eps_ref - cfg.family.sets[i].epsilon
     if c_val >= v_now:
         if a > 0.0:
             return min(dt, math.log(c_val / v_now) / a)
@@ -221,14 +211,10 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
             f"V(x) = {v:.6g} exceeds the region level c = {cfg.c:.6g}",
             x=np.array(x, dtype=float), v=v)
     c_val = window_average_c(v, dyn, cfg.c, cfg.m)
-    fam = cfg.family
-    caps = cfg._interval_caps
-    h_fb = caps[fam.fallback_index]
-    best_h, best_i, window = h_fb, fam.fallback_index, False
-    for i, ps in enumerate(fam.sets):
-        if i == fam.fallback_index:
-            continue
-        h_i = _interval(v, c_val, cfg.eps_ref - ps.epsilon, caps[i])
+    h_fb = t_min_of(cfg)
+    best_h, best_i, window = h_fb, 0, False
+    for i in range(1, len(cfg.family.sets)):
+        h_i = interval_for_set(v, c_val, cfg, i)
         if h_i < h_fb:
             continue
         if not window or h_i > best_h:
@@ -239,7 +225,7 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
         used_fallback=not window,
         bound_type=WINDOW_BOUND if window else FALLBACK_DECREASE,
         lambda_cap_used=set_lambda_cap(cfg, best_i),
-        epsilon=fam.sets[best_i].epsilon,
+        epsilon=cfg.family.sets[best_i].epsilon,
         v_now=v,
         c_val=c_val,
     )

@@ -394,7 +394,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

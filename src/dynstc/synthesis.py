@@ -73,23 +73,20 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class ParameterFamily:
-    """Ordered certificate sets; sets[fallback_index] has epsilon > 0."""
+    """Ordered certificate sets; the first, sets[0], is the fall-back and has epsilon > 0."""
 
     sets: tuple
-    fallback_index: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(self.sets))
         if len(self.sets) == 0:
             raise ValueError("family must contain at least one set")
-        if not (0 <= self.fallback_index < len(self.sets)):
-            raise ValueError("fallback_index out of range")
-        if not (self.sets[self.fallback_index].epsilon > 0.0):
+        if not (self.sets[0].epsilon > 0.0):
             raise ValueError("fall-back set must have positive epsilon")
 
     @property
     def fallback(self) -> ParameterSet:
-        return self.sets[self.fallback_index]
+        return self.sets[0]
 
 
 @dataclass(frozen=True)
@@ -217,48 +214,23 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
     return best, worst, np.maximum(scale, 1.0), xg.shape[0] * eg.shape[0]
 
 
-def _reports(spec, sets, grid_density):
-    max_s, worst, scale, n_points = _grid_pass(
-        spec, grid_density, [ps.epsilon for ps in sets], [ps.gamma for ps in sets])
-    out = []
-    for k in range(len(sets)):
-        ms = float(max_s[k])
-        out.append(VerificationReport(
-            certified=ms <= 0.0,
-            max_violation=ms,
-            worst_x=worst[k][0],
-            worst_e=worst[k][1],
-            grid_density=int(grid_density),
-            n_points=n_points,
-            scale=float(scale[k]),
-        ))
-    return out
-
-
 def verify_family(spec, family: ParameterFamily, grid_density: int):
     """Reports for every set of the family from a single grid pass."""
-    return _reports(spec, family.sets, grid_density)
-
-
-def _synthesize(spec, epsilons, l_const, grid_density):
-    """Inflated grid-feasible gamma per epsilon, verified on the same grid."""
-    ratios = _grid_pass(spec, grid_density, epsilons)[0]
-    sets = [ParameterSet(epsilon=float(eps), l_const=float(l_const),
-                         gamma=GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR)
-            for eps, r in zip(epsilons, ratios)]
-    reports = _reports(spec, sets, grid_density)
-    for eps, ps, rep in zip(epsilons, sets, reports):
-        if not rep.certified:
-            raise SynthesisError(
-                f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "
-                f"certificate by {rep.max_violation:.3e}",
-                epsilon=eps, point=(rep.worst_x, rep.worst_e))
-    return sets
+    max_s, worst, scale, n_points = _grid_pass(
+        spec, grid_density, [ps.epsilon for ps in family.sets],
+        [ps.gamma for ps in family.sets])
+    return [VerificationReport(certified=ms <= 0.0, max_violation=ms, worst_x=wx,
+                               worst_e=we, grid_density=int(grid_density),
+                               n_points=n_points, scale=sc)
+            for ms, (wx, we), sc in zip(max_s.tolist(), worst, scale.tolist())]
 
 
 def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
                  grid_density: int = 48) -> ParameterFamily:
-    """Synthesize one set per epsilon; the largest epsilon leads as fall-back."""
+    """Inflated grid-feasible gamma per epsilon, verified on the same grid.
+
+    The largest epsilon leads as the fall-back, set 0.
+    """
     if not (l_const > 0.0):
         raise ValueError("L must be positive")
     epsilons = [float(e) for e in epsilons]
@@ -266,10 +238,21 @@ def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
         raise ValueError("epsilon list must be non-empty")
     if max(epsilons) <= 0.0:
         raise ValueError("family needs a positive epsilon for the fall-back set")
-    order = [int(np.argmax(epsilons))]
-    order += [i for i in range(len(epsilons)) if i != order[0]]
-    sets = _synthesize(spec, [epsilons[i] for i in order], l_const, grid_density)
-    return ParameterFamily(sets=tuple(sets), fallback_index=0)
+    first = int(np.argmax(epsilons))
+    epsilons = [epsilons[first]] + epsilons[:first] + epsilons[first + 1:]
+    ratios = _grid_pass(spec, grid_density, epsilons)[0]
+    family = ParameterFamily(sets=tuple(
+        ParameterSet(epsilon=eps, l_const=float(l_const),
+                     gamma=GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR)
+        for eps, r in zip(epsilons, ratios)))
+    for eps, ps, rep in zip(epsilons, family.sets,
+                            verify_family(spec, family, grid_density)):
+        if not rep.certified:
+            raise SynthesisError(
+                f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "
+                f"certificate by {rep.max_violation:.3e}",
+                epsilon=eps, point=(rep.worst_x, rep.worst_e))
+    return family
 
 
 def default_epsilon_ladder(n: int = 21, eps_top: float = 0.01,
@@ -294,7 +277,7 @@ def default_epsilon_ladder(n: int = 21, eps_top: float = 0.01,
 
 def family_to_manifest(family: ParameterFamily, grid_density: int) -> dict:
     return {
-        "fallback_index": family.fallback_index,
+        "fallback_index": 0,
         "sets": [
             {
                 "epsilon": ps.epsilon,
@@ -308,15 +291,20 @@ def family_to_manifest(family: ParameterFamily, grid_density: int) -> dict:
 
 
 def manifest_to_family(doc: dict) -> ParameterFamily:
+    """The family of a manifest; its fall-back comes first ("fallback_index" 0 or absent)."""
     try:
         sets = tuple(
             ParameterSet(epsilon=float(d["epsilon"]), gamma=float(d["gamma"]),
                          l_const=float(d["L"]))
             for d in doc["sets"]
         )
-        return ParameterFamily(sets=sets, fallback_index=int(doc.get("fallback_index", 0)))
+        fallback_index = doc.get("fallback_index", 0)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter-family manifest: {exc}") from exc
+    if fallback_index != 0:
+        raise ValueError(f"malformed parameter-family manifest: fallback_index is "
+                         f"{fallback_index!r}, but the fall-back must be set 0")
+    return ParameterFamily(sets=sets)
 
 
 def write_manifest(path, family: ParameterFamily, grid_density: int) -> None:

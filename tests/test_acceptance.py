@@ -18,7 +18,6 @@ from dynstc.engine import (
     DynamicVariable,
     StcConfig,
     gamma_trigger,
-    lambda_cap_for,
     static_trigger,
     t_max_cap,
     t_min_of,
@@ -138,7 +137,7 @@ def _random_family(rng):
         sets.append(ParameterSet(epsilon=eps,
                                  gamma=float(10.0 ** rng.uniform(-1, 1.5)),
                                  l_const=float(10.0 ** rng.uniform(-2, 0))))
-    return ParameterFamily(sets=tuple(sets), fallback_index=0)
+    return ParameterFamily(sets=tuple(sets))
 
 
 def _oracle_h(v, c_val, cfg):
@@ -146,9 +145,9 @@ def _oracle_h(v, c_val, cfg):
     # 1001-point pass inside the last feasible coarse cell
     best = t_min_of(cfg)
     for i, ps in enumerate(cfg.family.sets):
-        if i == cfg.family.fallback_index:
+        if i == 0:
             continue
-        dt = cfg.delta * t_max(ps.gamma, lambda_cap_for(ps, cfg.delta))
+        dt = cfg.delta * t_max(ps.gamma, max(ps.l_const + 0.5 * ps.epsilon, 1.0 - cfg.delta))
         a = cfg.eps_ref - ps.epsilon
         lo, hi = 0.0, dt
         h_set = None
@@ -199,7 +198,7 @@ def test_acceptance_4_fallback_decrease(capsys):
     t0 = time.perf_counter()
     spec = linear_test(c=1.0)
     ps = ParameterSet(epsilon=0.5, gamma=1.05, l_const=0.05)
-    cfg = StcConfig(family=ParameterFamily(sets=(ps,), fallback_index=0),
+    cfg = StcConfig(family=ParameterFamily(sets=(ps,)),
                     c=1.0, m=5)
     traj = simulate([0.9], cfg, spec, 30.0, monitors=False)
     factor = math.exp(-ps.epsilon * t_min_of(cfg))
@@ -292,7 +291,7 @@ def test_acceptance_7_family_reverification(bench, capsys):
     bad_set = replace(bench.family.sets[0],
                       gamma=0.5 * bench.family.sets[0].gamma)
     bad_rep = verify_family(
-        bench.spec, ParameterFamily(sets=(bad_set,), fallback_index=0), 96)[0]
+        bench.spec, ParameterFamily(sets=(bad_set,)), 96)[0]
     if bad_rep.max_violation <= 1e-6 * bad_rep.scale:
         errs.append("halved gamma was not rejected")
     elapsed = time.perf_counter() - t0

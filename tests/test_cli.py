@@ -6,8 +6,9 @@ import pytest
 
 from dynstc import cli
 from dynstc.engine import StcConfig, t_max_cap, t_min_of
-from dynstc.sim import IntegrationBlowupError
+from dynstc.sim import IntegrationBlowupError, simulate_periodic, write_trajectory_csv
 from dynstc.synthesis import read_manifest
+from dynstc.systems import linear_test
 
 
 def _write_config(path, **overrides):
@@ -43,8 +44,8 @@ def test_synthesize_writes_manifest(tmp_path, capsys):
     # t_min, and the column maximum is t_max_cap
     stc = StcConfig(family=family, c=1.0, delta=0.5, eps_ref=0.01, m=5)
     caps = [row[4] for row in rows]
-    assert text.splitlines()[0] == f"t_min = {caps[family.fallback_index]}"
-    assert caps[family.fallback_index] == f"{t_min_of(stc):.6g}"
+    assert text.splitlines()[0] == f"t_min = {caps[0]}"
+    assert caps[0] == f"{t_min_of(stc):.6g}"
     assert max(map(float, caps)) == float(f"{t_max_cap(stc):.6g}")
 
 
@@ -227,11 +228,19 @@ def test_compare_missing_summary(tmp_path, capsys):
     assert "no run summary" in capsys.readouterr().err
 
 
+_SECOND_FALLBACK = {"fallback_index": 1, "sets": [
+    {"epsilon": 0.5, "gamma": 1.05, "L": 0.05, "grid_density": 16},
+    {"epsilon": 0.2, "gamma": 1.05, "L": 0.05, "grid_density": 16}]}
+
+
 @pytest.mark.parametrize("command, artifact, doc", [
     ("compare", "summary.json", {"runs": [{"mechanism": "dynamic"}]}),
     ("compare", "summary.json", [1, 2]),
     ("verify", "family.json", {"sets": [{"epsilon": 0.5, "gamma": 1.0, "L": 0.05,
                                          "grid_density": [40]}]}),
+    # the fall-back is set 0; a manifest naming another set is rejected
+    ("run", "family.json", _SECOND_FALLBACK),
+    ("verify", "family.json", _SECOND_FALLBACK),
 ])
 def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     cfg = _write_config(tmp_path / "cfg.json")
@@ -305,6 +314,21 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "simulate", boom)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_periodic_baseline_steps_at_dt_flow(tmp_path):
+    # run.dt_flow sets the step of every mechanism, the periodic baseline too
+    cfg = _write_config(tmp_path / "cfg.json", run={
+        "x0": [[0.5]], "t_end": 3.0, "dt_flow": 0.002, "baselines": True})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    family, _ = read_manifest(out / "family.json")
+    spec = linear_test(c=1.0)
+    stc = StcConfig(family=family, c=1.0, delta=0.999, eps_ref=0.01, m=5)
+    write_trajectory_csv(tmp_path / "direct.csv",
+                         simulate_periodic([0.5], spec, t_min_of(stc), 3.0, 0.002))
+    assert (out / "run0_periodic_trajectory.csv").read_bytes() == \
+        (tmp_path / "direct.csv").read_bytes()
 
 
 def test_two_initial_states_get_distinct_files(tmp_path):

@@ -17,7 +17,6 @@ from dynstc.engine import (
     eta_initial,
     gamma_trigger,
     interval_for_set,
-    lambda_cap_for,
     set_lambda_cap,
     static_trigger,
     stc_step,
@@ -33,10 +32,21 @@ from dynstc.timing import t_max
 
 def _family(*triples):
     sets = tuple(ParameterSet(epsilon=e, gamma=g, l_const=l) for e, g, l in triples)
-    return ParameterFamily(sets=sets, fallback_index=0)
+    return ParameterFamily(sets=sets)
 
 
 FB = (0.01, 2.0, 0.05)
+
+
+def _cap(ps, delta):
+    """The rate cap of a candidate set, spelled out: max{L + eps/2, 1 - delta}."""
+    return max(ps.l_const + 0.5 * ps.epsilon, 1.0 - delta)
+
+
+def _candidate(ps, delta=0.999):
+    """A config with eps_ref = 0.01 whose set 1 is ps, next to the fall-back FB."""
+    return StcConfig(family=ParameterFamily(sets=(ParameterSet(*FB), ps)), c=10.0,
+                     delta=delta, eps_ref=0.01)
 
 
 def test_dynamic_variable_validation():
@@ -96,55 +106,55 @@ def test_interval_case1_log_binding():
     # c >= v with eps_ref above eps: the log term can cut the cap
     ps = ParameterSet(epsilon=0.0, gamma=0.1, l_const=0.01)
     dt = 0.999 * t_max(0.1, max(0.01, 1.0 - 0.999))
-    h = interval_for_set(1.0, 1.02, ps, 0.999, 0.01)
+    h = interval_for_set(1.0, 1.02, _candidate(ps), 1)
     expected = math.log(1.02) / 0.01
     assert expected < dt
     assert h == pytest.approx(expected, rel=1e-12)
     # and when the log bound exceeds the cap, the cap wins
-    h2 = interval_for_set(1.0, 2.0, ps, 0.999, 0.01)
+    h2 = interval_for_set(1.0, 2.0, _candidate(ps), 1)
     assert h2 == pytest.approx(dt, rel=1e-12)
 
 
 def test_interval_case2_cap():
     ps = ParameterSet(epsilon=0.02, gamma=2.0, l_const=0.05)
-    dt = 0.999 * t_max(2.0, lambda_cap_for(ps, 0.999))
-    assert interval_for_set(1.0, 1.0, ps, 0.999, 0.01) == dt
-    assert interval_for_set(0.5, 3.0, ps, 0.999, 0.01) == dt
+    dt = 0.999 * t_max(2.0, _cap(ps, 0.999))
+    assert interval_for_set(1.0, 1.0, _candidate(ps), 1) == dt
+    assert interval_for_set(0.5, 3.0, _candidate(ps), 1) == dt
 
 
 def test_interval_case3_infeasible():
     ps = ParameterSet(epsilon=0.01, gamma=2.0, l_const=0.05)
-    assert interval_for_set(2.0, 1.0, ps, 0.999, 0.01) == 0.0
+    assert interval_for_set(2.0, 1.0, _candidate(ps), 1) == 0.0
 
 
 def test_interval_case4_recovery_after_tbar():
     # C < V with eps well above eps_ref: admissible once h clears t_bar
     ps = ParameterSet(epsilon=5.0, gamma=6.0, l_const=0.05)
-    delta = 0.2 / t_max(6.0, lambda_cap_for(ps, 0.5))
-    dt = delta * t_max(6.0, lambda_cap_for(ps, delta))
+    delta = 0.2 / t_max(6.0, _cap(ps, 0.5))
+    dt = delta * t_max(6.0, _cap(ps, delta))
     assert dt == pytest.approx(0.2, rel=1e-12)
     t_bar = math.log(0.5) / (0.01 - 5.0)
     assert t_bar == pytest.approx(0.1389, abs=1e-4)
-    assert interval_for_set(2.0, 1.0, ps, delta, 0.01) == pytest.approx(0.2, rel=1e-12)
+    assert interval_for_set(2.0, 1.0, _candidate(ps, delta), 1) == pytest.approx(0.2, rel=1e-12)
     # a shorter cap falls below t_bar and nothing is certifiable
     ps_big = ParameterSet(epsilon=5.0, gamma=60.0, l_const=0.05)
-    dt_big = delta * t_max(60.0, lambda_cap_for(ps_big, delta))
+    dt_big = delta * t_max(60.0, _cap(ps_big, delta))
     assert dt_big < t_bar
-    assert interval_for_set(2.0, 1.0, ps_big, delta, 0.01) == 0.0
+    assert interval_for_set(2.0, 1.0, _candidate(ps_big, delta), 1) == 0.0
 
 
 def test_interval_conventions():
     ps = ParameterSet(epsilon=-1.0, gamma=2.0, l_const=0.05)
-    dt = 0.999 * t_max(2.0, lambda_cap_for(ps, 0.999))
+    dt = 0.999 * t_max(2.0, _cap(ps, 0.999))
     # origin: any interval is admissible
-    assert interval_for_set(0.0, 0.0, ps, 0.999, 0.01) == dt
-    assert interval_for_set(0.0, 5.0, ps, 0.999, 0.01) == dt
+    assert interval_for_set(0.0, 0.0, _candidate(ps), 1) == dt
+    assert interval_for_set(0.0, 5.0, _candidate(ps), 1) == dt
     # zero window average with positive energy: nothing is certifiable
-    assert interval_for_set(1.0, 0.0, ps, 0.999, 0.01) == 0.0
+    assert interval_for_set(1.0, 0.0, _candidate(ps), 1) == 0.0
     ps_pos = ParameterSet(epsilon=1.0, gamma=2.0, l_const=0.05)
-    assert interval_for_set(1.0, 0.0, ps_pos, 0.999, 0.01) == 0.0
+    assert interval_for_set(1.0, 0.0, _candidate(ps_pos), 1) == 0.0
     with pytest.raises(ValueError):
-        interval_for_set(-1.0, 1.0, ps, 0.999, 0.01)
+        interval_for_set(-1.0, 1.0, _candidate(ps), 1)
 
 
 def test_stc_config_validation():
@@ -162,7 +172,7 @@ def test_t_min_and_cap():
     tmin = t_min_of(cfg)
     assert tmin == pytest.approx(0.999 * t_max(2.0, 0.055), rel=1e-12)
     cap = t_max_cap(cfg)
-    caps = [tmin] + [0.999 * t_max(ps.gamma, lambda_cap_for(ps, 0.999))
+    caps = [tmin] + [0.999 * t_max(ps.gamma, _cap(ps, 0.999))
                      for ps in fam.sets[1:]]
     assert cap == max(caps)
     assert cap >= tmin
@@ -199,7 +209,7 @@ def test_trigger_prefers_longer_window_interval():
     assert not dec.used_fallback
     assert dec.bound_type == WINDOW_BOUND
     assert dec.set_index == 1
-    cap1 = 0.999 * t_max(1.0, lambda_cap_for(fam.sets[1], 0.999))
+    cap1 = 0.999 * t_max(1.0, _cap(fam.sets[1], 0.999))
     assert dec.h == cap1
     assert dec.h > t_min_of(cfg)
 
@@ -221,8 +231,8 @@ def test_trigger_equal_to_fallback_counts_as_window():
     fb = ParameterSet(*FB)
     h_fb = 0.999 * t_max(fb.gamma, fb.l_const + 0.5 * fb.epsilon)
     twin = ParameterSet(epsilon=0.02, gamma=2.0, l_const=0.045)
-    assert lambda_cap_for(twin, 0.999) == fb.l_const + 0.5 * fb.epsilon
-    fam = ParameterFamily(sets=(fb, twin), fallback_index=0)
+    assert _cap(twin, 0.999) == fb.l_const + 0.5 * fb.epsilon
+    fam = ParameterFamily(sets=(fb, twin))
     cfg = StcConfig(family=fam, c=10.0, m=2)
     dec = gamma_trigger([1.0], DynamicVariable(eta=(2.0,)), cfg, spec)
     assert dec.h == h_fb
@@ -240,7 +250,7 @@ def _random_family(rng):
         sets.append(ParameterSet(epsilon=eps,
                                  gamma=float(10.0 ** rng.uniform(-1, 1.5)),
                                  l_const=float(10.0 ** rng.uniform(-2, 0))))
-    return ParameterFamily(sets=tuple(sets), fallback_index=0)
+    return ParameterFamily(sets=tuple(sets))
 
 
 def _oracle_h(v, c_val, cfg):
@@ -248,9 +258,9 @@ def _oracle_h(v, c_val, cfg):
     inequality v*exp((eps_ref-eps)h) <= c_val, per set, best over sets."""
     best = t_min_of(cfg)
     for i, ps in enumerate(cfg.family.sets):
-        if i == cfg.family.fallback_index:
+        if i == 0:
             continue
-        dt = cfg.delta * t_max(ps.gamma, lambda_cap_for(ps, cfg.delta))
+        dt = cfg.delta * t_max(ps.gamma, _cap(ps, cfg.delta))
         hs = np.linspace(0.0, dt, 100_001)
         ok = v * np.exp((cfg.eps_ref - ps.epsilon) * hs) <= c_val
         if ok.any():
@@ -273,7 +283,7 @@ def test_trigger_matches_line_search_oracle():
         dyn = DynamicVariable(eta=(eta0,))
         dec = gamma_trigger([math.sqrt(v)], dyn, cfg, spec)
         c_val = window_average_c(v, dyn, c, 2)
-        dt_scale = max(cfg.delta * t_max(ps.gamma, lambda_cap_for(ps, cfg.delta))
+        dt_scale = max(cfg.delta * t_max(ps.gamma, _cap(ps, cfg.delta))
                        for ps in fam.sets)
         assert dec.h >= t_min_of(cfg)
         assert dec.h <= t_max_cap(cfg) * (1 + 1e-12)
@@ -281,25 +291,46 @@ def test_trigger_matches_line_search_oracle():
 
 
 def test_trigger_agrees_bitwise_with_interval_for_set():
-    # the trigger reads each set's cap from the config; the public
-    # per-set function computes it afresh: same floats, same winner
+    # the trigger issues the fall-back's cap t_min or the best candidate's
+    # interval_for_set: same floats, same winner.  At the origin every set,
+    # the fall-back included, certifies its own cap; delta = 0.9 puts
+    # 1 - delta above some fall-backs' L + eps/2, where the two rate caps differ
     rng = np.random.default_rng(17)
     spec = linear_test(c=1e9)
     for _ in range(300):
         fam = _random_family(rng)
         c = float(10.0 ** rng.uniform(-1, 2))
-        cfg = StcConfig(family=fam, c=c, m=2, eps_ref=float(10.0 ** rng.uniform(-3, 0)))
+        eps_ref = float(10.0 ** rng.uniform(-3, 0))
         x = math.sqrt(c * rng.uniform(0.0, 1.0))
         v = float(spec.v([x]))
         dyn = DynamicVariable(eta=(float(rng.uniform(0.0, c * 2.0)),))
         c_val = window_average_c(v, dyn, c, 2)
-        best_h, best_i = t_min_of(cfg), 0
-        for i, ps in enumerate(fam.sets[1:], start=1):
-            h_i = interval_for_set(v, c_val, ps, cfg.delta, cfg.eps_ref)
-            if h_i >= t_min_of(cfg) and (best_i == 0 or h_i > best_h):
-                best_h, best_i = h_i, i
-        dec = gamma_trigger([x], dyn, cfg, spec)
-        assert (dec.h, dec.set_index) == (best_h, best_i)
+        for delta in (0.999, 0.9):
+            cfg = StcConfig(family=fam, c=c, m=2, eps_ref=eps_ref, delta=delta)
+            caps = [interval_for_set(0.0, c_val, cfg, i) for i in range(len(fam.sets))]
+            assert caps[0] == t_min_of(cfg) and max(caps) == t_max_cap(cfg)
+            assert caps == [cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))
+                            for i, ps in enumerate(fam.sets)]
+            hs = [interval_for_set(v, c_val, cfg, i) for i in range(len(fam.sets))]
+            assert all(0.0 <= h <= cap for h, cap in zip(hs, caps))
+            best_h, best_i = t_min_of(cfg), 0
+            for i in range(1, len(fam.sets)):
+                if hs[i] >= t_min_of(cfg) and (best_i == 0 or hs[i] > best_h):
+                    best_h, best_i = hs[i], i
+            dec = gamma_trigger([x], dyn, cfg, spec)
+            assert (dec.h, dec.set_index) == (best_h, best_i)
+
+
+def test_fallback_interval_is_t_min():
+    # one cap per set: the fall-back's interval_for_set is t_min, also at
+    # delta = 0.9, where 1 - delta = 0.1 exceeds its L + eps/2 = 0.055
+    cfg = StcConfig(family=_family(FB, (0.02, 1.0, 0.05)), c=1.0, m=2, delta=0.9)
+    t_min = t_min_of(cfg)
+    assert t_min == 0.9 * t_max(2.0, 0.05 + 0.5 * 0.01)
+    assert interval_for_set(1.0, 1.0, cfg, 0) == t_min
+    assert interval_for_set(0.0, 0.0, cfg, 0) == t_min
+    assert interval_for_set(0.5, 2.0, cfg, 0) == t_min
+    assert interval_for_set(1.0, 0.5, cfg, 0) == 0.0
 
 
 def test_set_caps_computed_once_per_config(monkeypatch):
@@ -375,17 +406,17 @@ def test_eta_fill_induction():
 
 def test_lambda_cap_used_is_the_set_cap():
     # one rule for every caller: L + eps/2 for the fall-back, else
-    # lambda_cap_for; delta = 0.9 makes the two differ for the fall-back
+    # max{L + eps/2, 1 - delta}; delta = 0.9 makes the two differ for the fall-back
     spec = linear_test()
     fam = _family(FB, (0.02, 1.0, 0.05))
     cfg = StcConfig(family=fam, c=1.0, m=2, delta=0.9)
-    assert lambda_cap_for(fam.sets[0], cfg.delta) == pytest.approx(0.1)
+    assert _cap(fam.sets[0], cfg.delta) == pytest.approx(0.1)
     win = gamma_trigger([0.5], DynamicVariable(eta=(0.3,)), cfg, spec)
     fb = gamma_trigger([0.5], DynamicVariable(eta=(0.3,)),
                        replace(cfg, family=_family(FB)), spec)
     assert not win.used_fallback and fb.used_fallback
     assert win.lambda_cap_used == set_lambda_cap(cfg, win.set_index) \
-        == lambda_cap_for(fam.sets[1], cfg.delta)
+        == _cap(fam.sets[1], cfg.delta)
     assert fb.lambda_cap_used == set_lambda_cap(cfg, fb.set_index) == 0.05 + 0.5 * 0.01
     assert t_min_of(cfg) == cfg.delta * t_max(2.0, set_lambda_cap(cfg, 0))
     assert t_max_cap(cfg) == max(cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))

@@ -2,7 +2,9 @@
 
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ MODULES = ["dynstc", "dynstc.cli", "dynstc.engine", "dynstc.sim",
 REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "TimingParams", "u_value", "default_w_h", "synthesize_gamma",
            "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh",
-           "FlowPoint"]
+           "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -44,3 +46,32 @@ def test_comparison_function_has_no_tuning_knobs():
     assert [f.name for f in dataclasses.fields(timing.PhiSolution)] == \
         ["lam", "gamma", "lambda_cap", "horizon"]
     assert not hasattr(sim, "_phi_for")
+
+
+def test_family_has_no_fallback_index():
+    from dynstc import synthesis
+
+    assert [f.name for f in dataclasses.fields(synthesis.ParameterFamily)] == ["sets"]
+
+
+def test_tracer_wrappers_install_and_restore():
+    # perfbench/tracer.py wraps module attributes by name; a change that
+    # drops one of them fails here, not only in a traced benchmark run
+    from dynstc import cli, engine, sim
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    mods = {"cli": cli, "engine": engine, "sim": sim}
+    before = {name: dict(vars(mod)) for name, mod in mods.items()}
+    with tracer.traced(tracer.Tracer()) as main:
+        assert main is cli.main
+        wrapped = {f"{name}.{attr}" for name, mod in mods.items()
+                   for attr, value in before[name].items() if vars(mod)[attr] is not value}
+    assert {"cli.t_max", "cli.verify_family", "cli.build_family", "cli.simulate",
+            "cli.simulate_periodic", "engine.t_max", "engine.gamma_trigger",
+            "sim.phi_solve", "sim.solve_lambda_for_horizon", "sim.run_monitors"} <= wrapped
+    for name, mod in mods.items():
+        assert vars(mod).keys() == before[name].keys()
+        assert all(vars(mod)[attr] is value for attr, value in before[name].items())

@@ -28,7 +28,7 @@ from dynstc.timing import t_max
 
 def _family(*triples):
     sets = tuple(ParameterSet(epsilon=e, gamma=g, l_const=l) for e, g, l in triples)
-    return ParameterFamily(sets=sets, fallback_index=0)
+    return ParameterFamily(sets=sets)
 
 
 def _linear_cfg(m=5, c=1.0):
@@ -275,6 +275,34 @@ def test_periodic_csv(tmp_path):
     write_trajectory_csv(path, traj)
     lines = path.read_text().splitlines()
     assert lines[1].split(",")[6] == "-1"   # set_index column
+
+
+def _csv_bytes(directory, traj):
+    """The bytes of every CSV the writers produce for traj."""
+    directory.mkdir()
+    writers = [write_trajectory_csv, write_monitors_csv]
+    if traj.decisions:
+        writers.append(write_decisions_csv)
+    out = []
+    for k, write in enumerate(writers):
+        write(directory / f"{k}.csv", traj)
+        out.append((directory / f"{k}.csv").read_bytes())
+    return out
+
+
+def test_numpy_scalars_write_as_python_floats(tmp_path):
+    # a float subclass (np.float64) in the config or the period reaches the
+    # interval columns; it is written as the Python float of the same value
+    cfg, spec = _linear_cfg()
+    np_cfg = StcConfig(family=cfg.family, c=cfg.c, m=cfg.m, delta=np.float64(cfg.delta))
+    plain = simulate([0.9], cfg, spec, t_end=2.0)
+    numpy = simulate([0.9], np_cfg, spec, t_end=2.0)
+    assert type(numpy.decisions[0].h) is np.float64
+    assert _csv_bytes(tmp_path / "np", numpy) == _csv_bytes(tmp_path / "py", plain)
+    plain = simulate_periodic([0.5], spec, period=0.25, t_end=1.0)
+    numpy = simulate_periodic([0.5], spec, period=np.float64(0.25), t_end=1.0)
+    assert _csv_bytes(tmp_path / "np_periodic", numpy) == \
+        _csv_bytes(tmp_path / "py_periodic", plain)
 
 
 def _vdp_cfg():

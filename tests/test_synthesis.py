@@ -137,8 +137,6 @@ def test_family_validation():
         ParameterFamily(sets=())
     with pytest.raises(ValueError):
         ParameterFamily(sets=(neg, pos))          # fall-back must have eps > 0
-    with pytest.raises(ValueError):
-        ParameterFamily(sets=(pos,), fallback_index=3)
 
 
 def test_ball_grid():
@@ -253,7 +251,7 @@ def test_build_family_ordering_and_fallback():
     spec = linear_test()
     fam = build_family(spec, [-1.0, 0.5, -2.0], grid_density=16)
     assert [ps.epsilon for ps in fam.sets] == [0.5, -1.0, -2.0]
-    assert fam.fallback_index == 0
+    assert fam.fallback is fam.sets[0]
     assert fam.fallback.epsilon == 0.5
     assert all(rep.certified for rep in verify_family(spec, fam, grid_density=16))
 
@@ -268,7 +266,7 @@ def test_build_family_requires_positive_epsilon():
 
 def test_build_family_single_set():
     fam = build_family(linear_test(), [0.01], grid_density=16)
-    assert len(fam.sets) == 1 and fam.fallback_index == 0
+    assert len(fam.sets) == 1 and fam.fallback is fam.sets[0]
 
 
 def test_default_epsilon_ladder():
@@ -330,6 +328,17 @@ def test_manifest_round_trip(tmp_path):
     for d in doc["sets"]:
         d["margin"] = 0.5
     assert manifest_to_family(doc) == fam
+
+
+def test_manifest_fallback_is_set_0():
+    fam = build_family(linear_test(), [0.5, -1.0], grid_density=16)
+    doc = family_to_manifest(fam, 16)
+    assert doc["fallback_index"] == 0
+    del doc["fallback_index"]
+    assert manifest_to_family(doc) == fam
+    for bad in (1, -1, "0", None):
+        with pytest.raises(ValueError, match="fall-back must be set 0"):
+            manifest_to_family(dict(doc, fallback_index=bad))
 
 
 def test_manifest_malformed():
