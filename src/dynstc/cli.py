@@ -263,6 +263,10 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _point_text(point):
+    return "(" + ", ".join(f"{v:.6g}" for v in point) + ")"
+
+
 def cmd_verify(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
@@ -273,12 +277,14 @@ def cmd_verify(args) -> int:
     check_density = 2 * density if density >= 8 else 96
     reports = verify_family(spec, family, check_density)
     worst = 0
-    print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'violation':>14} {'ok':>4}")
+    print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'violation':>14} {'ok':>4} "
+          f"{'worst x':>24} {'worst e':>24}")
     for i, (ps, rep) in enumerate(zip(family.sets, reports)):
         ok = rep.max_violation <= REFINE_TOL * rep.scale
         worst += 0 if ok else 1
         print(f"{i:>4} {ps.epsilon:>12.6g} {ps.gamma:>12.6g} "
-              f"{rep.max_violation:>14.6g} {'yes' if ok else 'NO':>4}")
+              f"{rep.max_violation:>14.6g} {'yes' if ok else 'NO':>4} "
+              f"{_point_text(rep.worst_x):>24} {_point_text(rep.worst_e):>24}")
     if worst:
         print(f"{worst} set(s) failed re-verification at density {check_density}",
               file=sys.stderr)

@@ -16,6 +16,27 @@ grid check is a sample of the working sets, not a proof: the inequality
 is known to hold only at the grid points.  Soundness is cross-checked by
 re-verification on a finer grid (``dynstc verify`` re-checks a manifest
 at twice its synthesis density) rather than by interval arithmetic.
+
+Cost.  Every checked quantity has the form
+base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2,
+so it depends on e only through W(e)^2.  One f pass over the grid,
+_BLOCK x rows at a time so that a block's arrays stay in cache, reduces
+base and |<grad V, f>| + H^2 to their maximum over each distinct W^2
+level (265, 445, 758 and 1322 levels for van_der_pol at densities 40,
+48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The two
+tables take n_x * levels * 16 bytes: 59 MB at density 80, 150 MB at 96.
+Each set then searches the tables block by block, in decreasing order
+of an upper bound per block, and stops once no remaining bound reaches
+its best value, so it reads a few blocks rather than the whole table.
+``build_family`` serves both the ratios and the check of the inflated
+gammas from one pass.
+
+Exactness.  IEEE addition, subtraction and division by a positive
+constant are monotone under rounding.  So the maximum commutes with each
+set's map, and the results equal those of a sweep over every grid point
+bit for bit; and a block's bound, the same operations applied to the
+block's column maxima and its largest row term, is no smaller than any
+entry of the block, so the search skips no maximum.
 """
 
 from __future__ import annotations
@@ -44,7 +65,7 @@ __all__ = [
 
 GAMMA_INFLATION = 1.05
 GAMMA_FLOOR = 1e-6
-_CHUNK = 256
+_BLOCK = 16  # x rows per block of the f pass and of the per-set search
 
 
 class SynthesisError(RuntimeError):
@@ -129,32 +150,58 @@ def _grids(spec, grid_density):
     return xg, eg
 
 
-def _grid_pass(spec, grid_density, epsilons, gammas=None):
-    """One chunked pass over the X x E grid, shared by several sets.
+@dataclass(frozen=True)
+class _LevelTables:
+    """One f pass over the X x E grid, reduced to the distinct W^2 levels.
 
-    Every quantity checked here has the form
-    base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2
-    and H^2 = <f, f>, so it depends on e only through W(e)^2 = ||e||^2.
-    The error grid is sorted once (stably) by W^2, which makes each level
-    of exactly equal W^2 a contiguous run of columns.  Each x-chunk evaluates f once and reduces
-    base, and |<grad V, f>| + H^2, to their maximum over every level; the
-    per-set work then runs on chunk x levels instead of chunk x error
-    points.  The cost is one shared f pass plus per-set work over the
-    distinct W^2 levels (265, 445, 758 and 1322 levels for van_der_pol at
-    densities 40, 48, 80 and 96).
+    The error grid is sorted once, stably, by W^2 into eg_s, so each level
+    of exactly equal W^2 is a contiguous run of columns.  Row x of base_max
+    holds, per level, the maximum of base = <grad V, f> + H^2 over that
+    level's error points; abs_max holds the same for |<grad V, f>| + H^2.
+    base_cols and abs_cols hold the column maxima of each block of _BLOCK
+    rows.
+    """
 
-    The results equal those of a sweep over every grid point bit for bit:
-    IEEE addition, subtraction and division by a positive constant are
-    monotone under rounding, so the maximum commutes with each set's map.
-    A worst point is recovered by recomputing its one maximizing row over
-    every error point, keeping first-occurrence tie-breaking in grid order
-    over both x and e.
+    density: int
+    xg: np.ndarray       # state grid, in grid order
+    eg: np.ndarray       # error grid, in grid order
+    perm: np.ndarray     # eg_s = eg[perm]
+    eg_s: np.ndarray
+    we2_s: np.ndarray    # W^2 of eg_s, ascending
+    lev: np.ndarray      # the distinct W^2 levels, ascending
+    n_zero: int          # points of eg_s with W = 0, the lowest level
+    vx: np.ndarray
+    gx: np.ndarray
+    base_max: np.ndarray
+    abs_max: np.ndarray
+    base_cols: np.ndarray
+    abs_cols: np.ndarray
 
-    Synthesis (gammas None) returns per epsilon the maximum over W > 0 of
-    (base + eps*V)/W^2; a W = 0 grid point with a positive numerator is
-    raised as a SynthesisError (no finite gamma can help there).
-    Verification returns per set (max_s, worst (x, e), scale) plus the
-    shared n_points.
+
+def _row_terms(spec, xs, gs, es):
+    """base and |<grad V, f>| + H^2 for the states xs (gradients gs) times the errors es.
+
+    The dot products accumulate from +0.0 one component at a time: the
+    operations of numpy's einsum for n_x <= 2 (the built-ins), so even the
+    sign of a zero is the same.
+    """
+    f = spec.f(xs[:, None, :], es[None, :, :])
+    gvf = np.zeros(f.shape[:-1])
+    h2 = np.zeros(f.shape[:-1])
+    for i in range(f.shape[-1]):
+        gvf += gs[:, i, None] * f[..., i]
+        h2 += f[..., i] * f[..., i]
+    base = gvf + h2
+    if not np.all(np.isfinite(base)):
+        raise ValueError("non-finite certificate evaluation on the grid")
+    return base, np.abs(gvf) + h2
+
+
+def _level_tables(spec, grid_density):
+    """The level tables of one f pass, made _BLOCK x rows at a time.
+
+    A block's rows x error points arrays stay in cache (0.6 MB each at
+    density 80); f is evaluated once per grid point.
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -163,73 +210,117 @@ def _grid_pass(spec, grid_density, epsilons, gammas=None):
     perm = np.argsort(we2, kind="stable")
     eg_s, we2_s = eg[perm], we2[perm]
     starts = np.flatnonzero(np.concatenate(([True], we2_s[1:] != we2_s[:-1])))
-    lev = we2_s[starts]
-    # W = 0, when on the grid, is the lowest level: columns [0, n_zero)
-    n_zero = int(np.searchsorted(we2_s, 0.0, side="right"))
-    w_pos = slice(1 if n_zero else 0, None)  # the levels with W > 0
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
-    verify = gammas is not None
+    base_max = np.empty((xg.shape[0], len(starts)))
+    abs_max = np.empty_like(base_max)
+    for lo in range(0, xg.shape[0], _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        base, mag = _row_terms(spec, xg[rows], gx[rows], eg_s)
+        np.maximum.reduceat(base, starts, axis=1, out=base_max[rows])
+        np.maximum.reduceat(mag, starts, axis=1, out=abs_max[rows])
+    blocks = np.arange(0, xg.shape[0], _BLOCK)
+    return _LevelTables(
+        density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
+        lev=we2_s[starts], n_zero=int(np.searchsorted(we2_s, 0.0, side="right")),
+        vx=vx, gx=gx, base_max=base_max, abs_max=abs_max,
+        base_cols=np.maximum.reduceat(base_max, blocks, axis=0),
+        abs_cols=np.maximum.reduceat(abs_max, blocks, axis=0))
 
-    best = np.full(len(epsilons), -np.inf)
-    worst = [(None, None)] * len(epsilons)
-    scale = np.zeros(len(epsilons))
-    e_b = eg_s[None, :, :]
-    for lo in range(0, xg.shape[0], _CHUNK):
-        sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
-        x_b = xg[sl][:, None, :]
-        v_b = vx[sl][:, None]
-        f = spec.f(x_b, e_b)
-        gvf = np.einsum("bi,bei->be", gx[sl], f)
-        h2 = np.einsum("bei,bei->be", f, f)
-        base = gvf + h2
-        if not np.all(np.isfinite(base)):
-            raise ValueError("non-finite certificate evaluation on the grid")
-        base_max = np.maximum.reduceat(base, starts, axis=1)
-        if not verify:
-            for k, eps in enumerate(epsilons):
-                num = base_max + eps * v_b
-                if n_zero and np.any(num[:, 0] > 0.0):
-                    bi = int(np.argmax(num[:, 0]))
-                    row = base[bi, :n_zero] + eps * vx[lo + bi]
-                    x_off = tuple(xg[lo + bi])
-                    e_off = tuple(eg[perm[:n_zero][row == num[bi, 0]].min()])
-                    raise SynthesisError(
-                        f"epsilon={eps}: positive certificate numerator "
-                        f"{num[bi, 0]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
-                        epsilon=eps, point=(x_off, e_off))
-                best[k] = max(best[k], float(np.max(num[:, w_pos] / lev[w_pos])))
-            continue
-        abs_max = np.maximum.reduceat(np.abs(gvf) + h2, starts, axis=1)
-        for k, (eps, gam) in enumerate(zip(epsilons, gammas)):
-            s = base_max + eps * v_b - (gam * gam) * lev
-            flat = int(np.argmax(s))
-            if s.flat[flat] > best[k]:
-                best[k] = s.flat[flat]
-                bi = flat // len(lev)
-                row = base[bi] + eps * vx[lo + bi] - (gam * gam) * we2_s
-                worst[k] = (tuple(xg[lo + bi]), tuple(eg[perm[row == best[k]].min()]))
-            mag = abs_max + abs(eps) * v_b + (gam * gam) * lev
-            scale[k] = max(scale[k], float(np.max(mag)))
-    return best, worst, np.maximum(scale, 1.0), xg.shape[0] * eg.shape[0]
+
+def _table_max(table, cols, a, combine):
+    """The maximum of combine(table + a[:, None]) and the first row attaining it.
+
+    combine must be nondecreasing in each entry: it adds or subtracts a
+    per-level constant, or divides by a positive one.  A block's bound is
+    combine(cols + max a), from the block's column maxima and its largest
+    row term: the same IEEE operations on inputs no smaller than any of
+    the block's, and rounding is monotone, so no entry of the block exceeds
+    its bound.  Blocks are visited in decreasing order of bound until no
+    remaining bound reaches the best value so far; equal values keep the
+    smallest row, as a sweep in grid order would.
+    """
+    a_max = np.maximum.reduceat(a, np.arange(0, len(a), _BLOCK))
+    bounds = combine(cols + a_max[:, None]).max(axis=1)
+    best, row = -np.inf, -1
+    for b in np.argsort(-bounds, kind="stable"):
+        if bounds[b] < best:
+            break
+        lo = int(b) * _BLOCK
+        s = combine(table[lo:lo + _BLOCK] + a[lo:lo + _BLOCK, None])
+        j = int(np.argmax(s))
+        r = lo + j // s.shape[1]
+        if s.flat[j] > best or (s.flat[j] == best and r < row):
+            best, row = s.flat[j], r
+    return best, row
+
+
+def _ratios(spec, t, epsilons):
+    """Per epsilon, the grid maximum over W > 0 of (base + eps*V)/W^2.
+
+    A W = 0 grid point with a positive numerator is raised as a
+    SynthesisError (no finite gamma can help there): the first such
+    epsilon, at its largest W = 0 numerator, first in grid order on ties.
+    """
+    w_pos = slice(1 if t.n_zero else 0, None)  # the levels with W > 0
+    ratios = np.empty(len(epsilons))
+    for k, eps in enumerate(epsilons):
+        a = eps * t.vx
+        if t.n_zero:
+            num = t.base_max[:, 0] + a
+            bi = int(np.argmax(num))
+            if num[bi] > 0.0:
+                base = _row_terms(spec, t.xg[bi:bi + 1], t.gx[bi:bi + 1],
+                                  t.eg_s[:t.n_zero])[0][0]
+                x_off = tuple(t.xg[bi])
+                e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num[bi]].min()])
+                raise SynthesisError(
+                    f"epsilon={eps}: positive certificate numerator "
+                    f"{num[bi]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
+                    epsilon=eps, point=(x_off, e_off))
+        ratios[k] = _table_max(t.base_max, t.base_cols, a,
+                               lambda m: m[:, w_pos] / t.lev[w_pos])[0]
+    return ratios
+
+
+def _verify_tables(spec, t, family):
+    """The report of every set of the family, from the level tables.
+
+    A set's maximum of s = base + eps*V - gamma^2*W^2 over the grid is the
+    maximum over the tables of base_max + eps*V - gamma^2*lev, bit for
+    bit: the maximum commutes with each set's monotone map.  The worst
+    (x, e) is recovered from the one maximizing row, recomputed over every
+    error point; ties go to the first point in grid order over x, then e.
+    """
+    reports = []
+    for ps in family.sets:
+        g2 = ps.gamma * ps.gamma
+        g2lev = g2 * t.lev
+        a = ps.epsilon * t.vx
+        best, r = _table_max(t.base_max, t.base_cols, a, lambda m: m - g2lev)
+        base = _row_terms(spec, t.xg[r:r + 1], t.gx[r:r + 1], t.eg_s)[0][0]
+        worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
+        scale = _table_max(t.abs_max, t.abs_cols, abs(ps.epsilon) * t.vx,
+                           lambda m: m + g2lev)[0]
+        reports.append(VerificationReport(
+            certified=bool(best <= 0.0), max_violation=float(best),
+            worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
+            grid_density=t.density, n_points=t.xg.shape[0] * t.eg.shape[0],
+            scale=max(float(scale), 1.0)))
+    return reports
 
 
 def verify_family(spec, family: ParameterFamily, grid_density: int):
-    """Reports for every set of the family from a single grid pass."""
-    max_s, worst, scale, n_points = _grid_pass(
-        spec, grid_density, [ps.epsilon for ps in family.sets],
-        [ps.gamma for ps in family.sets])
-    return [VerificationReport(certified=ms <= 0.0, max_violation=ms, worst_x=wx,
-                               worst_e=we, grid_density=int(grid_density),
-                               n_points=n_points, scale=sc)
-            for ms, (wx, we), sc in zip(max_s.tolist(), worst, scale.tolist())]
+    """Reports for every set of the family from one f pass over the grid."""
+    return _verify_tables(spec, _level_tables(spec, grid_density), family)
 
 
 def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
                  grid_density: int = 48) -> ParameterFamily:
     """Inflated grid-feasible gamma per epsilon, verified on the same grid.
 
-    The largest epsilon leads as the fall-back, set 0.
+    One f pass serves both the ratios and the check of the inflated
+    gammas.  The largest epsilon leads as the fall-back, set 0.
     """
     if not (l_const > 0.0):
         raise ValueError("L must be positive")
@@ -240,13 +331,13 @@ def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
         raise ValueError("family needs a positive epsilon for the fall-back set")
     first = int(np.argmax(epsilons))
     epsilons = [epsilons[first]] + epsilons[:first] + epsilons[first + 1:]
-    ratios = _grid_pass(spec, grid_density, epsilons)[0]
+    tables = _level_tables(spec, grid_density)
+    ratios = _ratios(spec, tables, epsilons)
     family = ParameterFamily(sets=tuple(
         ParameterSet(epsilon=eps, l_const=float(l_const),
                      gamma=GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR)
         for eps, r in zip(epsilons, ratios)))
-    for eps, ps, rep in zip(epsilons, family.sets,
-                            verify_family(spec, family, grid_density)):
+    for eps, ps, rep in zip(epsilons, family.sets, _verify_tables(spec, tables, family)):
         if not rep.certified:
             raise SynthesisError(
                 f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "

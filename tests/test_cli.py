@@ -7,7 +7,7 @@ import pytest
 from dynstc import cli
 from dynstc.engine import StcConfig, t_max_cap, t_min_of
 from dynstc.sim import IntegrationBlowupError, simulate_periodic, write_trajectory_csv
-from dynstc.synthesis import read_manifest
+from dynstc.synthesis import read_manifest, verify_family
 from dynstc.systems import linear_test
 
 
@@ -179,6 +179,23 @@ def test_verify_accepts_fresh_manifest(tmp_path, capsys):
     assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
     assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
     assert "re-verified at density 32" in capsys.readouterr().out
+
+
+def test_verify_prints_worst_grid_point(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    family, density = read_manifest(out / "family.json")
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["set", "epsilon", "gamma", "violation", "ok",
+                                "worst", "x", "worst", "e"]
+    assert lines[-1] == "all 3 sets re-verified at density 32"
+    reports = verify_family(linear_test(), family, 2 * density)
+    for i, rep in enumerate(reports):
+        assert lines[1 + i].split()[5:] == [f"({rep.worst_x[0]:.6g})",
+                                            f"({rep.worst_e[0]:.6g})"]
 
 
 def test_verify_rejects_corrupted_manifest(tmp_path, capsys):

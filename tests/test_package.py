@@ -15,7 +15,8 @@ MODULES = ["dynstc", "dynstc.cli", "dynstc.engine", "dynstc.sim",
 REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "TimingParams", "u_value", "default_w_h", "synthesize_gamma",
            "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh",
-           "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize"]
+           "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize",
+           "_grid_pass", "_CHUNK"]
 
 
 @pytest.mark.parametrize("name", MODULES)

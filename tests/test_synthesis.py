@@ -23,12 +23,15 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
-from dynstc.synthesis import _CHUNK, _grid_pass, _grids
+from dynstc.synthesis import _BLOCK, _grids, _level_tables, _ratios, _table_max
 from dynstc.systems import linear_test, spec_from_config, van_der_pol
 
 
-# Reference: the per-grid-point sweeps that the W^2-level pass replaced,
-# kept verbatim so that the level pass can be held to equal them bit for bit.
+# Reference: the per-grid-point sweeps that the W^2-level tables replaced,
+# kept verbatim so that the tables can be held to equal them bit for bit.
+# They sweep the grid in chunks of this many x rows.
+_CHUNK = 256
+
 
 def _ref_sweep(spec, params, grid_density):
     xg, eg = _grids(spec, grid_density)
@@ -211,6 +214,68 @@ def test_synthesize_failure_at_w_zero():
     assert str(exc.value) == str(ref.value)
 
 
+def _ref_w_zero_offender(spec, eps, grid_density):
+    """The largest W = 0 numerator over the whole grid, first in grid order, per point."""
+    xg, eg = _grids(spec, grid_density)
+    zero = np.square(np.linalg.norm(eg, axis=-1)) == 0.0
+    f = spec.f(xg[:, None, :], eg[zero][None, :, :])
+    gx = np.asarray(spec.grad_v(xg), dtype=float)
+    num = (np.einsum("bi,bei->be", gx, f) + np.einsum("bei,bei->be", f, f)
+           + eps * np.asarray(spec.v(xg), dtype=float)[:, None])
+    bi, ei = np.unravel_index(int(np.argmax(num)), num.shape)
+    return int(bi), num[bi, ei], (tuple(xg[bi]), tuple(eg[zero][ei]))
+
+
+def test_w_zero_offender_is_the_grid_maximum():
+    # an expanding, biased drift: every W = 0 numerator is positive, and
+    # the largest lies past the first _CHUNK x rows, which already offend
+    spec = replace(van_der_pol(), f=lambda x, e: x + e + np.array([1.0, 0.0]))
+    row, num, point = _ref_w_zero_offender(spec, 0.5, 33)
+    assert row >= _CHUNK
+    with pytest.raises(SynthesisError) as first_chunk:
+        _ref_synth_ratios(spec, [0.5], 33)
+    assert first_chunk.value.point != point
+    with pytest.raises(SynthesisError) as exc:
+        build_family(spec, [0.5], grid_density=33)
+    assert exc.value.epsilon == 0.5
+    assert _bits(exc.value.point) == _bits(point)
+    assert str(exc.value) == (f"epsilon=0.5: positive certificate numerator {num:.3e} "
+                              f"at a W=0 grid point x={point[0]}, e={point[1]}")
+
+
+def test_build_family_makes_one_f_pass():
+    spec = van_der_pol()
+    points = []
+
+    def f(x, e):
+        points.append(math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(e)[:-1])))
+        return spec.f(x, e)
+
+    epsilons = [0.01, -1.0, -40.0]
+    fam = build_family(replace(spec, f=f), epsilons, grid_density=24)
+    assert fam == build_family(spec, epsilons, grid_density=24)
+    # one table pass plus at most one recomputed row per set
+    n_x, n_e = (g.shape[0] for g in _grids(spec, 24))
+    assert sum(points) <= n_x * n_e + len(epsilons) * n_e
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_table_max_matches_argmax(seed):
+    # small integers make many exact ties, within and across row blocks
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = int(rng.integers(1, 6 * _BLOCK)), int(rng.integers(1, 6))
+    table = rng.integers(-3, 4, size=(n_rows, n_cols)).astype(float)
+    a = rng.integers(-3, 4, size=n_rows).astype(float)
+    c = rng.integers(1, 4, size=n_cols).astype(float)
+    blocks = np.arange(0, n_rows, _BLOCK)
+    cols = np.maximum.reduceat(table, blocks, axis=0)
+    for combine in (lambda m: m - c, lambda m: m + c, lambda m: m / c):
+        s = combine(table + a[:, None])
+        flat = int(np.argmax(s))
+        best, row = _table_max(table, cols, a, combine)
+        assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
+
+
 _LADDERS = {
     "van_der_pol": [0.01, -1.0, -40.0],
     # base = e^2 - x^2 for linear_test, so +-x and +-e tie exactly
@@ -220,15 +285,20 @@ _LADDERS = {
 _CUSTOM = {"van_der_pol": {"c": 6.0}, "linear_test": {"c": 4.0}}
 
 
+# linear_test at 129 and 200 spans several x blocks, with the exact +-x
+# ties in different blocks
+_DENSITIES = [(system, density) for system in sorted(_LADDERS) for density in (16, 33, 48)] \
+    + [("linear_test", 129), ("linear_test", 200)]
+
+
 @pytest.mark.parametrize("config", ["default", "custom"])
-@pytest.mark.parametrize("density", [16, 33, 48])
-@pytest.mark.parametrize("system", sorted(_LADDERS))
+@pytest.mark.parametrize("system,density", _DENSITIES)
 def test_level_pass_matches_point_sweep(system, density, config):
     epsilons = _LADDERS[system]
     block = {"name": system, **(_CUSTOM[system] if config == "custom" else {})}
     spec = spec_from_config(block)
     ratios = _ref_synth_ratios(spec, epsilons, density)
-    assert _bits(_grid_pass(spec, density, epsilons)[0]) == _bits(ratios)
+    assert _bits(_ratios(spec, _level_tables(spec, density), epsilons)) == _bits(ratios)
     fam = build_family(spec, epsilons, grid_density=density)
     gammas = [GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR
               for r in ratios]
