@@ -35,7 +35,6 @@ from pathlib import Path
 from .engine import (
     RegionEscapeError,
     StcConfig,
-    set_lambda_cap,
     t_max_cap,
     t_min_of,
 )
@@ -56,7 +55,7 @@ from .synthesis import (
     write_manifest,
 )
 from .systems import spec_from_config
-from .timing import HorizonError, t_max
+from .timing import HorizonError, t_max  # noqa: F401  (perfbench/tracer.py wraps cli.t_max)
 
 __all__ = ["main"]
 
@@ -189,7 +188,7 @@ def cmd_synthesize(args) -> int:
     print(f"t_min = {t_min_of(cfg):.6g}")
     print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} {'delta*t_max':>12}")
     for i, ps in enumerate(family.sets):
-        cap = cfg.delta * t_max(ps.gamma, set_lambda_cap(cfg, i))
+        cap = cfg._interval_caps[i]
         print(f"{i:>4} {ps.epsilon:>12.6g} {ps.gamma:>12.6g} {ps.l_const:>8.4g} "
               f"{cap:>12.6g}")
     return 0

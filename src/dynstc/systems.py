@@ -19,8 +19,9 @@ e) ``f`` evaluates it on Python floats, which avoids numpy's
 per-operation cost on 2-vectors; on a grid it evaluates it on the
 component arrays.  Both do the same IEEE double operations in the same
 order, so a point gives the same bits either way.  ``f.rhs`` exposes the
-per-component form, which the simulator's RK4 loop calls directly on
-floats; any other ``f`` is called there on 1-D arrays.
+per-component form, which the simulator's RK4 stepper (one straight-line
+function per state dimension) calls directly on scalar floats; any other
+``f`` is called there on 1-D arrays.
 
 The certificate uses one weight model, which :mod:`dynstc.synthesis` and
 :mod:`dynstc.sim` compute from f: the error weight W(e) = ||e|| and the

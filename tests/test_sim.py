@@ -22,7 +22,7 @@ from dynstc.sim import (
     write_trajectory_csv,
 )
 from dynstc.synthesis import ParameterFamily, ParameterSet
-from dynstc.systems import linear_test, van_der_pol
+from dynstc.systems import _drift, _quadratic_spec, linear_test, van_der_pol
 from dynstc.timing import t_max
 
 
@@ -266,6 +266,11 @@ def test_csv_writers(tmp_path):
     tp2 = tmp_path / "t2.csv"
     write_trajectory_csv(tp2, traj2)
     assert tp2.read_bytes() == tp.read_bytes()
+    # a run that ends at its first sample has no flow records, same columns
+    empty = simulate([0.9], cfg, spec, t_end=0.0)
+    assert len(empty.flow_points) == 0
+    write_trajectory_csv(tmp_path / "empty.csv", empty)
+    assert (tmp_path / "empty.csv").read_text() == tlines[0] + "\n"
 
 
 def test_periodic_csv(tmp_path):
@@ -404,9 +409,21 @@ def _edge_state(spec, direction, level=0.999):
     return d * math.sqrt(level * spec.region_c / float(spec.v(d)))
 
 
+def coupled_3d():
+    """A 3-dimensional drift, a dimension no built-in has."""
+    def rhs(x1, x2, x3, e1, e2, e3):
+        return (x2 - x1 - e1 * (x3 + e3),
+                -0.5 * x2 + x1 * x3 - 2.0 * e2,
+                -(x3 + e3) - x1 * (x2 + e2) + e1 * e1)
+
+    return _quadratic_spec("coupled_3d", 3, np.diag([1.0, 2.0, 0.5]), 4.0, _drift(rhs))
+
+
 @pytest.mark.parametrize("make, holds, edge_directions", [
     (van_der_pol, [[-0.3, 1.7], [0.0, -0.0], [-0.0, -0.0]], [[1.0, -2.0], [-1.0, 0.3]]),
     (linear_test, [[0.9], [0.0], [-0.0]], [[1.0], [-1.0]]),
+    (coupled_3d, [[0.4, -1.1, 0.7], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]],
+     [[1.0, -2.0, 0.5], [-0.3, 0.2, -1.0]]),
 ])
 @pytest.mark.parametrize("h, dt_flow", [
     (1.0, 0.125),           # an exact multiple: 8 full steps
