@@ -87,6 +87,14 @@ def _config_values():
         raise ConfigError(str(exc)) from exc
 
 
+def _integer(block, name, key, default):
+    """An integer config value; a boolean or a fractional number is rejected."""
+    value = block.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"'{name}.{key}' must be an integer, not {value!r}")
+    return int(value)
+
+
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -114,7 +122,7 @@ def _epsilons_from(synth_block):
         return eps
     ladder = dict(synth_block["ladder"])
     _check_keys(ladder, {"n", "top", "bottom"}, "synthesis.ladder")
-    return default_epsilon_ladder(int(ladder.get("n", 21)),
+    return default_epsilon_ladder(_integer(ladder, "synthesis.ladder", "n", 21),
                                   float(ladder.get("top", 0.01)),
                                   float(ladder.get("bottom", -40.0)))
 
@@ -128,7 +136,7 @@ def _synthesis_params(doc):
         return {
             "epsilons": _epsilons_from(block),
             "l_const": float(block.get("l_const", 0.05)),
-            "grid_density": int(block.get("grid_density", 48)),
+            "grid_density": _integer(block, "synthesis", "grid_density", 48),
         }
 
 
@@ -141,7 +149,7 @@ def _stc_config(doc, spec, family):
             c=spec.region_c,
             delta=float(block.get("delta", 0.999)),
             eps_ref=float(block.get("eps_ref", 0.01)),
-            m=int(block.get("m", 30)),
+            m=_integer(block, "stc", "m", 30),
             eta_init=str(block.get("eta_init", "v0")),
         )
 
@@ -171,7 +179,10 @@ def _run_params(doc, spec, cfg):
     tmin = t_min_of(cfg)
     if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
         raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
-    return starts, t_end, dt_flow, bool(block.get("baselines", False))
+    baselines = block.get("baselines", False)
+    if not isinstance(baselines, bool):
+        raise ConfigError(f"'run.baselines' must be true or false, not {baselines!r}")
+    return starts, t_end, dt_flow, baselines
 
 
 def cmd_synthesize(args) -> int:

@@ -13,10 +13,13 @@ exp(-eps_ref h) C, which has the closed-form case split implemented in
 positive rate and guarantees the strictly positive floor
 t_min = delta * t_max(gamma_1, L_1 + eps_1/2) independently of the
 window, so every decision certifies one of two inequalities for the
-next sample (recorded as ``bound_type``):
+next sample:
 
 * ``window-bound``:      V(t_{j+1}) <= exp(-eps_ref h) C(t_j)
 * ``fallback-decrease``: V(t_{j+1}) <= exp(-eps_1 t_min) V(t_j)
+
+A decision carries the set that issued it (``params``).  Only sets 1..n-1
+issue window bounds, so ``bound_type`` is derived from ``set_index``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .synthesis import ParameterFamily
+from .synthesis import ParameterFamily, ParameterSet
 from .timing import t_max
 
 __all__ = [
@@ -144,14 +147,21 @@ class StcConfig:
 
 @dataclass(frozen=True)
 class TriggerDecision:
+    """Interval h issued by set ``params`` = family.sets[set_index] at its rate cap."""
     h: float
     set_index: int
-    used_fallback: bool
-    bound_type: str
+    params: ParameterSet
     lambda_cap_used: float
-    epsilon: float
     v_now: float
     c_val: float
+
+    @property
+    def used_fallback(self) -> bool:
+        return self.set_index == 0
+
+    @property
+    def bound_type(self) -> str:
+        return FALLBACK_DECREASE if self.set_index == 0 else WINDOW_BOUND
 
 
 def set_lambda_cap(cfg: StcConfig, i: int) -> float:
@@ -212,20 +222,16 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
             x=np.array(x, dtype=float), v=v)
     c_val = window_average_c(v, dyn, cfg.c, cfg.m)
     h_fb = t_min_of(cfg)
-    best_h, best_i, window = h_fb, 0, False
+    best_h, best_i = h_fb, 0
     for i in range(1, len(cfg.family.sets)):
         h_i = interval_for_set(v, c_val, cfg, i)
-        if h_i < h_fb:
-            continue
-        if not window or h_i > best_h:
-            best_h, best_i, window = h_i, i, True
+        if h_i >= h_fb and (best_i == 0 or h_i > best_h):
+            best_h, best_i = h_i, i
     return TriggerDecision(
         h=best_h,
         set_index=best_i,
-        used_fallback=not window,
-        bound_type=WINDOW_BOUND if window else FALLBACK_DECREASE,
+        params=cfg.family.sets[best_i],
         lambda_cap_used=set_lambda_cap(cfg, best_i),
-        epsilon=cfg.family.sets[best_i].epsilon,
         v_now=v,
         c_val=c_val,
     )

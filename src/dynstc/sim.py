@@ -2,8 +2,11 @@
 
 Between samples the state flows under x' = f(x, e(t)) with the hold
 error reconstructed exactly as e(t) = x(t_j) - x(t); at each scheduled
-instant the trigger jump of :mod:`dynstc.engine` fires.  There is a jump
-at t = 0, so sample k lives at hybrid time (t_k, k+1).
+instant a jump fires: the trigger of :mod:`dynstc.engine`, or a fixed
+period for the baseline, in one sampling loop.  There is a jump at t = 0,
+so sample k lives at hybrid time (t_k, k+1).  A trigger decision carries
+the (epsilon, gamma, L) set that issued it; flow records and monitors
+read their certificate from the decision, never from the family.
 
 Every run can be checked against the inequalities that back the design:
 
@@ -37,13 +40,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .engine import (
     REGION_TOL_REL,
-    WINDOW_BOUND,
     RegionEscapeError,
     StcConfig,
     eta_initial,
@@ -96,11 +98,6 @@ class FlowRecords:
 
     def __len__(self):
         return len(self.t)
-
-    def rows(self, lo, hi):
-        """Records lo..hi-1, as columns."""
-        return FlowRecords(self.t[lo:hi], self.j[lo:hi], self.x[lo:hi],
-                           self.v[lo:hi], self.u[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -202,13 +199,13 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
     return np.array(rows), taus
 
 
-def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
-    """Flow one hold interval from x_hold; returns (end state, V at nodes, records).
+def _flow(spec, x_hold, h, dt_flow, c, t_start, j, dec=None):
+    """Flow one hold interval from x_hold; returns (end state, records).
 
     Raises on a non-finite node or on V above c + tolerance.  The records
     (columns t, j, x, V, U) keep every stride-th node plus the last one;
-    with cert = (gamma, lambda_cap) they carry U = V + gamma*phi(tau)*W(e)^2,
-    otherwise U is NaN.
+    for a trigger decision dec they carry U = V + gamma*phi(tau)*W(e)^2
+    with its set's gamma and rate cap, otherwise U is NaN.
     """
     xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
     if not np.all(np.isfinite(xs)):
@@ -223,37 +220,58 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, cert=None):
             f"V = {vs[bad]:.6g} left the region level c = {c:.6g} "
             f"at t = {t_start + taus[bad]:.6g}",
             t=float(t_start + taus[bad]), x=xs[bad].copy(), v=float(vs[bad]))
-    if cert is None:
+    if dec is None:
         us = np.full(len(taus), math.nan)
     else:
-        gamma, lam_cap = cert
+        gamma, lam_cap = dec.params.gamma, dec.lambda_cap_used
         w = np.linalg.norm(x_hold - xs, axis=-1)
         phi = phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap)
         us = vs + gamma * phi.evaluate(taus) * w * w
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
     idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
     records = (t_start + taus[idx], np.full(len(idx), j), xs[idx], vs[idx], us[idx])
-    return xs[-1], vs, records
+    return xs[-1], records
 
 
-def _flow_records(segments, n):
-    """One trajectory's records: each segment's columns, concatenated."""
-    if not segments:
-        return FlowRecords(np.empty(0), np.empty(0, dtype=int), np.empty((0, n)),
-                           np.empty(0), np.empty(0))
-    return FlowRecords(*(np.concatenate(col) for col in zip(*segments)))
+def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
+    """The sampling loop: jump at t = 0, then flow and jump until a sample >= t_end.
 
-
-def _check_x0(x0, spec):
+    ``jump(x)`` returns (h, decision or None, V(x), register) at a sample.
+    dt_flow defaults to h_min/32 and is at most h_min/16, h_min being the
+    shortest interval the jump issues.
+    """
+    if not (0.0 <= t_end < math.inf):
+        raise ValueError("t_end must be finite and non-negative")
+    if dt_flow is None:
+        dt_flow = h_min / 32.0
+    if not (0.0 < dt_flow <= h_min / 16.0):
+        raise ValueError(f"dt_flow must lie in (0, {h_min / 16.0:.6g}], "
+                         "a 16th of the shortest interval")
     x = np.asarray(x0, dtype=float)
     if x.shape != (spec.n_x,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite vector of shape ({spec.n_x},)")
-    return x
-
-
-def _check_t_end(t_end):
-    if not (0.0 <= t_end < math.inf):
-        raise ValueError("t_end must be finite and non-negative")
+    v = float(spec.v(x))
+    if v > c * (1.0 + REGION_TOL_REL):
+        raise RegionEscapeError(f"V(x0) = {v:.6g} exceeds the region level c = {c:.6g}",
+                                t=0.0, x=x.copy(), v=v)
+    t = 0.0
+    samples, decisions = [], []
+    segments = [(np.empty(0), np.empty(0, dtype=int), np.empty((0, spec.n_x)),
+                 np.empty(0), np.empty(0))]  # the columns' types, for a run without flow
+    while True:
+        h, dec, v, eta = jump(x)
+        j = len(samples) + 1
+        samples.append(Sample(t=t, j=j, x=x.copy(), v=v, eta=eta))
+        if dec is not None:
+            decisions.append(dec)
+        if t >= t_end:
+            break
+        x, records = _flow(spec, x, h, dt_flow, c, t, j, dec)
+        segments.append(records)
+        t += h
+    fp = FlowRecords(*(np.concatenate(col) for col in zip(*segments)))
+    return HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
+                            flow_points=fp)
 
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = None,
@@ -264,33 +282,18 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
     """
     if cfg.c > spec.region_c:
         raise ValueError(f"c = {cfg.c:.6g} exceeds the verified level {spec.region_c:.6g}")
-    tmin = t_min_of(cfg)
-    if dt_flow is None:
-        dt_flow = tmin / 32.0
-    if not (0.0 < dt_flow <= tmin / 16.0):
-        raise ValueError(f"dt_flow must lie in (0, t_min/16] = (0, {tmin / 16.0:.6g}]")
-    _check_t_end(t_end)
-    x = _check_x0(x0, spec)
-    dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
-    t = 0.0
-    samples, decisions, segments = [], [], []
-    while True:
+    dyn = None
+
+    def jump(x):
+        nonlocal dyn
+        if dyn is None:  # the register starts from V(x0)
+            dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
         dec, dyn = stc_step(x, dyn, cfg, spec)
-        j = len(decisions) + 1
-        decisions.append(dec)
-        samples.append(Sample(t=t, j=j, x=x.copy(), v=dec.v_now, eta=dyn.eta))
-        if t >= t_end:
-            break
-        cert = (cfg.family.sets[dec.set_index].gamma, dec.lambda_cap_used)
-        x, _, records = _flow(spec, x, dec.h, dt_flow, cfg.c, t, j, cert)
-        segments.append(records)
-        t += dec.h
-    traj = HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
-                            flow_points=_flow_records(segments, spec.n_x))
+        return dec.h, dec, dec.v_now, dyn.eta
+
+    traj = _hybrid(x0, spec, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
     if monitors:
-        traj = HybridTrajectory(samples=traj.samples, decisions=traj.decisions,
-                                flow_points=traj.flow_points,
-                                monitors=tuple(run_monitors(traj, cfg)))
+        traj = replace(traj, monitors=tuple(run_monitors(traj, cfg)))
     return traj
 
 
@@ -299,52 +302,44 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
     """Constant-interval baseline on {V <= spec.region_c}, same flow/jump machinery."""
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
-    _check_t_end(t_end)
-    c = spec.region_c
-    if dt_flow is None:
-        dt_flow = period / 32.0
-    if not (0.0 < dt_flow <= period / 16.0):
-        raise ValueError("dt_flow must lie in (0, period/16]")
-    x = _check_x0(x0, spec)
-    t = 0.0
-    samples, segments = [], []
-    monitors = []
-    while True:
-        j = len(samples) + 1
-        v = float(spec.v(x))
-        if v > c * (1.0 + REGION_TOL_REL):
-            raise RegionEscapeError(
-                f"V = {v:.6g} exceeds c = {c:.6g} at sample t = {t:.6g}",
-                t=t, x=x.copy(), v=v)
-        samples.append(Sample(t=t, j=j, x=x.copy(), v=v, eta=()))
-        if t >= t_end:
-            break
-        x, vs, records = _flow(spec, x, period, dt_flow, c, t, j)
-        segments.append(records)
-        monitors.append(MonitorRecord(
-            monitor="region", j=j,
-            slack=float(c * (1.0 + REGION_TOL_REL) - np.max(vs)), passed=True))
-        t += period
-    return HybridTrajectory(samples=tuple(samples), decisions=(),
-                            flow_points=_flow_records(segments, spec.n_x),
-                            monitors=tuple(monitors), kind="periodic",
-                            period=period)
+    traj = _hybrid(x0, spec, spec.region_c, period, t_end, dt_flow,
+                   lambda x: (period, None, float(spec.v(x)), ()))
+    return replace(traj, monitors=tuple(_region(seg, spec.region_c) for seg in _segments(traj)),
+                   kind="periodic", period=period)
 
 
-def monitor_flow_bound(seg: FlowRecords, dec, gamma, l_const, v_plus,
-                       t_start) -> MonitorRecord:
+def _segments(traj: HybridTrajectory):
+    """The records of each flown segment j = 1 .. len(samples) - 1, in order."""
+    # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
+    fp = traj.flow_points
+    edges = np.searchsorted(fp.j, np.arange(1, len(traj.samples) + 1)).tolist()
+    return [FlowRecords(fp.t[lo:hi], fp.j[lo:hi], fp.x[lo:hi], fp.v[lo:hi], fp.u[lo:hi])
+            for lo, hi in zip(edges, edges[1:])]
+
+
+def _region(seg: FlowRecords, c):
+    """Region record of one segment: c + tolerance minus its largest recorded V."""
+    lim = c * (1.0 + REGION_TOL_REL)
+    vmax = seg.v.max()
+    return MonitorRecord(monitor="region", j=int(seg.j[0]), slack=float(lim - vmax),
+                         passed=bool(vmax <= lim))
+
+
+def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
     """Check V <= U <= exp(rate*tau)*V(t_j+) on one segment's records.
 
-    rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound.
+    rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound,
+    with eps_i, L_i of the decision's set and Lambda_i its rate cap.
     When the issued interval is not below the horizon t_max (cannot
     happen for trigger output, but callers may fabricate decisions) the
     monitor reports itself inapplicable instead of failing.
     """
     j = int(seg.j[0])
-    if dec.h >= t_max(gamma, dec.lambda_cap_used):
+    ps = dec.params
+    if dec.h >= t_max(ps.gamma, dec.lambda_cap_used):
         return MonitorRecord(monitor="flow-bound", j=j, slack=math.nan,
                              passed=True, note="inapplicable: h >= t_max")
-    rate = max(-dec.epsilon, 2.0 * (l_const - dec.lambda_cap_used))
+    rate = max(-ps.epsilon, 2.0 * (ps.l_const - dec.lambda_cap_used))
     us, vs = seg.u, seg.v
     env = np.exp(rate * (seg.t - t_start)) * v_plus
     slack_env = env - us
@@ -368,18 +363,17 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
     if not traj.samples:
         return records
     tmin = t_min_of(cfg)
-    eps1 = cfg.family.fallback.epsilon
-    eps_tilde = min(eps1, cfg.eps_ref)
+    eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
     v0 = traj.samples[0].v
     eta0 = eta_initial(cfg.m, v0, cfg.eta_init).eta
     m0 = max([v0] + list(eta0))
     for k in range(len(traj.samples) - 1):
         dec = traj.decisions[k]
         v_next = traj.samples[k + 1].v
-        if dec.bound_type == WINDOW_BOUND:
-            bound = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
+        if dec.used_fallback:
+            bound = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
         else:
-            bound = math.exp(-eps1 * dec.h) * dec.v_now
+            bound = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
         records.append(MonitorRecord(
             monitor="sample-decrease", j=k + 1, slack=float(bound - v_next),
             passed=bool(v_next <= bound + MON_TOL * (1.0 + bound))))
@@ -403,21 +397,9 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
     """All monitor records for a dynamic trajectory."""
     records = []
-    fp = traj.flow_points
-    # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
-    edges = np.searchsorted(fp.j, np.arange(1, len(traj.decisions) + 2)).tolist()
-    lim = cfg.c * (1.0 + REGION_TOL_REL)
-    for k, dec in enumerate(traj.decisions):
-        if edges[k] == edges[k + 1]:
-            continue
-        seg = fp.rows(edges[k], edges[k + 1])
-        ps = cfg.family.sets[dec.set_index]
-        records.append(monitor_flow_bound(seg, dec, ps.gamma, ps.l_const,
-                                          traj.samples[k].v, traj.samples[k].t))
-        vmax = seg.v.max()
-        records.append(MonitorRecord(monitor="region", j=k + 1,
-                                     slack=float(lim - vmax),
-                                     passed=bool(vmax <= lim)))
+    for smp, dec, seg in zip(traj.samples, traj.decisions, _segments(traj)):
+        records.append(monitor_flow_bound(seg, dec, smp.v, smp.t))
+        records.append(_region(seg, cfg.c))
     records.extend(monitor_sample_decrease(traj, cfg))
     return records
 
@@ -459,7 +441,7 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:
     header = ["j", "t", "h", "set_index", "epsilon", "used_fallback", "V", "C"]
-    rows = [[s.j, s.t, d.h, d.set_index, d.epsilon, d.used_fallback,
+    rows = [[s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
              d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)]
     _write_rows(path, header, rows)
 

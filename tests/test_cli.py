@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -283,6 +284,9 @@ def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     lambda d: d["run"].update(t_end=float("nan")),
     # the trigger's level is the verified region level; no config may raise it
     lambda d: d["stc"].update(c=100.0) or d["run"].update(x0=[[9.0]]),
+    # the ladder's set count takes no fraction and no boolean
+    lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder={"n": 3.5}),
+    lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder={"n": True}),
 ])
 def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path = tmp_path / "cfg.json"
@@ -300,6 +304,13 @@ def test_invalid_configs_exit_2(tmp_path, mangle):
     ("stc", "m", [3]),
     ("system", "c", [1]),
     ("synthesis", "grid_density", [48]),
+    # an integer key takes no fraction and no boolean; a flag takes only a boolean
+    ("stc", "m", 2.5),
+    ("stc", "m", True),
+    ("synthesis", "grid_density", 16.5),
+    ("synthesis", "grid_density", False),
+    ("run", "baselines", "false"),
+    ("run", "baselines", 1),
 ])
 def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -358,3 +369,86 @@ def test_two_initial_states_get_distinct_files(tmp_path):
     assert (out / "run1_dynamic_trajectory.csv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert [r["x0"] for r in summary["runs"]] == [[0.5], [-0.25]]
+
+
+# SHA-256 of every artifact and of the stdout of `run` then `compare`.  A
+# change that moves these bytes on purpose updates the digests and says why.
+_PINNED_DIGESTS = {
+    # _write_config with dt_flow = 0.002: about 700 RK4 nodes per hold
+    # interval, so the flow records keep every 10th or 11th node
+    "linear_strided": {
+        "compare.txt": "d14aac30daa71ebebad3c5d982620267d041972df2f5c667222ddf5eda440a64",
+        "family.json": "23ebb7b83e26c6b77d77703443d0fe8b3afced627916137ea52b62a50b8f3d16",
+        "plots.gp": "e0e24cacf8f9879d990c28508f6634da337df5128de03b733ffc36b0b67d0046",
+        "run0_dynamic_decisions.csv":
+            "a19975b388f22de4e239e8928f52125ddd467a735432ed790d8b06f3361b8426",
+        "run0_dynamic_monitors.csv":
+            "ece34cddef1ecc43d471953403988f5b111e3b8b78f8a97f707cd5c24cfd0ce8",
+        "run0_dynamic_trajectory.csv":
+            "d28195050e0963d5af789165d6f12f749daeab1e4a8a13d10b1b9c37ae0bf83e",
+        "run0_periodic_monitors.csv":
+            "d15e8911e9f7024ffa3bea3e86789ed5cc2328e58c609fba7288475ce14aba4a",
+        "run0_periodic_trajectory.csv":
+            "8055427f2fd78a362a7a991d8d27375c0a0a7cd6285b518e4b350c92a075a726",
+        "run0_static_decisions.csv":
+            "b28399fca5beed48aacfd5e0bf21eb6fa0b72e663e330d86057ab256ecd8adfe",
+        "run0_static_monitors.csv":
+            "0c7ec32927d7d6194e07d261a53a8ed0698a95b917b9f422ebf24ede4fc1feb9",
+        "run0_static_trajectory.csv":
+            "e8bf77d050dd7f6e488807decd105bd484e34227ed585c7271716f0fa937c0c4",
+        "summary.json": "1d3eed8a626a0fe1dbb73081285eb5392142a1356e6c4cf432a325aa2bee9927",
+        "stdout run": "94192daa7830242eaa5c1347fe7d423530cf6a5cc7f61abadbabf5de64197f0a",
+        "stdout compare": "d14aac30daa71ebebad3c5d982620267d041972df2f5c667222ddf5eda440a64",
+    },
+    # van_der_pol at density 16 with a 5-set ladder, the README x0, 2 s
+    "van_der_pol_small": {
+        "compare.txt": "b93c0dea6ec02f259c17a02728082f5d2a9c3f7d698652e3a716c8363d6b3714",
+        "family.json": "a77746fc39cdc345882998646fc851181088915b14d5c92c3c7f719dc3a5428b",
+        "plots.gp": "e0e24cacf8f9879d990c28508f6634da337df5128de03b733ffc36b0b67d0046",
+        "run0_dynamic_decisions.csv":
+            "f8c8668afaaaec254a7c53e79ea0870043187f4d769d09e1261a83b10b3094e3",
+        "run0_dynamic_monitors.csv":
+            "ce9b5c6ee859720909678da95404250c06fb2832e8988ca1ed933a879f89200d",
+        "run0_dynamic_trajectory.csv":
+            "3b3013bf80a2076bb0b26112bf037550cd2ca914ce6c5ffc284383f5de0c8d54",
+        "run0_periodic_monitors.csv":
+            "06404c38597fe7f8003149452795e5c617182646eb13334d057c00886700021c",
+        "run0_periodic_trajectory.csv":
+            "34c7ec52a339729933bb75715dc9352c6efcdf0d063dc647508e5dc756838085",
+        "run0_static_decisions.csv":
+            "2305e54771b4833410c7edad7dc2c95e2d53210bae68712a6dbc0f4a79b173c5",
+        "run0_static_monitors.csv":
+            "f490b1517e69285d177348bbc902664f5d8f6de45a6118f3ac2ab623ca4b2432",
+        "run0_static_trajectory.csv":
+            "1536c5a1b282cde18b164f9be0984e67c29cde117df57722d5158c94bcd321e6",
+        "summary.json": "b63b327d2c943530e1d82d2aca2a7581f84307d855b39d14971dbd1b757843ac",
+        "stdout run": "9b5b0d3e25805033a490f568fbd6d8932b01a636fc98dc1c6602bca0a2298812",
+        "stdout compare": "b93c0dea6ec02f259c17a02728082f5d2a9c3f7d698652e3a716c8363d6b3714",
+    },
+}
+
+_DIGEST_CONFIGS = {
+    "linear_strided": {
+        "run": {"x0": [[0.5]], "t_end": 10.0, "dt_flow": 0.002, "baselines": True},
+    },
+    "van_der_pol_small": {
+        "system": {"name": "van_der_pol", "c": 10.0},
+        "stc": {},
+        "synthesis": {"ladder": {"n": 5}, "l_const": 0.05, "grid_density": 16},
+        "run": {"x0": [[-0.3, 1.7]], "t_end": 2.0, "baselines": True},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_CONFIGS))
+def test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name):
+    cfg = _write_config(tmp_path / "cfg.json", **_DIGEST_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    run_text = capsys.readouterr().out
+    assert cli.main(["compare", "--out", str(out)]) == 0
+    compare_text = capsys.readouterr().out
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    digests["stdout run"] = hashlib.sha256(run_text.encode()).hexdigest()
+    digests["stdout compare"] = hashlib.sha256(compare_text.encode()).hexdigest()
+    assert digests == _PINNED_DIGESTS[name]

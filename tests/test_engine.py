@@ -319,6 +319,11 @@ def test_trigger_agrees_bitwise_with_interval_for_set():
                     best_h, best_i = hs[i], i
             dec = gamma_trigger([x], dyn, cfg, spec)
             assert (dec.h, dec.set_index) == (best_h, best_i)
+            # the decision carries its issuing set; the flags follow from set 0
+            assert dec.params is cfg.family.sets[dec.set_index]
+            assert dec.used_fallback == (dec.set_index == 0)
+            assert dec.bound_type == (FALLBACK_DECREASE if dec.set_index == 0
+                                      else WINDOW_BOUND)
 
 
 def test_fallback_interval_is_t_min():

@@ -16,7 +16,7 @@ REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "TimingParams", "u_value", "default_w_h", "synthesize_gamma",
            "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh",
            "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize",
-           "_grid_pass", "_CHUNK"]
+           "_grid_pass", "_CHUNK", "_check_x0", "_check_t_end", "_flow_records"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -53,6 +53,15 @@ def test_family_has_no_fallback_index():
     from dynstc import synthesis
 
     assert [f.name for f in dataclasses.fields(synthesis.ParameterFamily)] == ["sets"]
+
+
+def test_decision_carries_its_set():
+    from dynstc import engine, sim
+
+    assert [f.name for f in dataclasses.fields(engine.TriggerDecision)] == \
+        ["h", "set_index", "params", "lambda_cap_used", "v_now", "c_val"]
+    assert list(inspect.signature(sim.monitor_flow_bound).parameters) == \
+        ["seg", "dec", "v_plus", "t_start"]
 
 
 def test_tracer_wrappers_install_and_restore():

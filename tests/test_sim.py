@@ -121,14 +121,14 @@ def test_monitor_suite_passes_on_linear():
 
 
 def test_monitor_inapplicable_beyond_horizon():
-    dec = TriggerDecision(h=10.0, set_index=0, used_fallback=True,
-                          bound_type="fallback-decrease", lambda_cap_used=1.0,
-                          epsilon=0.5, v_now=1.0, c_val=1.0)
+    dec = TriggerDecision(h=10.0, set_index=0,
+                          params=ParameterSet(epsilon=0.5, gamma=2.0, l_const=0.5),
+                          lambda_cap_used=1.0, v_now=1.0, c_val=1.0)
+    assert dec.used_fallback and dec.bound_type == "fallback-decrease"
     assert 10.0 >= t_max(2.0, 1.0)
     seg = FlowRecords(t=np.array([0.0]), j=np.array([1]), x=np.array([[1.0]]),
                       v=np.array([1.0]), u=np.array([1.0]))
-    rec = monitor_flow_bound(seg, dec, gamma=2.0, l_const=0.5, v_plus=1.0,
-                             t_start=0.0)
+    rec = monitor_flow_bound(seg, dec, v_plus=1.0, t_start=0.0)
     assert rec.passed
     assert "inapplicable" in rec.note
     assert math.isnan(rec.slack)
@@ -174,6 +174,19 @@ def test_region_escape():
         simulate([0.9], cfg, spec, t_end=5.0)
     assert exc.value.v > 1.0
     assert exc.value.t is not None and 0.0 < exc.value.t < 1.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: simulate([1.2], _linear_cfg()[0], spec, 1.0),
+    lambda spec: simulate_periodic([1.2], spec, 0.5, 1.0),
+], ids=["dynamic", "periodic"])
+def test_start_outside_region_reports_sample_zero(run):
+    # both mechanisms check V(x0) in the shared loop, before the first jump
+    with pytest.raises(RegionEscapeError) as exc:
+        run(linear_test(c=1.0))
+    assert exc.value.t == 0.0
+    assert exc.value.v == pytest.approx(1.44)
+    np.testing.assert_array_equal(exc.value.x, [1.2])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
