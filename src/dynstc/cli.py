@@ -10,6 +10,10 @@ Experiments are described by one JSON config with four blocks::
       "run":       {"x0": [[-0.3, 1.7]], "t_end": 15.0, "baselines": true}
     }
 
+Each key is read by its kind and default in the table `_KEYS`; a value
+of another kind, a boolean or a numeric string for a number included, is a
+bad config.  `run.dt_flow: null` means the default.
+
 Every subcommand takes --out, the artifact directory; all but `compare`
 also take --config.  Artifacts land there: the parameter-family
 manifest, per-run CSVs (trajectory, decisions, monitors), a summary.json,
@@ -28,7 +32,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,107 +71,116 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(block, allowed, name):
+# Every config key as (kind, default), one table per block; "" is the top
+# level.  A key without a default (_ABSENT) stays absent when it is absent,
+# and a default of None makes null mean the default.
+_ABSENT = object()
+_KEYS = {
+    "": {"system": ("block", _ABSENT), "stc": ("block", {}),
+         "synthesis": ("block", None), "run": ("block", None)},
+    "system": {"name": ("text", _ABSENT), "c": ("number", _ABSENT),
+               "p": ([["number"]], _ABSENT), "dimension": ("integer", _ABSENT)},
+    "stc": {"delta": ("number", 0.999), "eps_ref": ("number", 0.01),
+            "m": ("integer", 30), "eta_init": ("text", "v0")},
+    "synthesis": {"epsilons": (["number"], _ABSENT), "ladder": ("block", _ABSENT),
+                  "l_const": ("number", 0.05), "grid_density": ("integer", 48)},
+    "synthesis.ladder": {"n": ("integer", 21), "top": ("number", 0.01),
+                         "bottom": ("number", -40.0)},
+    "run": {"x0": (["vector"], None), "t_end": ("number", 15.0),
+            "dt_flow": ("number", None), "baselines": ("flag", False)},
+}
+
+
+def _typed(value, kind, where):
+    """`value` as config kind `kind`, or a ConfigError naming the dotted key `where`.
+
+    A number is a JSON int or float, never a boolean or a string; an
+    integer is a number with an integral value.  A flag is a boolean, text
+    a string, and a block a mapping typed by its table in _KEYS.  ``[kind]``
+    is a list of that kind; a vector is a list of numbers, or one bare
+    number for a 1-D state.
+    """
+    if isinstance(kind, list):
+        if isinstance(value, list):
+            return [_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    elif kind == "block":
+        return _block(value, where)
+    elif kind == "vector":
+        return _typed(value if isinstance(value, list) else [value], ["number"], where)
+    elif kind in ("flag", "text"):
+        if isinstance(value, bool if kind == "flag" else str):
+            return value
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind == "number":
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ConfigError(f"'{where}' must be of kind {kind}, not {value!r}")
+
+
+def _block(block, name):
+    """The config block `name`, typed by its table, with the defaults filled in."""
     if not isinstance(block, dict):
-        raise ConfigError(f"config block {name!r} must be a mapping")
-    unknown = set(block) - set(allowed)
+        raise ConfigError(f"config block {name or 'config'!r} must be a mapping")
+    table = _KEYS[name]
+    unknown = set(block) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-
-
-@contextmanager
-def _config_values():
-    """Report a mistyped or invalid config value as a ConfigError."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _integer(block, name, key, default):
-    """An integer config value; a boolean or a fractional number is rejected."""
-    value = block.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"'{name}.{key}' must be an integer, not {value!r}")
-    return int(value)
+        raise ConfigError(f"unknown keys in {name or 'config'!r}: {sorted(unknown)}")
+    typed = {}
+    for key, (kind, default) in table.items():
+        value = block.get(key, default)
+        if value is not _ABSENT:
+            typed[key] = (None if value is default is None
+                          else _typed(value, kind, f"{name}.{key}".lstrip(".")))
+    return typed
 
 
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(doc, {"system", "stc", "synthesis", "run"}, "config")
+    doc = _block(raw, "")
     if "system" not in doc:
         raise ConfigError("config requires a 'system' block")
-    with _config_values():
-        return doc, spec_from_config(doc["system"])
+    return doc, spec_from_config(doc["system"])
 
 
-def _epsilons_from(synth_block):
-    has_list = "epsilons" in synth_block
-    has_ladder = "ladder" in synth_block
-    if has_list == has_ladder:
-        raise ConfigError("synthesis block needs exactly one of 'epsilons' or 'ladder'")
-    if has_list:
-        eps = [float(v) for v in synth_block["epsilons"]]
-        if not eps:
-            raise ConfigError("'epsilons' must be non-empty")
-        return eps
-    ladder = dict(synth_block["ladder"])
-    _check_keys(ladder, {"n", "top", "bottom"}, "synthesis.ladder")
-    return default_epsilon_ladder(_integer(ladder, "synthesis.ladder", "n", 21),
-                                  float(ladder.get("top", 0.01)),
-                                  float(ladder.get("bottom", -40.0)))
-
-
-def _synthesis_params(doc):
-    block = doc.get("synthesis")
-    if block is None:
-        return None
-    _check_keys(block, {"epsilons", "ladder", "l_const", "grid_density"}, "synthesis")
-    with _config_values():
-        return {
-            "epsilons": _epsilons_from(block),
-            "l_const": float(block.get("l_const", 0.05)),
-            "grid_density": _integer(block, "synthesis", "grid_density", 48),
-        }
-
-
-def _stc_config(doc, spec, family):
-    block = dict(doc.get("stc", {}))
-    _check_keys(block, {"delta", "eps_ref", "m", "eta_init"}, "stc")
-    with _config_values():
-        return StcConfig(
-            family=family,
-            c=spec.region_c,
-            delta=float(block.get("delta", 0.999)),
-            eps_ref=float(block.get("eps_ref", 0.01)),
-            m=_integer(block, "stc", "m", 30),
-            eta_init=str(block.get("eta_init", "v0")),
-        )
+def _stc_config(doc, spec, out, reuse):
+    """The trigger config.  Its family is the manifest in `out` if `reuse` finds one,
+    else synthesized and written there; the synthesis block is checked either way."""
+    synth = doc["synthesis"]
+    if synth is not None:
+        if ("epsilons" in synth) == ("ladder" in synth):
+            raise ConfigError("synthesis block needs exactly one of 'epsilons' or 'ladder'")
+        ladder = synth.get("ladder")
+        epsilons = (default_epsilon_ladder(ladder["n"], ladder["top"], ladder["bottom"])
+                    if ladder else synth["epsilons"])
+        if not epsilons:
+            raise ConfigError("'synthesis.epsilons' must be non-empty")
+    manifest = out / MANIFEST_NAME
+    if reuse and manifest.exists():
+        family, _ = read_manifest(manifest)
+    elif synth is None:
+        raise ConfigError(f"no manifest at {manifest} and no 'synthesis' block in the config"
+                          if reuse else "config requires a 'synthesis' block for this command")
+    else:
+        family = build_family(spec, epsilons, synth["l_const"], synth["grid_density"])
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(manifest, family, synth["grid_density"])
+    return StcConfig(family=family, c=spec.region_c, **doc["stc"])
 
 
 def _run_params(doc, spec, cfg):
-    block = doc.get("run")
+    block = doc["run"]
     if block is None:
         raise ConfigError("config requires a 'run' block for this command")
-    _check_keys(block, {"x0", "t_end", "dt_flow", "baselines"}, "run")
-    x0s = block.get("x0")
-    if not isinstance(x0s, list) or not x0s:
+    starts, t_end, dt_flow = block["x0"], block["t_end"], block["dt_flow"]
+    if not starts:
         raise ConfigError("'run.x0' must be a non-empty list of state vectors")
-    with _config_values():
-        starts = [[float(v) for v in (raw if isinstance(raw, list) else [raw])]
-                  for raw in x0s]
-        t_end = float(block.get("t_end", 15.0))
-        dt_flow = block.get("dt_flow")
-        if dt_flow is not None:
-            dt_flow = float(dt_flow)
     for k, vec in enumerate(starts):
         if len(vec) != spec.n_x or not all(math.isfinite(v) for v in vec):
             raise ConfigError(f"run.x0[{k}] is not a finite vector of length {spec.n_x}")
@@ -179,26 +191,15 @@ def _run_params(doc, spec, cfg):
     tmin = t_min_of(cfg)
     if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
         raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
-    baselines = block.get("baselines", False)
-    if not isinstance(baselines, bool):
-        raise ConfigError(f"'run.baselines' must be true or false, not {baselines!r}")
-    return starts, t_end, dt_flow, baselines
+    return starts, t_end, dt_flow, block["baselines"]
 
 
 def cmd_synthesize(args) -> int:
     doc, spec = _load_config(args.config)
-    params = _synthesis_params(doc)
-    if params is None:
-        raise ConfigError("config requires a 'synthesis' block for this command")
-    family = build_family(spec, params["epsilons"], params["l_const"],
-                          params["grid_density"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out / MANIFEST_NAME, family, params["grid_density"])
-    cfg = _stc_config(doc, spec, family)
+    cfg = _stc_config(doc, spec, Path(args.out), reuse=False)
     print(f"t_min = {t_min_of(cfg):.6g}")
     print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} {'delta*t_max':>12}")
-    for i, ps in enumerate(family.sets):
+    for i, ps in enumerate(cfg.family.sets):
         cap = cfg._interval_caps[i]
         print(f"{i:>4} {ps.epsilon:>12.6g} {ps.gamma:>12.6g} {ps.l_const:>8.4g} "
               f"{cap:>12.6g}")
@@ -223,18 +224,7 @@ def _interval_stats(traj):
 def cmd_run(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    params = _synthesis_params(doc)
-    manifest = out / MANIFEST_NAME
-    if manifest.exists():
-        family, _ = read_manifest(manifest)
-    elif params is None:
-        raise ConfigError(f"no manifest at {manifest} and no 'synthesis' block in the config")
-    else:
-        family = build_family(spec, params["epsilons"], params["l_const"],
-                              params["grid_density"])
-        write_manifest(manifest, family, params["grid_density"])
-    cfg = _stc_config(doc, spec, family)
+    cfg = _stc_config(doc, spec, out, reuse=True)
     starts, t_end, dt_flow, baselines = _run_params(doc, spec, cfg)
     mechanisms = ["dynamic"] + (["static", "periodic"] if baselines else [])
     runs = [(f"run{idx}_{mech}", x0, mech, _simulate(mech, x0, cfg, spec, t_end, dt_flow))

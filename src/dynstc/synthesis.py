@@ -381,12 +381,21 @@ def family_to_manifest(family: ParameterFamily, grid_density: int) -> dict:
     }
 
 
+def _manifest_number(value, key, integral=False):
+    """A JSON int or float, not a boolean or a string; with `integral` no fraction."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or integral and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"malformed parameter-family manifest: {key!r} is {value!r}")
+    return int(value) if integral else float(value)
+
+
 def manifest_to_family(doc: dict) -> ParameterFamily:
     """The family of a manifest; its fall-back comes first ("fallback_index" 0 or absent)."""
     try:
         sets = tuple(
-            ParameterSet(epsilon=float(d["epsilon"]), gamma=float(d["gamma"]),
-                         l_const=float(d["L"]))
+            ParameterSet(epsilon=_manifest_number(d["epsilon"], "epsilon"),
+                         gamma=_manifest_number(d["gamma"], "gamma"),
+                         l_const=_manifest_number(d["L"], "L"))
             for d in doc["sets"]
         )
         fallback_index = doc.get("fallback_index", 0)
@@ -410,8 +419,5 @@ def read_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     family = manifest_to_family(doc)
-    try:
-        density = int(doc["sets"][0].get("grid_density", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed parameter-family manifest: {exc}") from exc
+    density = _manifest_number(doc["sets"][0].get("grid_density", 0), "grid_density", True)
     return family, density

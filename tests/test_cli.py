@@ -145,6 +145,21 @@ def test_run_on_manifest_with_margin_keys(tmp_path):
         assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("synthesis", [
+    {"epsilons": [0.5, -1.0, -5.0], "ladder": {"n": 3}, "l_const": 0.05},
+    {"epsilons": [0.5, -1.0, -5.0], "l_const": True},
+])
+def test_run_checks_synthesis_block_when_reusing_manifest(tmp_path, capsys, synthesis):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    before = (out / "family.json").read_bytes()
+    _write_config(tmp_path / "cfg.json", synthesis=synthesis)
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert (out / "family.json").read_bytes() == before
+
+
 def test_run_without_manifest_or_synthesis(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = _write_config(cfg_path)
@@ -251,6 +266,13 @@ _SECOND_FALLBACK = {"fallback_index": 1, "sets": [
     {"epsilon": 0.2, "gamma": 1.05, "L": 0.05, "grid_density": 16}]}
 
 
+def _manifest_with(**first):
+    """The _MARGIN_MANIFEST family for _write_config, with `first` in its set 0."""
+    doc = json.loads(_MARGIN_MANIFEST)
+    doc["sets"][0].update(first)
+    return doc
+
+
 @pytest.mark.parametrize("command, artifact, doc", [
     ("compare", "summary.json", {"runs": [{"mechanism": "dynamic"}]}),
     ("compare", "summary.json", [1, 2]),
@@ -259,6 +281,11 @@ _SECOND_FALLBACK = {"fallback_index": 1, "sets": [
     # the fall-back is set 0; a manifest naming another set is rejected
     ("run", "family.json", _SECOND_FALLBACK),
     ("verify", "family.json", _SECOND_FALLBACK),
+    # a manifest number is a JSON int or float, and grid_density an integral one
+    ("verify", "family.json", _manifest_with(grid_density=True)),
+    ("verify", "family.json", _manifest_with(grid_density=16.9)),
+    ("run", "family.json", _manifest_with(epsilon=True)),
+    ("run", "family.json", _manifest_with(gamma="1.05")),
 ])
 def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     cfg = _write_config(tmp_path / "cfg.json")
@@ -287,6 +314,14 @@ def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     # the ladder's set count takes no fraction and no boolean
     lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder={"n": 3.5}),
     lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder={"n": True}),
+    # a number takes no boolean, in a list too, and a block is a mapping,
+    # not a list of pairs; a null stc block is no block
+    lambda d: d["run"].update(x0=[[True]]),
+    lambda d: d["synthesis"].update(epsilons=[True, -1.0]),
+    lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder={"top": True}),
+    lambda d: d.update(stc=[["delta", 0.999], ["eps_ref", 0.01], ["m", 5]]),
+    lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder=[["n", 3]]),
+    lambda d: d.update(stc=None),
 ])
 def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path = tmp_path / "cfg.json"
@@ -311,6 +346,16 @@ def test_invalid_configs_exit_2(tmp_path, mangle):
     ("synthesis", "grid_density", False),
     ("run", "baselines", "false"),
     ("run", "baselines", 1),
+    # a number takes no boolean and no numeric string
+    ("run", "t_end", True),
+    ("stc", "eps_ref", True),
+    ("synthesis", "l_const", True),
+    ("system", "c", True),
+    ("stc", "delta", "0.5"),
+    ("system", "c", "1.0"),
+    ("system", "dimension", 1.5),
+    ("system", "dimension", True),
+    ("system", "dimension", "1"),
 ])
 def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -321,6 +366,23 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
     assert cli.main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_config_table_fills_every_default():
+    # the 23 config keys; an absent key takes its default, a 1-D x0 entry
+    # may be a bare number, and a null dt_flow is the default
+    assert sum(len(table) for table in cli._KEYS.values()) == 23
+    doc = cli._block({"system": {"name": "linear_test"}, "synthesis": {"ladder": {}},
+                      "run": {"x0": [0.5, [-1]], "dt_flow": None}}, "")
+    assert doc == {
+        "system": {"name": "linear_test"},
+        "stc": {"delta": 0.999, "eps_ref": 0.01, "m": 30, "eta_init": "v0"},
+        "synthesis": {"ladder": {"n": 21, "top": 0.01, "bottom": -40.0},
+                      "l_const": 0.05, "grid_density": 48},
+        "run": {"x0": [[0.5], [-1.0]], "t_end": 15.0, "dt_flow": None,
+                "baselines": False},
+    }
+    assert isinstance(doc["run"]["x0"][1][0], float)
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):

@@ -16,7 +16,9 @@ REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "TimingParams", "u_value", "default_w_h", "synthesize_gamma",
            "verify_assumption", "eval_f", "in_region", "spec_from_json", "default_wh",
            "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize",
-           "_grid_pass", "_CHUNK", "_check_x0", "_check_t_end", "_flow_records"]
+           "_grid_pass", "_CHUNK", "_check_x0", "_check_t_end", "_flow_records",
+           "_check_keys", "_config_values", "_integer", "_epsilons_from",
+           "_synthesis_params"]
 
 
 @pytest.mark.parametrize("name", MODULES)
