@@ -112,7 +112,10 @@ def _typed(value, kind, where):
             return value
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if kind == "number":
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:  # an int literal beyond the largest double
+                raise ConfigError(f"'{where}' is out of the range of a float") from None
         if isinstance(value, int) or value.is_integer():
             return int(value)
     raise ConfigError(f"'{where}' must be of kind {kind}, not {value!r}")

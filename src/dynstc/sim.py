@@ -26,12 +26,13 @@ Python floats by one straight-line stepper per state dimension n,
 generated and compiled once per n: every component of every stage is a
 scalar local, so a step builds no list.  It calls a built-in drift's
 per-component ``f.rhs``; any other ``spec.f`` is called on 1-D arrays
-through an adapter (so a ``perfbench --trace 1`` run, whose ``spec.f``
-wrapper has no ``rhs``, integrates through the adapter, and its L2 self
-times understate the stepper's saving).  Each stage computes x_i + hs*k_i,
-xh_i - y_i and x_i + s6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i), the same
-IEEE operations in the same order as numpy arithmetic on the state
-vectors, so every node state has the same bits.  A trajectory keeps its
+through the adapter ``systems.component_rhs`` (so a ``perfbench
+--trace 1`` run, whose ``spec.f`` wrapper has no ``rhs``, integrates
+through it, and its L2 self times understate the stepper's saving).
+Each stage computes x_i + hs*k_i, xh_i - y_i and
+x_i + s6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i), the same IEEE operations
+in the same order as numpy arithmetic on the state vectors, so every
+node state has the same bits.  A trajectory keeps its
 flow records as columns (:class:`FlowRecords`), one row per record.
 """
 
@@ -52,6 +53,7 @@ from .engine import (
     stc_step,
     t_min_of,
 )
+from .systems import component_rhs
 from .timing import phi_solve, solve_lambda_for_horizon, t_max
 
 __all__ = [
@@ -128,16 +130,6 @@ class HybridTrajectory:
         return [r for r in self.monitors if not r.passed]
 
 
-def _point_rhs(f):
-    """One point's drift on floats: a built-in's ``f.rhs``, else ``f`` on 1-D arrays."""
-    rhs = getattr(f, "rhs", None)
-    if rhs is None:
-        def rhs(*xe):
-            n = len(xe) // 2
-            return np.asarray(f(np.array(xe[:n]), np.array(xe[n:])), dtype=float).tolist()
-    return rhs
-
-
 @functools.cache
 def _stepper(n):
     """RK4 over a list of steps for state dimension n, one scalar local per component.
@@ -193,7 +185,7 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
         steps[-1] += rem
     else:
         steps = [h]
-    rows = _stepper(len(x_hold))(_point_rhs(spec.f), x_hold.tolist(), steps)
+    rows = _stepper(len(x_hold))(component_rhs(spec), x_hold.tolist(), steps)
     taus = np.concatenate([[0.0], np.cumsum(steps)])
     taus[-1] = h
     return np.array(rows), taus

@@ -23,13 +23,17 @@ so it depends on e only through W(e)^2.  One f pass over the grid,
 _BLOCK x rows at a time so that a block's arrays stay in cache, reduces
 base and |<grad V, f>| + H^2 to their maximum over each distinct W^2
 level (265, 445, 758 and 1322 levels for van_der_pol at densities 40,
-48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The two
-tables take n_x * levels * 16 bytes: 59 MB at density 80, 150 MB at 96.
-Each set then searches the tables block by block, in decreasing order
-of an upper bound per block, and stops once no remaining bound reaches
-its best value, so it reads a few blocks rather than the whole table.
-``build_family`` serves both the ratios and the check of the inflated
-gammas from one pass.
+48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The
+pass reads f by component and lays the error points out rank-major:
+levels ranked by point count, column block j holds the j-th point of
+every level with more than j points, so a block's maxima are one
+contiguous np.maximum per rank (26 ranks at density 80) and one gather
+back to W^2 order.  The two tables take n_x * levels * 16 bytes: 59 MB
+at density 80, 150 MB at 96.  Each set then searches the tables block
+by block, in decreasing order of an upper bound per block, and stops
+once no remaining bound reaches its best value, so it reads a few
+blocks rather than the whole table.  ``build_family`` serves both the
+ratios and the check of the inflated gammas from one pass.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
@@ -47,6 +51,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .systems import component_rhs
 
 __all__ = [
     "SynthesisError",
@@ -155,11 +161,11 @@ class _LevelTables:
     """One f pass over the X x E grid, reduced to the distinct W^2 levels.
 
     The error grid is sorted once, stably, by W^2 into eg_s, so each level
-    of exactly equal W^2 is a contiguous run of columns.  Row x of base_max
-    holds, per level, the maximum of base = <grad V, f> + H^2 over that
-    level's error points; abs_max holds the same for |<grad V, f>| + H^2.
-    base_cols and abs_cols hold the column maxima of each block of _BLOCK
-    rows.
+    of exactly equal W^2 is a contiguous run of points.  Row x of base_max
+    holds, per level in ascending W^2, the maximum of
+    base = <grad V, f> + H^2 over that level's error points; abs_max
+    holds the same for |<grad V, f>| + H^2.  base_cols and abs_cols hold
+    the column maxima of each block of _BLOCK rows.
     """
 
     density: int
@@ -178,30 +184,67 @@ class _LevelTables:
     abs_cols: np.ndarray
 
 
-def _row_terms(spec, xs, gs, es):
-    """base and |<grad V, f>| + H^2 for the states xs (gradients gs) times the errors es.
+def _row_terms(spec, xs, gs, ec):
+    """base and |<grad V, f>| + H^2 for the states xs (gradients gs) times the errors ec.
 
-    The dot products accumulate from +0.0 one component at a time: the
-    operations of numpy's einsum for n_x <= 2 (the built-ins), so even the
-    sign of a zero is the same.
+    ec holds the error points by component, one row per component.  f is
+    read in component form (systems.component_rhs), so no interleaved
+    (rows, points, n) array is built.  The dot products accumulate from
+    +0.0 one component at a time: the operations of numpy's einsum for
+    n_x <= 2 (the built-ins), so even the sign of a zero is the same.
     """
-    f = spec.f(xs[:, None, :], es[None, :, :])
-    gvf = np.zeros(f.shape[:-1])
-    h2 = np.zeros(f.shape[:-1])
-    for i in range(f.shape[-1]):
-        gvf += gs[:, i, None] * f[..., i]
-        h2 += f[..., i] * f[..., i]
+    fs = component_rhs(spec)(*(xs[:, i, None] for i in range(xs.shape[1])),
+                             *(c[None, :] for c in ec))
+    gvf = np.zeros((xs.shape[0], ec.shape[1]))
+    h2 = np.zeros_like(gvf)
+    for i, fi in enumerate(fs):
+        gvf += gs[:, i, None] * fi
+        h2 += fi * fi
     base = gvf + h2
     if not np.all(np.isfinite(base)):
         raise ValueError("non-finite certificate evaluation on the grid")
-    return base, np.abs(gvf) + h2
+    np.abs(gvf, out=gvf)
+    gvf += h2
+    return base, gvf
+
+
+def _rank_major(starts, n_points):
+    """The rank-major order of the levels of a sorted axis that start at `starts`.
+
+    Levels are ranked by point count, descending and stably; column block
+    j of the order holds the j-th point of every level with more than j
+    points, a prefix of that ranking.  Returns the order as indices into
+    the sorted axis, the block widths, and the gather `back` that puts
+    ranked levels in sorted order.
+    """
+    counts = np.diff(np.append(starts, n_points))
+    ranked = np.argsort(-counts, kind="stable")
+    widths = [int(np.count_nonzero(counts > j)) for j in range(int(counts.max()))]
+    cols = np.concatenate([starts[ranked[:w]] + j for j, w in enumerate(widths)])
+    return cols, widths, np.argsort(ranked)
+
+
+def _rank_max(terms, widths, back, out):
+    """Per level, the maximum of rank-major `terms` (overwritten), into `out` in sorted order.
+
+    The running maxima of the levels sit in the first block; each later
+    block is folded in with one contiguous np.maximum.  Each level's
+    points meet in their sorted order, as in np.maximum.reduceat, so the
+    maxima are the same bits, the sign of a zero included.
+    """
+    acc, lo = terms[:, :widths[0]], widths[0]
+    for w in widths[1:]:
+        np.maximum(acc[:, :w], terms[:, lo:lo + w], out=acc[:, :w])
+        lo += w
+    np.take(acc, back, axis=1, out=out, mode="clip")  # "clip" writes out unbuffered
 
 
 def _level_tables(spec, grid_density):
     """The level tables of one f pass, made _BLOCK x rows at a time.
 
     A block's rows x error points arrays stay in cache (0.6 MB each at
-    density 80); f is evaluated once per grid point.
+    density 80); f is evaluated once per grid point, on the error points
+    in rank-major order (_rank_major).
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -210,22 +253,25 @@ def _level_tables(spec, grid_density):
     perm = np.argsort(we2, kind="stable")
     eg_s, we2_s = eg[perm], we2[perm]
     starts = np.flatnonzero(np.concatenate(([True], we2_s[1:] != we2_s[:-1])))
+    cols, widths, back = _rank_major(starts, len(we2_s))
+    ec = np.ascontiguousarray(eg_s[cols].T)
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
     base_max = np.empty((xg.shape[0], len(starts)))
     abs_max = np.empty_like(base_max)
-    for lo in range(0, xg.shape[0], _BLOCK):
+    blocks = range(0, xg.shape[0], _BLOCK)
+    for lo in blocks:
         rows = slice(lo, lo + _BLOCK)
-        base, mag = _row_terms(spec, xg[rows], gx[rows], eg_s)
-        np.maximum.reduceat(base, starts, axis=1, out=base_max[rows])
-        np.maximum.reduceat(mag, starts, axis=1, out=abs_max[rows])
-    blocks = np.arange(0, xg.shape[0], _BLOCK)
+        base, mag = _row_terms(spec, xg[rows], gx[rows], ec)
+        _rank_max(base, widths, back, base_max[rows])
+        _rank_max(mag, widths, back, abs_max[rows])
+    del base, mag  # the last block's arrays: the column maxima below set the peak
     return _LevelTables(
         density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
         lev=we2_s[starts], n_zero=int(np.searchsorted(we2_s, 0.0, side="right")),
         vx=vx, gx=gx, base_max=base_max, abs_max=abs_max,
-        base_cols=np.maximum.reduceat(base_max, blocks, axis=0),
-        abs_cols=np.maximum.reduceat(abs_max, blocks, axis=0))
+        base_cols=np.array([base_max[lo:lo + _BLOCK].max(axis=0) for lo in blocks]),
+        abs_cols=np.array([abs_max[lo:lo + _BLOCK].max(axis=0) for lo in blocks]))
 
 
 def _table_max(table, cols, a, combine):
@@ -271,7 +317,7 @@ def _ratios(spec, t, epsilons):
             bi = int(np.argmax(num))
             if num[bi] > 0.0:
                 base = _row_terms(spec, t.xg[bi:bi + 1], t.gx[bi:bi + 1],
-                                  t.eg_s[:t.n_zero])[0][0]
+                                  t.eg_s[:t.n_zero].T)[0][0]
                 x_off = tuple(t.xg[bi])
                 e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num[bi]].min()])
                 raise SynthesisError(
@@ -298,7 +344,7 @@ def _verify_tables(spec, t, family):
         g2lev = g2 * t.lev
         a = ps.epsilon * t.vx
         best, r = _table_max(t.base_max, t.base_cols, a, lambda m: m - g2lev)
-        base = _row_terms(spec, t.xg[r:r + 1], t.gx[r:r + 1], t.eg_s)[0][0]
+        base = _row_terms(spec, t.xg[r:r + 1], t.gx[r:r + 1], t.eg_s.T)[0][0]
         worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
         scale = _table_max(t.abs_max, t.abs_cols, abs(ps.epsilon) * t.vx,
                            lambda m: m + g2lev)[0]
@@ -401,7 +447,11 @@ def manifest_to_family(doc: dict) -> ParameterFamily:
         fallback_index = doc.get("fallback_index", 0)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter-family manifest: {exc}") from exc
-    if fallback_index != 0:
+    try:
+        index = _manifest_number(fallback_index, "fallback_index", integral=True)
+    except ValueError:
+        index = None
+    if index != 0:
         raise ValueError(f"malformed parameter-family manifest: fallback_index is "
                          f"{fallback_index!r}, but the fall-back must be set 0")
     return ParameterFamily(sets=sets)

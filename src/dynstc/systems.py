@@ -20,8 +20,9 @@ per-operation cost on 2-vectors; on a grid it evaluates it on the
 component arrays.  Both do the same IEEE double operations in the same
 order, so a point gives the same bits either way.  ``f.rhs`` exposes the
 per-component form, which the simulator's RK4 stepper (one straight-line
-function per state dimension) calls directly on scalar floats; any other
-``f`` is called there on 1-D arrays.
+function per state dimension) calls directly on scalar floats and the
+synthesis grid pass on component arrays; :func:`component_rhs` gives
+every ``f`` that form, calling any other ``f`` on stacked arrays.
 
 The certificate uses one weight model, which :mod:`dynstc.synthesis` and
 :mod:`dynstc.sim` compute from f: the error weight W(e) = ||e|| and the
@@ -42,6 +43,7 @@ __all__ = [
     "van_der_pol",
     "linear_test",
     "spec_from_config",
+    "component_rhs",
 ]
 
 VDP_P_DEFAULT = ((4.68, 1.10), (1.10, 3.56))
@@ -85,6 +87,27 @@ def _drift(rhs):
 
     f.rhs = rhs  # the simulator's RK4 loop calls it on floats directly
     return f
+
+
+def component_rhs(spec):
+    """``spec.f`` in component form, ``rhs(x1, .., xn, e1, .., en) -> (f1, .., fn)``.
+
+    A built-in's ``f.rhs``; any other ``f`` is called once on the
+    components stacked along a last axis and its result is unpacked along
+    that axis.  On Python floats (one point) the result is Python floats,
+    on arrays it is one view per component.
+    """
+    rhs = getattr(spec.f, "rhs", None)
+    if rhs is None:
+        f, n = spec.f, spec.n_x
+
+        def rhs(*xe):
+            if not isinstance(xe[0], np.ndarray):
+                return np.asarray(f(np.array(xe[:n]), np.array(xe[n:])), dtype=float).tolist()
+            x = np.stack(np.broadcast_arrays(*xe[:n]), axis=-1)
+            e = np.stack(np.broadcast_arrays(*xe[n:]), axis=-1)
+            return tuple(np.moveaxis(np.asarray(f(x, e), dtype=float), -1, 0))
+    return rhs
 
 
 def _quadratic_spec(name, n, p, c, f):

@@ -368,6 +368,25 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("run", "t_end", 10 ** 400),
+    ("system", "c", -10 ** 400),
+    ("synthesis", "epsilons", [0.5, 10 ** 400]),
+], ids=["t_end", "c", "epsilons"])
+def test_int_beyond_float_range_is_config_error(tmp_path, capsys, block, key, value):
+    # json reads an integer literal of any length as an int, which float() rejects
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    doc = json.loads(cfg_path.read_text())
+    doc[block][key] = value
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{block}.{key}" in err
+    assert "out of the range of a float" in err
+
+
 def test_config_table_fills_every_default():
     # the 23 config keys; an absent key takes its default, a 1-D x0 entry
     # may be a bare number, and a null dt_flow is the default

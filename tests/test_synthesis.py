@@ -23,7 +23,15 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
-from dynstc.synthesis import _BLOCK, _grids, _level_tables, _ratios, _table_max
+from dynstc.synthesis import (
+    _BLOCK,
+    _grids,
+    _level_tables,
+    _rank_major,
+    _rank_max,
+    _ratios,
+    _table_max,
+)
 from dynstc.systems import linear_test, spec_from_config, van_der_pol
 
 
@@ -276,6 +284,39 @@ def test_table_max_matches_argmax(seed):
         assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_max_matches_reduceat(seed):
+    # small integers tie often; zeros carry either sign; many levels hold one point
+    rng = np.random.default_rng(seed)
+    counts = rng.choice([1, 1, 1, 2, 3, 5, 8], size=int(rng.integers(1, 40)))
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    n_rows, n_points = int(rng.integers(1, 2 * _BLOCK)), int(counts.sum())
+    table = rng.integers(-2, 3, size=(n_rows, n_points)) * 1.0
+    table[table == 0.0] = rng.choice([0.0, -0.0], size=int(np.sum(table == 0.0)))
+    cols, widths, back = _rank_major(starts, n_points)
+    # each point once, and each level's points in their sorted order
+    assert sorted(cols) == list(range(n_points))
+    assert widths == sorted(widths, reverse=True) and widths[0] == len(counts)
+    out = np.empty((n_rows, len(counts)))
+    _rank_max(table[:, cols], widths, back, out)
+    ref = np.maximum.reduceat(table, starts, axis=1)
+    assert _bits(out) == _bits(ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+@pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 129)])
+def test_drift_without_rhs_gives_same_tables(system, density):
+    # the built-in's component rhs against one call of f unpacked by component;
+    # both densities span several x row blocks
+    spec = spec_from_config({"name": system})
+    plain = replace(spec, f=lambda x, e: spec.f(x, e))
+    assert not hasattr(plain.f, "rhs")
+    assert _grids(spec, density)[0].shape[0] > 4 * _BLOCK
+    t, u = _level_tables(spec, density), _level_tables(plain, density)
+    for name in ("base_max", "abs_max", "base_cols", "abs_cols"):
+        assert _bits(getattr(t, name)) == _bits(getattr(u, name))
+
+
 _LADDERS = {
     "van_der_pol": [0.01, -1.0, -40.0],
     # base = e^2 - x^2 for linear_test, so +-x and +-e tie exactly
@@ -406,7 +447,7 @@ def test_manifest_fallback_is_set_0():
     assert doc["fallback_index"] == 0
     del doc["fallback_index"]
     assert manifest_to_family(doc) == fam
-    for bad in (1, -1, "0", None):
+    for bad in (1, -1, "0", None, False, True):
         with pytest.raises(ValueError, match="fall-back must be set 0"):
             manifest_to_family(dict(doc, fallback_index=bad))
 
