@@ -23,7 +23,8 @@ simulates every initial state and mechanism in turn before it writes any
 run file, so a numerical failure leaves no partial run artifacts.
 
 Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
-3 synthesis or verification failure, 4 monitor violation, 5 numerical failure.
+3 synthesis or verification failure, 4 monitor violation, 5 numerical failure
+or out of memory.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class ConfigError(ValueError):
 
 # Every config key as (kind, default), one table per block; "" is the top
 # level.  A key without a default (_ABSENT) stays absent when it is absent,
-# and a default of None makes null mean the default.
+# and a default of None makes null mean the default.  An optional third
+# entry is the largest value the key takes.
 _ABSENT = object()
 _KEYS = {
     "": {"system": ("block", _ABSENT), "stc": ("block", {}),
@@ -81,7 +83,7 @@ _KEYS = {
     "system": {"name": ("text", _ABSENT), "c": ("number", _ABSENT),
                "p": ([["number"]], _ABSENT), "dimension": ("integer", _ABSENT)},
     "stc": {"delta": ("number", 0.999), "eps_ref": ("number", 0.01),
-            "m": ("integer", 30), "eta_init": ("text", "v0")},
+            "m": ("integer", 30, 10 ** 6), "eta_init": ("text", "v0")},
     "synthesis": {"epsilons": (["number"], _ABSENT), "ladder": ("block", _ABSENT),
                   "l_const": ("number", 0.05), "grid_density": ("integer", 48)},
     "synthesis.ladder": {"n": ("integer", 21), "top": ("number", 0.01),
@@ -91,14 +93,14 @@ _KEYS = {
 }
 
 
-def _typed(value, kind, where):
+def _typed(value, kind, where, top=None):
     """`value` as config kind `kind`, or a ConfigError naming the dotted key `where`.
 
     A number is a JSON int or float, never a boolean or a string; an
-    integer is a number with an integral value.  A flag is a boolean, text
-    a string, and a block a mapping typed by its table in _KEYS.  ``[kind]``
-    is a list of that kind; a vector is a list of numbers, or one bare
-    number for a 1-D state.
+    integer is a number with an integral value, at most `top` if given.  A
+    flag is a boolean, text a string, and a block a mapping typed by its
+    table in _KEYS.  ``[kind]`` is a list of that kind; a vector is a list
+    of numbers, or one bare number for a 1-D state.
     """
     if isinstance(kind, list):
         if isinstance(value, list):
@@ -117,6 +119,8 @@ def _typed(value, kind, where):
             except OverflowError:  # an int literal beyond the largest double
                 raise ConfigError(f"'{where}' is out of the range of a float") from None
         if isinstance(value, int) or value.is_integer():
+            if top is not None and value > top:
+                raise ConfigError(f"'{where}' must be at most {top}")
             return int(value)
     raise ConfigError(f"'{where}' must be of kind {kind}, not {value!r}")
 
@@ -130,11 +134,11 @@ def _block(block, name):
     if unknown:
         raise ConfigError(f"unknown keys in {name or 'config'!r}: {sorted(unknown)}")
     typed = {}
-    for key, (kind, default) in table.items():
+    for key, (kind, default, *top) in table.items():
         value = block.get(key, default)
         if value is not _ABSENT:
             typed[key] = (None if value is default is None
-                          else _typed(value, kind, f"{name}.{key}".lstrip(".")))
+                          else _typed(value, kind, f"{name}.{key}".lstrip("."), *top))
     return typed
 
 
@@ -391,6 +395,9 @@ def main(argv=None) -> int:
     except (RegionEscapeError, IntegrationBlowupError, HorizonError,
             FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError as exc:  # e.g. a grid too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 5
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

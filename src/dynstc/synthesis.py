@@ -19,21 +19,26 @@ at twice its synthesis density) rather than by interval arithmetic.
 
 Cost.  Every checked quantity has the form
 base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2,
-so it depends on e only through W(e)^2.  One f pass over the grid,
-_BLOCK x rows at a time so that a block's arrays stay in cache, reduces
-base and |<grad V, f>| + H^2 to their maximum over each distinct W^2
-level (265, 445, 758 and 1322 levels for van_der_pol at densities 40,
-48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The
-pass reads f by component and lays the error points out rank-major:
-levels ranked by point count, column block j holds the j-th point of
-every level with more than j points, so a block's maxima are one
-contiguous np.maximum per rank (26 ranks at density 80) and one gather
-back to W^2 order.  The two tables take n_x * levels * 16 bytes: 59 MB
-at density 80, 150 MB at 96.  Each set then searches the tables block
-by block, in decreasing order of an upper bound per block, and stops
-once no remaining bound reaches its best value, so it reads a few
-blocks rather than the whole table.  ``build_family`` serves both the
-ratios and the check of the inflated gammas from one pass.
+so it depends on e only through W(e)^2.  One f pass over the grid, one
+x row per call of f, reduces base and |<grad V, f>| + H^2 to their
+maximum over each distinct W^2 level (265, 445, 758 and 1322 levels for
+van_der_pol at densities 40, 48, 80 and 96, against 1184, 1716, 4872 and
+7080 error points).  The pass reads f by component and lays the error
+points out rank-major: levels ranked by point count, column block j
+holds the j-th point of every level with more than j points, so a
+block's maxima are one contiguous np.maximum per rank (26 ranks at
+density 80) and one gather back to W^2 order.  The rows go into buffers
+made once per pass, and every array a call of f makes holds one row of
+n_e doubles: below the 64 KB at which a free makes glibc trim the heap,
+up to 8192 error points (density about 100).  Arrays of a block of rows,
+freed block after block, went back to the OS and were faulted in again,
+about 120k page faults at density 80.  The two tables take
+n_x * levels * 16 bytes: 59 MB at density 80, 150 MB at 96.  Each set
+then searches the tables block by block, in decreasing order of an upper
+bound per block, and stops once no remaining bound reaches its best
+value, so it reads a few blocks rather than the whole table, in one
+scratch buffer per call.  ``build_family`` serves both the ratios and
+the check of the inflated gammas from one pass.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
@@ -184,28 +189,25 @@ class _LevelTables:
     abs_cols: np.ndarray
 
 
-def _row_terms(spec, xs, gs, ec):
-    """base and |<grad V, f>| + H^2 for the states xs (gradients gs) times the errors ec.
+def _row_terms(rhs, x, g, ec, base, mag):
+    """base and |<grad V, f>| + H^2 at the state x (gradient g) times the errors ec.
 
-    ec holds the error points by component, one row per component.  f is
-    read in component form (systems.component_rhs), so no interleaved
-    (rows, points, n) array is built.  The dot products accumulate from
-    +0.0 one component at a time: the operations of numpy's einsum for
-    n_x <= 2 (the built-ins), so even the sign of a zero is the same.
+    x and g are Python floats, one per component; ec holds the error
+    points by component, one row per component.  f is read in component
+    form (systems.component_rhs) on one x row, so every array here holds
+    n_e doubles, and the results go into the given rows base and mag.  The
+    dot products accumulate from +0.0 one component at a time: the
+    operations of numpy's einsum for n_x <= 2 (the built-ins), so even the
+    sign of a zero is the same.
     """
-    fs = component_rhs(spec)(*(xs[:, i, None] for i in range(xs.shape[1])),
-                             *(c[None, :] for c in ec))
-    gvf = np.zeros((xs.shape[0], ec.shape[1]))
-    h2 = np.zeros_like(gvf)
-    for i, fi in enumerate(fs):
-        gvf += gs[:, i, None] * fi
+    gvf = np.zeros(ec.shape[1])
+    h2 = np.zeros(ec.shape[1])
+    for gi, fi in zip(g, rhs(*x, *ec)):
+        gvf += gi * fi
         h2 += fi * fi
-    base = gvf + h2
-    if not np.all(np.isfinite(base)):
-        raise ValueError("non-finite certificate evaluation on the grid")
+    np.add(gvf, h2, out=base)
     np.abs(gvf, out=gvf)
-    gvf += h2
-    return base, gvf
+    np.add(gvf, h2, out=mag)
 
 
 def _rank_major(starts, n_points):
@@ -240,11 +242,17 @@ def _rank_max(terms, widths, back, out):
 
 
 def _level_tables(spec, grid_density):
-    """The level tables of one f pass, made _BLOCK x rows at a time.
+    """The level tables of one f pass, one x row per call of f.
 
-    A block's rows x error points arrays stay in cache (0.6 MB each at
-    density 80); f is evaluated once per grid point, on the error points
-    in rank-major order (_rank_major).
+    f is evaluated once per grid point, on the error points in rank-major
+    order (_rank_major).  Each x row's terms go into a row of two
+    (_BLOCK, n_e) buffers made once per pass, and _rank_max folds them
+    block by block, so every array a call makes holds n_e doubles (39 KB
+    at density 80, 57 KB at 96), below the 64 KB at which a free makes
+    glibc trim the heap.  Arrays of a whole block (0.6 MB each at density
+    80) went back to the OS when freed and were faulted in again by the
+    next block.  Above 8192 error points (density about 100) a row
+    exceeds 64 KB again.
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -257,48 +265,78 @@ def _level_tables(spec, grid_density):
     ec = np.ascontiguousarray(eg_s[cols].T)
     vx = np.asarray(spec.v(xg), dtype=float)
     gx = np.asarray(spec.grad_v(xg), dtype=float)
+    rhs = component_rhs(spec)
+    xs, gs = xg.tolist(), gx.tolist()
+    n_blocks = -(-len(xs) // _BLOCK)
     base_max = np.empty((xg.shape[0], len(starts)))
     abs_max = np.empty_like(base_max)
-    blocks = range(0, xg.shape[0], _BLOCK)
-    for lo in blocks:
-        rows = slice(lo, lo + _BLOCK)
-        base, mag = _row_terms(spec, xg[rows], gx[rows], ec)
-        _rank_max(base, widths, back, base_max[rows])
-        _rank_max(mag, widths, back, abs_max[rows])
-    del base, mag  # the last block's arrays: the column maxima below set the peak
+    base_cols = np.empty((n_blocks, len(starts)))
+    abs_cols = np.empty_like(base_cols)
+    base = np.empty((_BLOCK, len(cols)))
+    mag = np.empty_like(base)
+    for b in range(n_blocks):
+        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        block = list(zip(xs[rows], gs[rows]))
+        for k, (x, g) in enumerate(block):
+            _row_terms(rhs, x, g, ec, base[k], mag[k])
+        terms, mags = base[:len(block)], mag[:len(block)]
+        # min and max carry a NaN through, and show an infinity of either sign
+        if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
+            raise ValueError("non-finite certificate evaluation on the grid")
+        _rank_max(terms, widths, back, base_max[rows])
+        _rank_max(mags, widths, back, abs_max[rows])
+        np.max(base_max[rows], axis=0, out=base_cols[b])
+        np.max(abs_max[rows], axis=0, out=abs_cols[b])
     return _LevelTables(
         density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
         lev=we2_s[starts], n_zero=int(np.searchsorted(we2_s, 0.0, side="right")),
         vx=vx, gx=gx, base_max=base_max, abs_max=abs_max,
-        base_cols=np.array([base_max[lo:lo + _BLOCK].max(axis=0) for lo in blocks]),
-        abs_cols=np.array([abs_max[lo:lo + _BLOCK].max(axis=0) for lo in blocks]))
+        base_cols=base_cols, abs_cols=abs_cols)
 
 
-def _table_max(table, cols, a, combine):
+def _table_max(table, cols, a, combine, buf):
     """The maximum of combine(table + a[:, None]) and the first row attaining it.
 
     combine must be nondecreasing in each entry: it adds or subtracts a
-    per-level constant, or divides by a positive one.  A block's bound is
-    combine(cols + max a), from the block's column maxima and its largest
-    row term: the same IEEE operations on inputs no smaller than any of
-    the block's, and rounding is monotone, so no entry of the block exceeds
-    its bound.  Blocks are visited in decreasing order of bound until no
-    remaining bound reaches the best value so far; equal values keep the
-    smallest row, as a sweep in grid order would.
+    per-level constant, or divides by a positive one, in place, and
+    returns its argument.  A block's bound is combine(cols + max a), from
+    the block's column maxima and its largest row term: the same IEEE
+    operations on inputs no smaller than any of the block's, and rounding
+    is monotone, so no entry of the block exceeds its bound.  Blocks are
+    visited in decreasing order of bound until no remaining bound reaches
+    the best value so far; equal values keep the smallest row, as a sweep
+    in grid order would.
+
+    buf (_bound_buffer) takes the bounds, then each searched block, so a
+    set's search allocates nothing of the table's width.
     """
     a_max = np.maximum.reduceat(a, np.arange(0, len(a), _BLOCK))
-    bounds = combine(cols + a_max[:, None]).max(axis=1)
+    bounds = combine(np.add(cols, a_max[:, None], out=buf[:len(cols)])).max(axis=1)
     best, row = -np.inf, -1
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] < best:
             break
         lo = int(b) * _BLOCK
-        s = combine(table[lo:lo + _BLOCK] + a[lo:lo + _BLOCK, None])
+        rows = table[lo:lo + _BLOCK]
+        s = combine(np.add(rows, a[lo:lo + _BLOCK, None], out=buf[:len(rows)]))
         j = int(np.argmax(s))
         r = lo + j // s.shape[1]
         if s.flat[j] > best or (s.flat[j] == best and r < row):
             best, row = s.flat[j], r
     return best, row
+
+
+def _row_base(spec, t, r, errors):
+    """base at the x row r of the tables t over the error points `errors`, in a fresh row."""
+    base = np.empty(errors.shape[0])
+    _row_terms(component_rhs(spec), t.xg[r].tolist(), t.gx[r].tolist(), errors.T,
+               base, np.empty_like(base))
+    return base
+
+
+def _bound_buffer(cols):
+    """The scratch of _table_max for the column maxima cols: a row per block, at least _BLOCK."""
+    return np.empty((max(cols.shape[0], _BLOCK), cols.shape[1]))
 
 
 def _ratios(spec, t, epsilons):
@@ -309,6 +347,8 @@ def _ratios(spec, t, epsilons):
     epsilon, at its largest W = 0 numerator, first in grid order on ties.
     """
     w_pos = slice(1 if t.n_zero else 0, None)  # the levels with W > 0
+    table, cols, lev = t.base_max[:, w_pos], t.base_cols[:, w_pos], t.lev[w_pos]
+    buf = _bound_buffer(cols)
     ratios = np.empty(len(epsilons))
     for k, eps in enumerate(epsilons):
         a = eps * t.vx
@@ -316,16 +356,15 @@ def _ratios(spec, t, epsilons):
             num = t.base_max[:, 0] + a
             bi = int(np.argmax(num))
             if num[bi] > 0.0:
-                base = _row_terms(spec, t.xg[bi:bi + 1], t.gx[bi:bi + 1],
-                                  t.eg_s[:t.n_zero].T)[0][0]
+                base = _row_base(spec, t, bi, t.eg_s[:t.n_zero])
                 x_off = tuple(t.xg[bi])
                 e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num[bi]].min()])
                 raise SynthesisError(
                     f"epsilon={eps}: positive certificate numerator "
                     f"{num[bi]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
                     epsilon=eps, point=(x_off, e_off))
-        ratios[k] = _table_max(t.base_max, t.base_cols, a,
-                               lambda m: m[:, w_pos] / t.lev[w_pos])[0]
+        ratios[k] = _table_max(table, cols, a,
+                               lambda m: np.divide(m, lev, out=m), buf)[0]
     return ratios
 
 
@@ -338,16 +377,18 @@ def _verify_tables(spec, t, family):
     (x, e) is recovered from the one maximizing row, recomputed over every
     error point; ties go to the first point in grid order over x, then e.
     """
+    buf = _bound_buffer(t.base_cols)
     reports = []
     for ps in family.sets:
         g2 = ps.gamma * ps.gamma
         g2lev = g2 * t.lev
         a = ps.epsilon * t.vx
-        best, r = _table_max(t.base_max, t.base_cols, a, lambda m: m - g2lev)
-        base = _row_terms(spec, t.xg[r:r + 1], t.gx[r:r + 1], t.eg_s.T)[0][0]
+        best, r = _table_max(t.base_max, t.base_cols, a,
+                             lambda m: np.subtract(m, g2lev, out=m), buf)
+        base = _row_base(spec, t, r, t.eg_s)
         worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
         scale = _table_max(t.abs_max, t.abs_cols, abs(ps.epsilon) * t.vx,
-                           lambda m: m + g2lev)[0]
+                           lambda m: np.add(m, g2lev, out=m), buf)[0]
         reports.append(VerificationReport(
             certified=bool(best <= 0.0), max_violation=float(best),
             worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),

@@ -94,15 +94,16 @@ def component_rhs(spec):
 
     A built-in's ``f.rhs``; any other ``f`` is called once on the
     components stacked along a last axis and its result is unpacked along
-    that axis.  On Python floats (one point) the result is Python floats,
-    on arrays it is one view per component.
+    that axis.  On Python floats (one point) the result is Python floats;
+    if any component is an array (a grid row passes the state as floats
+    and the errors as arrays), it is one view per component.
     """
     rhs = getattr(spec.f, "rhs", None)
     if rhs is None:
         f, n = spec.f, spec.n_x
 
         def rhs(*xe):
-            if not isinstance(xe[0], np.ndarray):
+            if not any(isinstance(c, np.ndarray) for c in xe):
                 return np.asarray(f(np.array(xe[:n]), np.array(xe[n:])), dtype=float).tolist()
             x = np.stack(np.broadcast_arrays(*xe[:n]), axis=-1)
             e = np.stack(np.broadcast_arrays(*xe[n:]), axis=-1)

@@ -425,6 +425,28 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+@pytest.mark.parametrize("m", [10 ** 12, 10 ** 400], ids=["1e12", "1e400"])
+def test_window_length_beyond_bound_exits_2(tmp_path, capsys, command, m):
+    # a window of 10**12 floats ran out of memory in `run`; 10**400 fits no index
+    cfg = _write_config(tmp_path / "cfg.json",
+                        stc={"delta": 0.999, "eps_ref": 0.01, "m": m})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'stc.m' must be at most 1000000" in err
+    assert not (tmp_path / "out" / "family.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+def test_grid_too_large_to_allocate_exits_5(tmp_path, capsys, command):
+    # 10**14 points per axis exceed the address space, so the allocation fails at once
+    cfg = _write_config(tmp_path / "cfg.json", synthesis={
+        "epsilons": [0.5, -1.0], "l_const": 0.05, "grid_density": 10 ** 14})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
+
+
 def test_periodic_baseline_steps_at_dt_flow(tmp_path):
     # run.dt_flow sets the step of every mechanism, the periodic baseline too
     cfg = _write_config(tmp_path / "cfg.json", run={

@@ -25,6 +25,7 @@ from dynstc.synthesis import (
 )
 from dynstc.synthesis import (
     _BLOCK,
+    _bound_buffer,
     _grids,
     _level_tables,
     _rank_major,
@@ -262,9 +263,10 @@ def test_build_family_makes_one_f_pass():
     epsilons = [0.01, -1.0, -40.0]
     fam = build_family(replace(spec, f=f), epsilons, grid_density=24)
     assert fam == build_family(spec, epsilons, grid_density=24)
-    # one table pass plus at most one recomputed row per set
+    # one table pass plus at most one recomputed row per set, one x row per call
     n_x, n_e = (g.shape[0] for g in _grids(spec, 24))
     assert sum(points) <= n_x * n_e + len(epsilons) * n_e
+    assert max(points) <= n_e
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -277,11 +279,16 @@ def test_table_max_matches_argmax(seed):
     c = rng.integers(1, 4, size=n_cols).astype(float)
     blocks = np.arange(0, n_rows, _BLOCK)
     cols = np.maximum.reduceat(table, blocks, axis=0)
-    for combine in (lambda m: m - c, lambda m: m + c, lambda m: m / c):
+    kept = table.copy()
+    buf = _bound_buffer(cols)
+    for combine in (lambda m: np.subtract(m, c, out=m), lambda m: np.add(m, c, out=m),
+                    lambda m: np.divide(m, c, out=m)):
         s = combine(table + a[:, None])
         flat = int(np.argmax(s))
-        best, row = _table_max(table, cols, a, combine)
+        best, row = _table_max(table, cols, a, combine, buf)
         assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
+        # combine works in the buffer, never in the table
+        assert _bits(table) == _bits(kept)
 
 
 @pytest.mark.parametrize("seed", range(20))

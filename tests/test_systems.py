@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from dynstc.cli import _load_config
-from dynstc.systems import SystemSpec, linear_test, spec_from_config, van_der_pol
+from dynstc.systems import (
+    SystemSpec,
+    component_rhs,
+    linear_test,
+    spec_from_config,
+    van_der_pol,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +88,25 @@ def test_point_and_grid_drift_agree_bitwise(make):
     for i in range(6):
         assert _same_bits(rows[i], point(x[i, 0], e[0, 4]))
         assert _same_bits(spec.f(x[i], e[0, 4])[0], rows[i])
+
+
+@pytest.mark.parametrize("make", [van_der_pol, linear_test])
+def test_component_rhs_without_rhs_on_a_grid_row(make):
+    # a grid row: the state as Python floats, the errors as component arrays;
+    # f without rhs takes the array branch and matches the built-in bit for bit
+    spec = make()
+    plain = dataclasses.replace(spec, f=lambda x, e: spec.f(x, e))
+    assert not hasattr(plain.f, "rhs")
+    rng = np.random.default_rng(5)
+    x = _mixed_values(rng, (spec.n_x,)).tolist()
+    e = _mixed_values(rng, (spec.n_e, 7))
+    e[:, 0] = 0.0
+    e[:, 1] = -0.0
+    want = [np.broadcast_to(c, (7,)) for c in spec.f.rhs(*x, *e)]
+    got = component_rhs(plain)(*x, *e)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.shape(g) == (7,) and _same_bits(g, w)
 
 
 def test_vdp_energy(vdp):
