@@ -129,12 +129,12 @@ class StcConfig:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly in (0, 1)")
-        if not (self.eps_ref > 0.0):
-            raise ValueError("eps_ref must be positive")
+        if not (0.0 < self.eps_ref < math.inf):
+            raise ValueError("eps_ref must be positive and finite")
         if self.m < 1:
             raise ValueError("window length m must be at least 1")
-        if not (self.c > 0.0):
-            raise ValueError("energy level c must be positive")
+        if not (0.0 < self.c < math.inf):
+            raise ValueError("energy level c must be positive and finite")
         if self.eta_init not in ("v0", "zero"):
             raise ValueError(f"unknown eta-init policy {self.eta_init!r}")
 

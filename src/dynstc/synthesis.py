@@ -20,25 +20,25 @@ at twice its synthesis density) rather than by interval arithmetic.
 Cost.  Every checked quantity has the form
 base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2,
 so it depends on e only through W(e)^2.  One f pass over the grid, one
-x row per call of f, reduces base and |<grad V, f>| + H^2 to their
-maximum over each distinct W^2 level (265, 445, 758 and 1322 levels for
-van_der_pol at densities 40, 48, 80 and 96, against 1184, 1716, 4872 and
-7080 error points).  The pass reads f by component and lays the error
-points out rank-major: levels ranked by point count, column block j
-holds the j-th point of every level with more than j points, so a
-block's maxima are one contiguous np.maximum per rank (26 ranks at
-density 80) and one gather back to W^2 order.  The rows go into buffers
-made once per pass, and every array a call of f makes holds one row of
-n_e doubles: below the 64 KB at which a free makes glibc trim the heap,
-up to 8192 error points (density about 100).  Arrays of a block of rows,
-freed block after block, went back to the OS and were faulted in again,
-about 120k page faults at density 80.  The two tables take
-n_x * levels * 16 bytes: 59 MB at density 80, 150 MB at 96.  Each set
-then searches the tables block by block, in decreasing order of an upper
-bound per block, and stops once no remaining bound reaches its best
-value, so it reads a few blocks rather than the whole table, in one
-scratch buffer per call.  ``build_family`` serves both the ratios and
-the check of the inflated gammas from one pass.
+x row per call of f, reduces base to its maximum over each distinct W^2
+level (265, 445, 758 and 1322 levels for van_der_pol at densities 40,
+48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The
+pass reads f by component and lays the error points out rank-major:
+levels ranked by point count, column block j holds the j-th point of
+every level with more than j points, so a block's maxima are one
+contiguous np.maximum per rank (26 ranks at density 80) and one gather
+back to W^2 order.  The rows go into a buffer made once per pass, and
+every array a call of f makes holds one row of n_e doubles: below the
+64 KB at which a free makes glibc trim the heap, up to 8192 error points
+(density about 100).  Arrays of a block of rows, freed block after
+block, went back to the OS and were faulted in again, about 120k page
+faults at density 80.  The one table takes n_x * levels * 8 bytes:
+30 MB at density 80, 75 MB at 96.  Each set then searches the table
+block by block, in decreasing order of an upper bound per block, and
+stops once no remaining bound reaches its best value, so it reads a few
+blocks rather than the whole table, in one scratch buffer per call.
+``build_family`` serves both the ratios and the check of the inflated
+gammas from one pass.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
@@ -126,18 +126,20 @@ class VerificationReport:
     """Outcome of one grid pass for one parameter set.
 
     max_violation is the grid maximum of
-    s = <grad V, f> + eps*V + H^2 - gamma^2*W^2 (certified iff <= 0).
-    scale normalizes tolerances: the largest magnitude the individual
-    terms of s reach.
+    s = <grad V, f> + eps*V + H^2 - gamma^2*W^2, and the set is certified
+    on the grid iff it is <= 0: the one acceptance rule, of both synthesis
+    and ``dynstc verify``.
     """
 
-    certified: bool
     max_violation: float
     worst_x: tuple
     worst_e: tuple
     grid_density: int
     n_points: int
-    scale: float
+
+    @property
+    def certified(self) -> bool:
+        return self.max_violation <= 0.0
 
 
 def ball_grid(radius: float, dim: int, density: int) -> np.ndarray:
@@ -168,9 +170,8 @@ class _LevelTables:
     The error grid is sorted once, stably, by W^2 into eg_s, so each level
     of exactly equal W^2 is a contiguous run of points.  Row x of base_max
     holds, per level in ascending W^2, the maximum of
-    base = <grad V, f> + H^2 over that level's error points; abs_max
-    holds the same for |<grad V, f>| + H^2.  base_cols and abs_cols hold
-    the column maxima of each block of _BLOCK rows.
+    base = <grad V, f> + H^2 over that level's error points; base_cols
+    holds the column maxima of each block of _BLOCK rows.
     """
 
     density: int
@@ -184,21 +185,19 @@ class _LevelTables:
     vx: np.ndarray
     gx: np.ndarray
     base_max: np.ndarray
-    abs_max: np.ndarray
     base_cols: np.ndarray
-    abs_cols: np.ndarray
 
 
-def _row_terms(rhs, x, g, ec, base, mag):
-    """base and |<grad V, f>| + H^2 at the state x (gradient g) times the errors ec.
+def _row_terms(rhs, x, g, ec, base):
+    """base = <grad V, f> + H^2 at the state x (gradient g) times the errors ec.
 
     x and g are Python floats, one per component; ec holds the error
     points by component, one row per component.  f is read in component
     form (systems.component_rhs) on one x row, so every array here holds
-    n_e doubles, and the results go into the given rows base and mag.  The
-    dot products accumulate from +0.0 one component at a time: the
-    operations of numpy's einsum for n_x <= 2 (the built-ins), so even the
-    sign of a zero is the same.
+    n_e doubles, and the result goes into the given row base.  The dot
+    products accumulate from +0.0 one component at a time: the operations
+    of numpy's einsum for n_x <= 2 (the built-ins), so even the sign of a
+    zero is the same.
     """
     gvf = np.zeros(ec.shape[1])
     h2 = np.zeros(ec.shape[1])
@@ -206,8 +205,6 @@ def _row_terms(rhs, x, g, ec, base, mag):
         gvf += gi * fi
         h2 += fi * fi
     np.add(gvf, h2, out=base)
-    np.abs(gvf, out=gvf)
-    np.add(gvf, h2, out=mag)
 
 
 def _rank_major(starts, n_points):
@@ -242,11 +239,11 @@ def _rank_max(terms, widths, back, out):
 
 
 def _level_tables(spec, grid_density):
-    """The level tables of one f pass, one x row per call of f.
+    """The level table of one f pass, one x row per call of f.
 
     f is evaluated once per grid point, on the error points in rank-major
-    order (_rank_major).  Each x row's terms go into a row of two
-    (_BLOCK, n_e) buffers made once per pass, and _rank_max folds them
+    order (_rank_major).  Each x row's base goes into a row of a
+    (_BLOCK, n_e) buffer made once per pass, and _rank_max folds them
     block by block, so every array a call makes holds n_e doubles (39 KB
     at density 80, 57 KB at 96), below the 64 KB at which a free makes
     glibc trim the heap.  Arrays of a whole block (0.6 MB each at density
@@ -269,29 +266,23 @@ def _level_tables(spec, grid_density):
     xs, gs = xg.tolist(), gx.tolist()
     n_blocks = -(-len(xs) // _BLOCK)
     base_max = np.empty((xg.shape[0], len(starts)))
-    abs_max = np.empty_like(base_max)
     base_cols = np.empty((n_blocks, len(starts)))
-    abs_cols = np.empty_like(base_cols)
     base = np.empty((_BLOCK, len(cols)))
-    mag = np.empty_like(base)
     for b in range(n_blocks):
         rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
         block = list(zip(xs[rows], gs[rows]))
         for k, (x, g) in enumerate(block):
-            _row_terms(rhs, x, g, ec, base[k], mag[k])
-        terms, mags = base[:len(block)], mag[:len(block)]
+            _row_terms(rhs, x, g, ec, base[k])
+        terms = base[:len(block)]
         # min and max carry a NaN through, and show an infinity of either sign
         if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
             raise ValueError("non-finite certificate evaluation on the grid")
         _rank_max(terms, widths, back, base_max[rows])
-        _rank_max(mags, widths, back, abs_max[rows])
         np.max(base_max[rows], axis=0, out=base_cols[b])
-        np.max(abs_max[rows], axis=0, out=abs_cols[b])
     return _LevelTables(
         density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
         lev=we2_s[starts], n_zero=int(np.searchsorted(we2_s, 0.0, side="right")),
-        vx=vx, gx=gx, base_max=base_max, abs_max=abs_max,
-        base_cols=base_cols, abs_cols=abs_cols)
+        vx=vx, gx=gx, base_max=base_max, base_cols=base_cols)
 
 
 def _table_max(table, cols, a, combine, buf):
@@ -329,8 +320,7 @@ def _table_max(table, cols, a, combine, buf):
 def _row_base(spec, t, r, errors):
     """base at the x row r of the tables t over the error points `errors`, in a fresh row."""
     base = np.empty(errors.shape[0])
-    _row_terms(component_rhs(spec), t.xg[r].tolist(), t.gx[r].tolist(), errors.T,
-               base, np.empty_like(base))
+    _row_terms(component_rhs(spec), t.xg[r].tolist(), t.gx[r].tolist(), errors.T, base)
     return base
 
 
@@ -372,7 +362,7 @@ def _verify_tables(spec, t, family):
     """The report of every set of the family, from the level tables.
 
     A set's maximum of s = base + eps*V - gamma^2*W^2 over the grid is the
-    maximum over the tables of base_max + eps*V - gamma^2*lev, bit for
+    maximum over the table of base_max + eps*V - gamma^2*lev, bit for
     bit: the maximum commutes with each set's monotone map.  The worst
     (x, e) is recovered from the one maximizing row, recomputed over every
     error point; ties go to the first point in grid order over x, then e.
@@ -387,13 +377,9 @@ def _verify_tables(spec, t, family):
                              lambda m: np.subtract(m, g2lev, out=m), buf)
         base = _row_base(spec, t, r, t.eg_s)
         worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
-        scale = _table_max(t.abs_max, t.abs_cols, abs(ps.epsilon) * t.vx,
-                           lambda m: np.add(m, g2lev, out=m), buf)[0]
         reports.append(VerificationReport(
-            certified=bool(best <= 0.0), max_violation=float(best),
-            worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
-            grid_density=t.density, n_points=t.xg.shape[0] * t.eg.shape[0],
-            scale=max(float(scale), 1.0)))
+            max_violation=float(best), worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
+            grid_density=t.density, n_points=t.xg.shape[0] * t.eg.shape[0]))
     return reports
 
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from dynstc import cli
 from dynstc.engine import StcConfig, t_max_cap, t_min_of
 from dynstc.sim import IntegrationBlowupError, simulate_periodic, write_trajectory_csv
-from dynstc.synthesis import read_manifest, verify_family
+from dynstc.synthesis import _level_tables, _ratios, read_manifest, verify_family
 from dynstc.systems import linear_test
 
 
@@ -210,7 +211,8 @@ def test_verify_prints_worst_grid_point(tmp_path, capsys):
     assert lines[-1] == "all 3 sets re-verified at density 32"
     reports = verify_family(linear_test(), family, 2 * density)
     for i, rep in enumerate(reports):
-        assert lines[1 + i].split()[5:] == [f"({rep.worst_x[0]:.6g})",
+        assert lines[1 + i].split()[4:] == ["yes" if rep.certified else "NO",
+                                            f"({rep.worst_x[0]:.6g})",
                                             f"({rep.worst_e[0]:.6g})"]
 
 
@@ -218,11 +220,18 @@ def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
-    doc = json.loads((out / "family.json").read_text())
-    doc["sets"][0]["gamma"] *= 0.5
-    (out / "family.json").write_text(json.dumps(doc))
-    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
-    assert "failed re-verification" in capsys.readouterr().err
+    halved = json.loads((out / "family.json").read_text())
+    halved["sets"][0]["gamma"] *= 0.5
+    # gamma^2 just below the grid ratio at the check density 32: the grid
+    # maximum is about +4e-9, and a set fails however small its excess
+    ratio = _ratios(linear_test(), _level_tables(linear_test(), 32), [0.5])[0]
+    near = {"fallback_index": 0, "sets": [{"epsilon": 0.5, "L": 0.05, "grid_density": 16,
+                                           "gamma": math.sqrt((1.0 - 1e-9) * ratio)}]}
+    for doc in (halved, near):
+        (out / "family.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert "failed re-verification" in capsys.readouterr().err
 
 
 def test_verify_without_manifest(tmp_path):
@@ -356,6 +365,10 @@ def test_invalid_configs_exit_2(tmp_path, mangle):
     ("system", "dimension", 1.5),
     ("system", "dimension", True),
     ("system", "dimension", "1"),
+    # a number is finite: json reads NaN and Infinity
+    ("stc", "eps_ref", math.inf),
+    ("stc", "eps_ref", math.nan),
+    ("system", "c", math.inf),
 ])
 def test_mistyped_config_values_exit_2(tmp_path, capsys, block, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -385,6 +398,24 @@ def test_int_beyond_float_range_is_config_error(tmp_path, capsys, block, key, va
     err = capsys.readouterr().err
     assert "config error" in err and f"'{block}.{key}" in err
     assert "out of the range of a float" in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+@pytest.mark.parametrize("block, key, value", [
+    ("stc", "eps_ref", math.inf),
+    ("system", "c", math.inf),
+    ("synthesis", "l_const", math.nan),
+], ids=["eps_ref", "c", "l_const"])
+def test_non_finite_number_names_its_key(tmp_path, capsys, command, block, key, value):
+    # an infinite eps_ref used to make every decision the fall-back, with exit 0
+    cfg_path = tmp_path / "cfg.json"
+    _write_config(cfg_path)
+    doc = json.loads(cfg_path.read_text())
+    doc[block][key] = value
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: '{block}.{key}' must be finite" in capsys.readouterr().err
 
 
 def test_config_table_fills_every_default():
@@ -474,8 +505,9 @@ def test_two_initial_states_get_distinct_files(tmp_path):
     assert [r["x0"] for r in summary["runs"]] == [[0.5], [-0.25]]
 
 
-# SHA-256 of every artifact and of the stdout of `run` then `compare`.  A
-# change that moves these bytes on purpose updates the digests and says why.
+# SHA-256 of every artifact and of the stdout of `synthesize`, `run`,
+# `compare` and `verify`, in that order.  A change that moves these bytes on
+# purpose updates the digests and says why.
 _PINNED_DIGESTS = {
     # _write_config with dt_flow = 0.002: about 700 RK4 nodes per hold
     # interval, so the flow records keep every 10th or 11th node
@@ -500,8 +532,11 @@ _PINNED_DIGESTS = {
         "run0_static_trajectory.csv":
             "e8bf77d050dd7f6e488807decd105bd484e34227ed585c7271716f0fa937c0c4",
         "summary.json": "1d3eed8a626a0fe1dbb73081285eb5392142a1356e6c4cf432a325aa2bee9927",
+        "stdout synthesize":
+            "0aed9603cd86dc80d749ea0939cf08b7096ee3c4712ae1f77c6c0320e64cd361",
         "stdout run": "94192daa7830242eaa5c1347fe7d423530cf6a5cc7f61abadbabf5de64197f0a",
         "stdout compare": "d14aac30daa71ebebad3c5d982620267d041972df2f5c667222ddf5eda440a64",
+        "stdout verify": "05c59a72f8b993a2db523f11a08cb030cab737da9c349cef9378fe6a8791a9c5",
     },
     # van_der_pol at density 16 with a 5-set ladder, the README x0, 2 s
     "van_der_pol_small": {
@@ -525,8 +560,11 @@ _PINNED_DIGESTS = {
         "run0_static_trajectory.csv":
             "1536c5a1b282cde18b164f9be0984e67c29cde117df57722d5158c94bcd321e6",
         "summary.json": "b63b327d2c943530e1d82d2aca2a7581f84307d855b39d14971dbd1b757843ac",
+        "stdout synthesize":
+            "6644574efb87086d0650f2a9c551c6fbc4104a6aadd3a66fca6d5c427bceac74",
         "stdout run": "9b5b0d3e25805033a490f568fbd6d8932b01a636fc98dc1c6602bca0a2298812",
         "stdout compare": "b93c0dea6ec02f259c17a02728082f5d2a9c3f7d698652e3a716c8363d6b3714",
+        "stdout verify": "0661ca1e7da92589192049c707af3952c387161ddfa2755808247daebd99cadf",
     },
 }
 
@@ -543,15 +581,22 @@ _DIGEST_CONFIGS = {
 }
 
 
+# the exit code of `verify`: density 16 is too coarse a sample for
+# van_der_pol, and every set of that family fails the check at 32
+_VERIFY_EXIT = {"linear_strided": 0, "van_der_pol_small": 3}
+
+
 @pytest.mark.parametrize("name", sorted(_DIGEST_CONFIGS))
 def test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name):
     cfg = _write_config(tmp_path / "cfg.json", **_DIGEST_CONFIGS[name])
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-    run_text = capsys.readouterr().out
-    assert cli.main(["compare", "--out", str(out)]) == 0
-    compare_text = capsys.readouterr().out
+    stdout = {}
+    for command, code in (("synthesize", 0), ("run", 0), ("compare", 0),
+                          ("verify", _VERIFY_EXIT[name])):
+        config = [] if command == "compare" else ["--config", cfg]
+        assert cli.main([command, *config, "--out", str(out)]) == code
+        stdout[command] = capsys.readouterr().out
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    digests["stdout run"] = hashlib.sha256(run_text.encode()).hexdigest()
-    digests["stdout compare"] = hashlib.sha256(compare_text.encode()).hexdigest()
+    for command, text in stdout.items():
+        digests[f"stdout {command}"] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == _PINNED_DIGESTS[name]

@@ -161,7 +161,8 @@ def test_stc_config_validation():
     fam = _family(FB)
     StcConfig(family=fam, c=10.0)
     for kwargs in ({"delta": 1.0}, {"delta": 0.0}, {"eps_ref": 0.0},
-                   {"m": 0}, {"c": 0.0}, {"eta_init": "junk"}):
+                   {"m": 0}, {"c": 0.0}, {"eta_init": "junk"},
+                   {"eps_ref": math.inf}, {"c": math.inf}):
         with pytest.raises(ValueError):
             StcConfig(family=fam, c=kwargs.pop("c", 10.0), **kwargs)
 

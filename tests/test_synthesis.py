@@ -51,7 +51,6 @@ def _ref_sweep(spec, params, grid_density):
 
     max_s = np.full(n_sets, -np.inf)
     worst = [(None, None)] * n_sets
-    scale = np.zeros(n_sets)
     e_b = eg[None, :, :]
     for lo in range(0, xg.shape[0], _CHUNK):
         sl = slice(lo, min(lo + _CHUNK, xg.shape[0]))
@@ -60,7 +59,6 @@ def _ref_sweep(spec, params, grid_density):
         gvf = np.einsum("bi,bei->be", gx[sl], f)
         h2 = np.einsum("bei,bei->be", f, f)
         base = gvf + h2
-        absbase = np.abs(gvf) + h2
         if not np.all(np.isfinite(base)):
             raise ValueError("non-finite certificate evaluation on the grid")
         for k, (eps, gam) in enumerate(params):
@@ -70,10 +68,8 @@ def _ref_sweep(spec, params, grid_density):
                 max_s[k] = s.flat[flat]
                 bi, ei = divmod(flat, eg.shape[0])
                 worst[k] = (tuple(xg[sl][bi]), tuple(eg[ei]))
-            mag = absbase + abs(eps) * vx[sl][:, None] + (gam * gam) * we2[None, :]
-            scale[k] = max(scale[k], float(np.max(mag)))
     n_points = xg.shape[0] * eg.shape[0]
-    return max_s, worst, np.maximum(scale, 1.0), n_points
+    return max_s, worst, n_points
 
 
 def _ref_synth_ratios(spec, epsilons, grid_density):
@@ -124,8 +120,9 @@ def test_record_fields():
     assert [f.name for f in fields(ParameterSet)] == \
         ["epsilon", "gamma", "l_const"]
     assert [f.name for f in fields(VerificationReport)] == \
-        ["certified", "max_violation", "worst_x", "worst_e", "grid_density",
-         "n_points", "scale"]
+        ["max_violation", "worst_x", "worst_e", "grid_density", "n_points"]
+    # certified is read from max_violation, so the two cannot disagree
+    assert isinstance(VerificationReport.certified, property)
 
 
 def test_parameter_set_validation():
@@ -320,7 +317,7 @@ def test_drift_without_rhs_gives_same_tables(system, density):
     assert not hasattr(plain.f, "rhs")
     assert _grids(spec, density)[0].shape[0] > 4 * _BLOCK
     t, u = _level_tables(spec, density), _level_tables(plain, density)
-    for name in ("base_max", "abs_max", "base_cols", "abs_cols"):
+    for name in ("base_max", "base_cols"):
         assert _bits(getattr(t, name)) == _bits(getattr(u, name))
 
 
@@ -355,11 +352,10 @@ def test_level_pass_matches_point_sweep(system, density, config):
     # halved gammas fail, which moves the worst points off the W = 0 level
     sets = fam.sets + tuple(replace(ps, gamma=ps.gamma / 2.0) for ps in fam.sets)
     reports = verify_family(spec, ParameterFamily(sets=sets), density)
-    max_s, worst, scale, n_points = _ref_sweep(
+    max_s, worst, n_points = _ref_sweep(
         spec, [(ps.epsilon, ps.gamma) for ps in sets], density)
     for k, rep in enumerate(reports):
         assert _bits(rep.max_violation) == _bits(max_s[k])
-        assert _bits(rep.scale) == _bits(scale[k])
         assert _bits(rep.worst_x) == _bits(worst[k][0])
         assert _bits(rep.worst_e) == _bits(worst[k][1])
         assert rep.n_points == n_points
@@ -407,8 +403,8 @@ def test_vdp_synthesis_and_refined_reverify():
     fam = build_family(spec, [0.01], l_const=0.05, grid_density=48)
     assert verify_family(spec, fam, grid_density=48)[0].certified
     rep = verify_family(spec, fam, grid_density=96)[0]
-    # soundness at grid scale: a 2x-finer grid stays within tolerance
-    assert rep.max_violation <= 1e-6 * rep.scale
+    # soundness at grid scale: the set holds on a 2x-finer grid too
+    assert rep.certified
 
 
 def test_family_verify_matches_single(tmp_path):
@@ -428,7 +424,7 @@ def test_corrupted_gamma_rejected():
     bad = ParameterSet(epsilon=good.epsilon, gamma=good.gamma / 2.0,
                        l_const=good.l_const)
     rep = _verify_one(spec, bad, grid_density=32)
-    assert not rep.certified or rep.max_violation > 1e-6 * rep.scale
+    assert not rep.certified
 
 
 def test_manifest_round_trip(tmp_path):
