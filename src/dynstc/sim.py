@@ -17,7 +17,11 @@ Every run can be checked against the inequalities that back the design:
   (window bound or fall-back decrease), their combination with
   rate min{eps_1, eps_ref}, a running cap, and a windowed geometric
   envelope;
-* region invariance: V <= c (plus tolerance) at every flow node.
+* region invariance: V <= c (plus tolerance) at every flow node, the
+  loop's escape rule.
+
+One bound rule makes every other record, each flow-bound record a check:
+value <= bound + tol*(1 + |bound|), with slack min(bound - value).
 
 Integration is fixed-step RK4 with the last step shortened to land
 exactly on the next sample; sampling instants are known in advance, so
@@ -54,7 +58,7 @@ from .engine import (
     t_min_of,
 )
 from .systems import component_rhs
-from .timing import phi_solve, solve_lambda_for_horizon, t_max
+from .timing import phi_solve, solve_lambda_for_horizon
 
 __all__ = [
     "IntegrationBlowupError",
@@ -108,7 +112,6 @@ class MonitorRecord:
     j: int
     slack: float
     passed: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -317,30 +320,32 @@ def _region(seg: FlowRecords, c):
                          passed=bool(vmax <= lim))
 
 
+def _bound(monitor, j, value, bound):
+    """The one bound rule: value <= bound + MON_TOL*(1 + |bound|), slack min(bound - value).
+
+    value and bound are floats, or equal-length tuples of columns, each
+    value column checked against its bound column; the slack is the least
+    column minimum, compared in column order (a tie of zeros keeps the first's sign).
+    """
+    if not isinstance(value, tuple):
+        return MonitorRecord(monitor, j, float(bound - value),
+                             bool(value <= bound + MON_TOL * (1.0 + abs(bound))))
+    slack = min((b - v).min() for v, b in zip(value, bound))
+    passed = all(np.all(v <= b + MON_TOL * (1.0 + np.abs(b))) for v, b in zip(value, bound))
+    return MonitorRecord(monitor, j, float(slack), passed)
+
+
 def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
     """Check V <= U <= exp(rate*tau)*V(t_j+) on one segment's records.
 
     rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound,
     with eps_i, L_i of the decision's set and Lambda_i its rate cap.
-    When the issued interval is not below the horizon t_max (cannot
-    happen for trigger output, but callers may fabricate decisions) the
-    monitor reports itself inapplicable instead of failing.
+    Every segment is checked, both inequalities by the one bound rule.
     """
-    j = int(seg.j[0])
     ps = dec.params
-    if dec.h >= t_max(ps.gamma, dec.lambda_cap_used):
-        return MonitorRecord(monitor="flow-bound", j=j, slack=math.nan,
-                             passed=True, note="inapplicable: h >= t_max")
     rate = max(-ps.epsilon, 2.0 * (ps.l_const - dec.lambda_cap_used))
-    us, vs = seg.u, seg.v
     env = np.exp(rate * (seg.t - t_start)) * v_plus
-    slack_env = env - us
-    slack_vu = us - vs
-    ok = np.all(us <= env + MON_TOL * (1.0 + np.abs(env))) and \
-        np.all(vs <= us + MON_TOL * (1.0 + np.abs(us)))
-    return MonitorRecord(monitor="flow-bound", j=j,
-                         slack=float(min(slack_env.min(), slack_vu.min())),
-                         passed=bool(ok))
+    return _bound("flow-bound", int(seg.j[0]), (seg.u, seg.v), (env, seg.u))
 
 
 def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
@@ -366,23 +371,15 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
             bound = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
         else:
             bound = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
-        records.append(MonitorRecord(
-            monitor="sample-decrease", j=k + 1, slack=float(bound - v_next),
-            passed=bool(v_next <= bound + MON_TOL * (1.0 + bound))))
+        records.append(_bound("sample-decrease", k + 1, v_next, bound))
         eta_pre = traj.samples[k - 1].eta if k > 0 else eta0
         comb = math.exp(-eps_tilde * tmin) * max([dec.v_now] + list(eta_pre))
-        records.append(MonitorRecord(
-            monitor="combined-decrease", j=k + 1, slack=float(comb - v_next),
-            passed=bool(v_next <= comb + MON_TOL * (1.0 + comb))))
+        records.append(_bound("combined-decrease", k + 1, v_next, comb))
     for k, smp in enumerate(traj.samples):
-        records.append(MonitorRecord(
-            monitor="running-cap", j=smp.j, slack=float(m0 - smp.v),
-            passed=bool(smp.v <= m0 + MON_TOL * (1.0 + m0))))
+        records.append(_bound("running-cap", smp.j, smp.v, m0))
         depth = max(0, k - cfg.m) / cfg.m
         env = math.exp(-eps_tilde * tmin * depth) * m0
-        records.append(MonitorRecord(
-            monitor="window-envelope", j=smp.j, slack=float(env - smp.v),
-            passed=bool(smp.v <= env + MON_TOL * (1.0 + env))))
+        records.append(_bound("window-envelope", smp.j, smp.v, env))
     return records
 
 

@@ -150,7 +150,8 @@ class PhiSolution:
     (cosh(w*tau), sinh(w*tau)/w) for gamma < lambda_cap and (1, tau) at
     equality, w^2 = |lambda_cap^2 - gamma^2|.  ``evaluate`` (also
     available as call syntax) accepts scalars and arrays;
-    ``evaluate(0.0)`` returns the initial value ``1/lam`` exactly.
+    ``evaluate(0.0)`` returns ``1/lam`` exactly.  tau may lie outside
+    [0, horizon] by the solve's tolerance, ``HORIZON_REL_TOL * max(1, tau)``.
     """
 
     lam: float
@@ -160,7 +161,8 @@ class PhiSolution:
 
     def evaluate(self, tau):
         tau_arr = np.asarray(tau, dtype=float)
-        if np.any(tau_arr < -1e-12) or np.any(tau_arr > self.horizon * (1.0 + 1e-12)):
+        tol = HORIZON_REL_TOL * np.maximum(1.0, tau_arr)
+        if np.any(tau_arr < -tol) or np.any(tau_arr - self.horizon > tol):
             raise ValueError("tau outside [0, horizon]")
         tau_arr = np.clip(tau_arr, 0.0, self.horizon)
         gamma, cap = self.gamma, self.lambda_cap

@@ -493,6 +493,22 @@ def test_periodic_baseline_steps_at_dt_flow(tmp_path):
         (tmp_path / "direct.csv").read_bytes()
 
 
+def test_run_at_small_gain_ratio_certifies_every_interval(tmp_path):
+    # L = 300 makes q = gamma/lambda_cap about 0.0035; the comparison
+    # function used to reject tau = h of intervals its solve had certified,
+    # and the run exited 2 with "tau outside [0, horizon]"
+    cfg = _write_config(tmp_path / "cfg.json",
+                        stc={"delta": 0.999, "eps_ref": 0.01, "m": 5},
+                        synthesis={"epsilons": [0.5, -0.5, -2.0], "l_const": 300,
+                                   "grid_density": 32},
+                        run={"x0": [[0.9], [0.5], [-0.7]], "t_end": 0.5,
+                             "baselines": True})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    runs = json.loads((out / "summary.json").read_text())["runs"]
+    assert len(runs) == 9 and all(r["violations"] == 0 for r in runs)
+
+
 def test_two_initial_states_get_distinct_files(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json",
                         run={"x0": [[0.5], [-0.25]], "t_end": 6.0,

@@ -12,8 +12,10 @@ from dynstc.sim import (
     _rk4_segment,
     _write_rows,
     IntegrationBlowupError,
+    MON_TOL,
     MonitorRecord,
     RegionEscapeError,
+    _bound,
     monitor_flow_bound,
     simulate,
     simulate_periodic,
@@ -120,18 +122,113 @@ def test_monitor_suite_passes_on_linear():
     assert len(flow) == len(traj.samples) - 1
 
 
-def test_monitor_inapplicable_beyond_horizon():
+def test_flow_bound_checks_beyond_horizon():
+    # a fabricated decision with h >= t_max is checked like any other:
+    # rate = max(-0.5, 2*(0.5 - 1.0)) = -0.5
     dec = TriggerDecision(h=10.0, set_index=0,
                           params=ParameterSet(epsilon=0.5, gamma=2.0, l_const=0.5),
                           lambda_cap_used=1.0, v_now=1.0, c_val=1.0)
     assert dec.used_fallback and dec.bound_type == "fallback-decrease"
     assert 10.0 >= t_max(2.0, 1.0)
-    seg = FlowRecords(t=np.array([0.0]), j=np.array([1]), x=np.array([[1.0]]),
-                      v=np.array([1.0]), u=np.array([1.0]))
-    rec = monitor_flow_bound(seg, dec, v_plus=1.0, t_start=0.0)
-    assert rec.passed
-    assert "inapplicable" in rec.note
-    assert math.isnan(rec.slack)
+    t = np.array([0.0, 1.0, 2.0])
+    env = np.exp(-0.5 * t)
+
+    def record(u, v):
+        seg = FlowRecords(t=t, j=np.array([1, 1, 1]), x=np.zeros((3, 1)),
+                          v=np.array(v), u=np.array(u))
+        return monitor_flow_bound(seg, dec, v_plus=1.0, t_start=0.0)
+
+    rec = record([1.0, 0.9, 0.5], [1.0, 0.8, 0.4])  # U above exp(rate*tau)*V(t_j+)
+    assert not rec.passed
+    assert rec.slack == env[1] - 0.9 < 0.0
+    rec = record([1.0, 0.5, 0.3], [1.0, 0.5, 0.35])  # V above U
+    assert not rec.passed and rec.slack == 0.3 - 0.35
+    rec = record([1.0, 0.5, 0.3], [1.0, 0.4, 0.2])  # consistent
+    assert dataclasses.astuple(rec) == ("flow-bound", 1, 0.0, True)
+
+
+def _head_record(value, bound):
+    """A sample monitor's slack and verdict by the inline expression it used before _bound."""
+    return float(bound - value), bool(value <= bound + MON_TOL * (1.0 + bound))
+
+
+def _head_flow(seg, dec, v_plus, t_start):
+    """The flow bound's slack and verdict by its inline expressions before _bound."""
+    ps = dec.params
+    rate = max(-ps.epsilon, 2.0 * (ps.l_const - dec.lambda_cap_used))
+    us, vs = seg.u, seg.v
+    env = np.exp(rate * (seg.t - t_start)) * v_plus
+    slack_env = env - us
+    slack_vu = us - vs
+    ok = np.all(us <= env + MON_TOL * (1.0 + np.abs(env))) and \
+        np.all(vs <= us + MON_TOL * (1.0 + np.abs(us)))
+    return float(min(slack_env.min(), slack_vu.min())), bool(ok)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_bound_rule_matches_each_monitor_expression():
+    # the four sample monitors' bounds are exp(.)*V >= 0, where |bound| = bound
+    rng = np.random.default_rng(29)
+    bounds = [0.0, -0.0, 1.0] + list(rng.uniform(0.0, 10.0, 20)) + \
+        list(10.0 ** rng.uniform(-6.0, 3.0, 20))
+    for bound in map(float, bounds):
+        edge = bound + MON_TOL * (1.0 + bound)
+        values = [bound, edge, float(np.nextafter(edge, math.inf)),
+                  float(np.nextafter(edge, -math.inf)), 0.0,
+                  bound * rng.uniform(0.5, 1.5), bound + rng.normal(0.0, 1e-7)]
+        for value in values:
+            slack, passed = _head_record(value, bound)
+            for kind in ("sample-decrease", "combined-decrease", "running-cap",
+                         "window-envelope"):
+                rec = _bound(kind, 3, value, bound)
+                assert (rec.monitor, rec.j, rec.passed) == (kind, 3, passed)
+                assert _bits(rec.slack) == _bits(slack)
+                assert type(rec.slack) is float and type(rec.passed) is bool
+    assert _bound("running-cap", 1, edge, bound).passed
+    assert not _bound("running-cap", 1, float(np.nextafter(edge, math.inf)), bound).passed
+
+    # the flow bound on seeded segments of 1 to 65 records: U below, at,
+    # and one ulp either side of its edge env + MON_TOL*(1 + |env|); V tied
+    # with U and one ulp above U's edge; and each slack a signed zero in turn
+    dec = TriggerDecision(h=0.5, set_index=1,
+                          params=ParameterSet(epsilon=-1.0, gamma=2.0, l_const=0.5),
+                          lambda_cap_used=1.0, v_now=1.0, c_val=1.0)  # rate 1.0
+    seen = set()
+    for n in (1, 2, 7, 33, 64, 65):
+        t_start = rng.uniform(0.0, 5.0)
+        t = t_start + np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.5, n - 1))])
+        v_plus = rng.uniform(0.1, 3.0)
+        env = np.exp(t - t_start) * v_plus
+        edge = env + MON_TOL * (1.0 + np.abs(env))
+        below = rng.uniform(0.0, 1e-3, n)
+        v_over = env.copy()  # one V one ulp above the edge of U = env
+        k = rng.integers(n)
+        v_over[k] = np.nextafter(edge[k], math.inf)
+        cases = [  # (v_plus, U, V)
+            (v_plus, env - below, env - 2.0 * below),
+            (v_plus, env, env - below),
+            (v_plus, edge, env),
+            (v_plus, np.nextafter(edge, math.inf), env),
+            (v_plus, np.nextafter(edge, -math.inf), env),
+            (v_plus, env, env.copy()),
+            (v_plus, env, v_over),
+            (-0.0, np.zeros(n), np.zeros(n)),   # slack_env -0.0, then slack_vu +0.0
+            (0.0, -np.zeros(n), np.zeros(n)),   # slack_env +0.0, then slack_vu -0.0
+            (v_plus, -np.zeros(n), np.zeros(n)),
+        ]
+        for vp, u, v in cases:
+            seg = FlowRecords(t=t, j=np.full(n, 4), x=np.zeros((n, 1)), v=v, u=u)
+            slack, passed = _head_flow(seg, dec, vp, t_start)
+            rec = monitor_flow_bound(seg, dec, vp, t_start)
+            assert (rec.monitor, rec.j, rec.passed) == ("flow-bound", 4, passed)
+            assert _bits(rec.slack) == _bits(slack)
+            assert type(rec.slack) is float and type(rec.passed) is bool
+            seen.add((passed, _bits(slack) if slack == 0.0 else slack < 0.0))
+    assert seen >= {(True, _bits(0.0)), (True, _bits(-0.0)), (True, True),
+                    (True, False), (False, True)}
 
 
 def test_baseline_dominance_counts():

@@ -208,4 +208,27 @@ def test_phi_rejects_tau_outside_horizon():
         sol.evaluate(sol.horizon * 1.01)
     with pytest.raises(ValueError):
         sol.evaluate(-0.1)
+    with pytest.raises(ValueError):  # 3.3e-10 beyond, above the 1e-10 tolerance
+        sol.evaluate(sol.horizon * (1.0 + 1e-9))
+
+
+def test_certified_horizon_is_evaluable():
+    # for q = gamma/lambda_cap in [1e-3, 1e-2) the solved lam often gives a
+    # horizon a little below h, within the solve's tolerance; evaluate used
+    # to reject tau = h there with "tau outside [0, horizon]"
+    rng = np.random.default_rng(17)
+    solved = 0
+    for _ in range(60):
+        cap = 10.0 ** rng.uniform(-1.0, 3.0)
+        gamma = rng.uniform(1e-3, 1e-2) * cap
+        for frac in (0.9, 0.99, 0.999):
+            h = frac * t_max(gamma, cap)
+            try:
+                lam = solve_lambda_for_horizon(h, gamma, cap)
+            except HorizonError:
+                continue
+            solved += 1
+            phi = phi_solve(lam, gamma, cap).evaluate([0.0, h])
+            assert phi[0] == 1.0 / lam and np.all(np.isfinite(phi))
+    assert solved >= 150
 
