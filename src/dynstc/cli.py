@@ -374,9 +374,14 @@ def _build_parser():
         prog="dynstc",
         description="dynamic self-triggered control: synthesis, simulation, checks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("synthesize", cmd_synthesize), ("run", cmd_run),
-                     ("compare", cmd_compare), ("verify", cmd_verify)):
-        p = sub.add_parser(name)
+    for name, fn, text in (
+            ("synthesize", cmd_synthesize,
+             "synthesize a parameter family; it is certified only on its synthesis "
+             "grid, and `dynstc verify` re-checks it at twice that density"),
+            ("run", cmd_run, "simulate every initial state under each mechanism"),
+            ("compare", cmd_compare, "report the run in --out: dynamic vs static vs periodic"),
+            ("verify", cmd_verify, "re-check the manifest on a grid of twice its density")):
+        p = sub.add_parser(name, help=text, description=text)
         if name != "compare":
             p.add_argument("--config", required=True, help="experiment JSON")
         p.add_argument("--out", default="out", help="artifact directory")

@@ -1,7 +1,9 @@
 import csv
+import errno
 import hashlib
 import json
 import math
+import mmap
 from pathlib import Path
 
 import pytest
@@ -476,6 +478,29 @@ def test_grid_too_large_to_allocate_exits_5(tmp_path, capsys, command):
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and len(err.splitlines()) == 1
+
+
+def test_synthesize_help_names_the_re_check(capsys):
+    # synthesize exits 0 on a family certified only on its own grid
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synthesize", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "certified only on its synthesis grid" in text and "dynstc verify" in text
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run"])
+def test_level_table_too_large_to_map_exits_5(tmp_path, capsys, monkeypatch, command):
+    # the grid pass's shared table is an mmap, which reports ENOMEM as an OSError
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: cannot map a level table of ")
+    assert len(err.splitlines()) == 1
 
 
 def test_periodic_baseline_steps_at_dt_flow(tmp_path):

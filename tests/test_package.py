@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,14 @@ def test_tracer_wrappers_install_and_restore():
     for name, mod in mods.items():
         assert vars(mod).keys() == before[name].keys()
         assert all(vars(mod)[attr] is value for attr, value in before[name].items())
+
+
+def test_cli_import_loads_no_process_pool():
+    # every command pays its imports at start-up; the grid pass forks with os
+    # alone and loads mmap (and signal, to kill a child) only when it runs
+    code = ("import sys, dynstc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('multiprocessing', 'concurrent', 'mmap', 'signal')))")
+    src = str(Path(dynstc.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -1,7 +1,11 @@
 """Tests for grid verification and parameter-set synthesis."""
 
+import errno
 import json
 import math
+import mmap
+import os
+import signal
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +27,7 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
+from dynstc import synthesis
 from dynstc.synthesis import (
     _BLOCK,
     _bound_buffer,
@@ -104,6 +109,14 @@ def _ref_synth_ratios(spec, epsilons, grid_density):
             ratio = num[:, pos] / we2[None, pos]
             best[k] = max(best[k], float(np.max(ratio)))
     return best
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    # a grid pass may fork; every child it made is reaped by the time it returns
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _bits(values):
@@ -249,7 +262,9 @@ def test_w_zero_offender_is_the_grid_maximum():
                               f"at a W=0 grid point x={point[0]}, e={point[1]}")
 
 
-def test_build_family_makes_one_f_pass():
+def test_build_family_makes_one_f_pass(monkeypatch):
+    # f is counted in this process only, so the pass must not fork
+    monkeypatch.setattr(synthesis, "_cpus", lambda: 1)
     spec = van_der_pol()
     points = []
 
@@ -319,6 +334,133 @@ def test_drift_without_rhs_gives_same_tables(system, density):
     t, u = _level_tables(spec, density), _level_tables(plain, density)
     for name in ("base_max", "base_cols"):
         assert _bits(getattr(t, name)) == _bits(getattr(u, name))
+
+
+def _forced_tables(monkeypatch, spec, density, k):
+    """The level tables with k CPUs, and the number of children forked for them."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_cpus", lambda: k)
+        m.setattr(os, "fork", fork)
+        return _level_tables(spec, density), len(forks)
+
+
+@pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 200),
+                                             ("linear_test", 24), ("linear_test", 16)])
+def test_parallel_pass_keeps_its_bits(monkeypatch, system, density):
+    # linear_test at 24 has 2 x row blocks and at 16 one, fewer than 3 CPUs
+    spec = spec_from_config({"name": system})
+    n_blocks = -(-_grids(spec, density)[0].shape[0] // _BLOCK)
+    serial, forks = _forced_tables(monkeypatch, spec, density, 1)
+    assert forks == 0
+    for k in (2, 3):
+        t, forks = _forced_tables(monkeypatch, spec, density, k)
+        assert forks == min(k, n_blocks) - 1
+        for name in ("base_max", "base_cols"):
+            assert _bits(getattr(t, name)) == _bits(getattr(serial, name))
+            assert np.array_equal(np.signbit(getattr(t, name)),
+                                  np.signbit(getattr(serial, name)))
+
+
+class _Boom(Exception):
+    pass
+
+
+def _failing_spec(spec, bad_rows, failure):
+    """spec whose f, at the x rows bad_rows, gives NaN or raises the given exception type."""
+    bad = {tuple(x) for x in bad_rows}
+
+    def f(x, e):
+        row = tuple(np.reshape(x, (-1, spec.n_x))[0])
+        if row in bad:
+            if failure == "nan":
+                return np.full(np.broadcast_shapes(np.shape(x), np.shape(e)), np.nan)
+            raise failure(f"f fails at x={row}")
+        return spec.f(x, e)
+
+    return replace(spec, f=f)
+
+
+def _raised(monkeypatch, spec, density, k):
+    with monkeypatch.context() as m, pytest.raises(Exception) as exc:
+        m.setattr(synthesis, "_cpus", lambda: k)
+        _level_tables(spec, density)
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("failure", ["nan", _Boom])
+@pytest.mark.parametrize("where", ["last block", "two ranges"])
+def test_parallel_pass_raises_as_serial(monkeypatch, failure, where):
+    # 26 blocks split 8/9/9 over 3 CPUs: the last block is a child's, and
+    # "two ranges" fails in both children's ranges, with different rows
+    spec = van_der_pol()
+    xg = _grids(spec, 24)[0]
+    n_blocks = -(-xg.shape[0] // _BLOCK)
+    last = xg[(n_blocks - 1) * _BLOCK:]
+    bad = last if where == "last block" else np.vstack([xg[12 * _BLOCK + 5:][:3], last[-2:]])
+    bad_spec = _failing_spec(spec, bad, failure)
+    serial = _raised(monkeypatch, bad_spec, 24, 1)
+    assert serial[0] is (ValueError if failure == "nan" else _Boom)
+    if failure is _Boom:
+        assert serial[1] == f"f fails at x={tuple(bad[0])}"
+    assert _raised(monkeypatch, bad_spec, 24, 3) == serial
+
+
+def test_interrupt_in_parent_range_reaps_children(monkeypatch):
+    # the children are busy with their ranges when the parent's first row raises
+    spec = van_der_pol()
+    bad_spec = _failing_spec(spec, _grids(spec, 24)[0][:1], KeyboardInterrupt)
+    monkeypatch.setattr(synthesis, "_cpus", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        _level_tables(bad_spec, 24)
+
+
+@pytest.mark.parametrize("fails", ["every fork", "second fork", "child killed"])
+def test_parent_refills_ranges_it_could_not_hand_off(monkeypatch, fails):
+    spec = van_der_pol()
+    serial = _level_tables(spec, 24)
+    parent, real_fork, calls = os.getpid(), os.fork, []
+
+    def fork():
+        calls.append(1)
+        if fails == "every fork" or fails == "second fork" and len(calls) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    def f(x, e):
+        # a child dies by a signal on its first row, with no exception to report
+        if fails == "child killed" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return spec.f(x, e)
+
+    monkeypatch.setattr(synthesis, "_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", fork)
+    t = _level_tables(replace(spec, f=f), 24)
+    assert len(calls) == 2
+    for name in ("base_max", "base_cols"):
+        assert _bits(getattr(t, name)) == _bits(getattr(serial, name))
+
+
+def test_table_allocation_failure_is_memory_error(monkeypatch):
+    # mmap reports ENOMEM as an OSError; other errors pass through as they are
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    def no_device(*args):
+        raise OSError(errno.ENODEV, "No such device")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    with pytest.raises(MemoryError, match=r"^cannot map a level table of \d+ bytes$"):
+        _level_tables(linear_test(), 16)
+    monkeypatch.setattr(mmap, "mmap", no_device)
+    with pytest.raises(OSError) as exc:
+        _level_tables(linear_test(), 16)
+    assert exc.value.errno == errno.ENODEV
 
 
 _LADDERS = {
