@@ -19,8 +19,16 @@ also take --config.  Artifacts land there: the parameter-family
 manifest, per-run CSVs (trajectory, decisions, monitors), a summary.json,
 and on `compare` a plain-text report plus a gnuplot script.  Nothing is
 random, so outputs are byte deterministic for a fixed config.  `run`
-simulates every initial state and mechanism in turn before it writes any
-run file, so a numerical failure leaves no partial run artifacts.
+makes one job per initial state and mechanism, run{k}_{mechanism} in
+that order, and splits the jobs into contiguous ranges over every CPU
+with the fork helper of the grid pass (:mod:`dynstc.parallel`).  Each
+job streams its CSVs to temporary names in --out and puts its summary
+numbers in a row of a shared table.  Only once every job has succeeded
+are the CSVs renamed into place, in job order, and summary.json and
+stdout written; on every other way out, an interrupt included, the
+temporary files are removed.  So a numerical failure leaves no partial
+run artifacts, older files in --out keep their bytes, and the error is
+the one a serial loop over the jobs raises.
 
 Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
 3 synthesis or verification failure, 4 monitor violation, 5 numerical failure
@@ -32,9 +40,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .engine import (
     RegionEscapeError,
@@ -42,6 +53,7 @@ from .engine import (
     t_max_cap,
     t_min_of,
 )
+from .parallel import _fill_in_parallel, _shared_table
 from .sim import (
     IntegrationBlowupError,
     simulate,
@@ -224,11 +236,18 @@ def _simulate(mech, x0, cfg, spec, t_end, dt_flow):
     return simulate_periodic(x0, spec, t_min_of(cfg), t_end, dt_flow)
 
 
-def _interval_stats(traj):
+def _job_stats(traj, t_end):
+    """One job's summary numbers, each exact in a double.
+
+    n_samples, n_first_5s, n_total, the interval min, mean and max,
+    violations and fallback_decisions, in that order: a row of the table
+    that the jobs of `run` fill.
+    """
     gaps = traj.intervals()
-    if not gaps:
-        return {"min": 0.0, "mean": 0.0, "max": 0.0}
-    return {"min": min(gaps), "mean": math.fsum(gaps) / len(gaps), "max": max(gaps)}
+    interval = (min(gaps), math.fsum(gaps) / len(gaps), max(gaps)) if gaps else (0.0,) * 3
+    return (len(traj.samples), traj.n_samples_before(min(5.0, t_end)),
+            traj.n_samples_before(t_end), *interval, len(traj.violations()),
+            sum(d.used_fallback for d in traj.decisions))
 
 
 def cmd_run(args) -> int:
@@ -237,27 +256,55 @@ def cmd_run(args) -> int:
     cfg = _stc_config(doc, spec, out, reuse=True)
     starts, t_end, dt_flow, baselines = _run_params(doc, spec, cfg)
     mechanisms = ["dynamic"] + (["static", "periodic"] if baselines else [])
-    runs = [(f"run{idx}_{mech}", x0, mech, _simulate(mech, x0, cfg, spec, t_end, dt_flow))
-            for idx, x0 in enumerate(starts) for mech in mechanisms]
+    jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(starts)
+            for mech in mechanisms]
+    # each job's trajectory, monitors and decisions CSVs go to temporary
+    # names, renamed into place once every job has succeeded
+    suffix = f".{os.getpid()}.tmp"
+    files = [[out / f"{stem}_{part}.csv" for part in ("trajectory", "monitors", "decisions")]
+             for stem, _, _ in jobs]
+    temps = [[path.with_name(path.name + suffix) for path in paths] for paths in files]
+    # one job forks nothing, so its row need not be shared (and no mmap loads)
+    stats = (_shared_table(len(jobs), 8, "run summary table") if len(jobs) > 1
+             else np.zeros((1, 8)))
+
+    def run_job(i):
+        _, x0, mech = jobs[i]
+        traj = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
+        trajectory, monitors, decisions = temps[i]
+        write_trajectory_csv(trajectory, traj)
+        write_monitors_csv(monitors, traj)
+        if traj.decisions:  # a periodic run makes none
+            write_decisions_csv(decisions, traj)
+        stats[i] = _job_stats(traj, t_end)
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            run_job(i)  # the trajectory is dropped when the job returns
+
+    try:
+        _fill_in_parallel(fill, len(jobs))
+        for paths, temp_paths in zip(files, temps):
+            for path, temp in zip(paths, temp_paths):
+                if temp.exists():
+                    temp.replace(path)
+    finally:  # on every way out, a failure or an interrupt included
+        for temp_paths in temps:
+            for temp in temp_paths:
+                temp.unlink(missing_ok=True)
     summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
                "t_end": t_end, "runs": []}
-    violations = 0
-    for stem, x0, mech, traj in runs:
-        write_trajectory_csv(out / f"{stem}_trajectory.csv", traj)
-        write_monitors_csv(out / f"{stem}_monitors.csv", traj)
-        if traj.decisions:
-            write_decisions_csv(out / f"{stem}_decisions.csv", traj)
-        n_viol = len(traj.violations())
-        violations += n_viol
+    for (_, x0, mech), row in zip(jobs, stats.tolist()):
+        n_samples, n_first_5s, n_total, lo, mean, hi, n_viol, n_fallback = row
         summary["runs"].append({
             "x0": x0,
             "mechanism": mech,
-            "n_samples": len(traj.samples),
-            "n_first_5s": traj.n_samples_before(min(5.0, t_end)),
-            "n_total": traj.n_samples_before(t_end),
-            "intervals": _interval_stats(traj),
-            "violations": n_viol,
-            "fallback_decisions": sum(d.used_fallback for d in traj.decisions),
+            "n_samples": int(n_samples),
+            "n_first_5s": int(n_first_5s),
+            "n_total": int(n_total),
+            "intervals": {"min": lo, "mean": mean, "max": hi},
+            "violations": int(n_viol),
+            "fallback_decisions": int(n_fallback),
         })
     with open(out / SUMMARY_NAME, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -267,6 +314,7 @@ def cmd_run(args) -> int:
               f"(first 5 s: {run['n_first_5s']}), intervals "
               f"[{run['intervals']['min']:.6g}, {run['intervals']['max']:.6g}], "
               f"violations={run['violations']}")
+    violations = sum(run["violations"] for run in summary["runs"])
     if violations:
         print(f"monitor violations: {violations}", file=sys.stderr)
         return 4
@@ -305,13 +353,17 @@ def cmd_verify(args) -> int:
 def _compare_text(summary):
     lines = []
     runs = summary.get("runs", [])
-    by_x0 = {}
+    # one block per run position: a new block starts where x0 changes or a
+    # mechanism repeats, so two runs from the same x0 keep their two blocks
+    blocks = []
     for run in runs:
-        by_x0.setdefault(tuple(run["x0"]), {})[run["mechanism"]] = run
+        if not blocks or run["x0"] != blocks[-1][0] or run["mechanism"] in blocks[-1][1]:
+            blocks.append((run["x0"], {}))
+        blocks[-1][1][run["mechanism"]] = run
     lines.append(f"t_min = {summary.get('t_min', float('nan')):.6g}, "
                  f"t_max_cap = {summary.get('t_max_cap', float('nan')):.6g}, "
                  f"t_end = {summary.get('t_end', float('nan')):.6g}")
-    for x0, mechs in by_x0.items():
+    for x0, mechs in blocks:
         lines.append(f"x0 = {list(x0)}")
         lines.append(f"  {'mechanism':<10} {'samples':>8} {'first 5 s':>10} "
                      f"{'h min':>10} {'h mean':>10} {'h max':>10}")

