@@ -20,15 +20,19 @@ manifest, per-run CSVs (trajectory, decisions, monitors), a summary.json,
 and on `compare` a plain-text report plus a gnuplot script.  Nothing is
 random, so outputs are byte deterministic for a fixed config.  `run`
 makes one job per initial state and mechanism, run{k}_{mechanism} in
-that order, and splits the jobs into contiguous ranges over every CPU
-with the fork helper of the grid pass (:mod:`dynstc.parallel`).  Each
-job streams its CSVs to temporary names in --out and puts its summary
-numbers in a row of a shared table.  Only once every job has succeeded
-are the CSVs renamed into place, in job order, and summary.json and
-stdout written; on every other way out, an interrupt included, the
-temporary files are removed.  So a numerical failure leaves no partial
-run artifacts, older files in --out keep their bytes, and the error is
-the one a serial loop over the jobs raises.
+that order.  It simulates the jobs in turn in its own process, so a
+profiler that wraps `cli.simulate` there (perfbench/tracer.py) sees every
+simulation; meanwhile forked children write the CSVs of the jobs already
+simulated to temporary names in --out (`_fill_behind` of
+:mod:`dynstc.parallel`).  Once every job is simulated and written, the
+CSVs are renamed into place in job order, then summary.json and stdout
+are written.  A Python exception or an interrupt before the renames
+removes the temporary files, so a numerical failure leaves no partial run
+artifacts, older files in --out keep their bytes, and the error is the
+one a serial loop over the jobs raises.  A process killed by a signal
+cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in --out
+(its children stop before their next job), and an interrupt during the
+renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
 3 synthesis or verification failure, 4 monitor violation, 5 numerical failure
@@ -45,15 +49,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .engine import (
     RegionEscapeError,
     StcConfig,
     t_max_cap,
     t_min_of,
 )
-from .parallel import _fill_in_parallel, _shared_table
+from .parallel import _exit_if_orphaned, _fill_behind
 from .sim import (
     IntegrationBlowupError,
     simulate,
@@ -236,18 +238,11 @@ def _simulate(mech, x0, cfg, spec, t_end, dt_flow):
     return simulate_periodic(x0, spec, t_min_of(cfg), t_end, dt_flow)
 
 
-def _job_stats(traj, t_end):
-    """One job's summary numbers, each exact in a double.
-
-    n_samples, n_first_5s, n_total, the interval min, mean and max,
-    violations and fallback_decisions, in that order: a row of the table
-    that the jobs of `run` fill.
-    """
+def _interval_stats(traj):
     gaps = traj.intervals()
-    interval = (min(gaps), math.fsum(gaps) / len(gaps), max(gaps)) if gaps else (0.0,) * 3
-    return (len(traj.samples), traj.n_samples_before(min(5.0, t_end)),
-            traj.n_samples_before(t_end), *interval, len(traj.violations()),
-            sum(d.used_fallback for d in traj.decisions))
+    if not gaps:
+        return {"min": 0.0, "mean": 0.0, "max": 0.0}
+    return {"min": min(gaps), "mean": math.fsum(gaps) / len(gaps), "max": max(gaps)}
 
 
 def cmd_run(args) -> int:
@@ -258,53 +253,51 @@ def cmd_run(args) -> int:
     mechanisms = ["dynamic"] + (["static", "periodic"] if baselines else [])
     jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(starts)
             for mech in mechanisms]
-    # each job's trajectory, monitors and decisions CSVs go to temporary
-    # names, renamed into place once every job has succeeded
+    trajs = [None] * len(jobs)
+    # each job's CSVs go to temporary names, renamed into place once every
+    # job is simulated and written
     suffix = f".{os.getpid()}.tmp"
     files = [[out / f"{stem}_{part}.csv" for part in ("trajectory", "monitors", "decisions")]
              for stem, _, _ in jobs]
     temps = [[path.with_name(path.name + suffix) for path in paths] for paths in files]
-    # one job forks nothing, so its row need not be shared (and no mmap loads)
-    stats = (_shared_table(len(jobs), 8, "run summary table") if len(jobs) > 1
-             else np.zeros((1, 8)))
 
-    def run_job(i):
+    def simulate_job(i):
         _, x0, mech = jobs[i]
-        traj = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
-        trajectory, monitors, decisions = temps[i]
-        write_trajectory_csv(trajectory, traj)
-        write_monitors_csv(monitors, traj)
-        if traj.decisions:  # a periodic run makes none
-            write_decisions_csv(decisions, traj)
-        stats[i] = _job_stats(traj, t_end)
+        trajs[i] = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
 
-    def fill(lo, hi):
+    def write(lo, hi):
         for i in range(lo, hi):
-            run_job(i)  # the trajectory is dropped when the job returns
+            _exit_if_orphaned()
+            trajectory, monitors, decisions = temps[i]
+            write_trajectory_csv(trajectory, trajs[i])
+            write_monitors_csv(monitors, trajs[i])
+            if trajs[i].decisions:  # a periodic run makes none
+                write_decisions_csv(decisions, trajs[i])
 
     try:
-        _fill_in_parallel(fill, len(jobs))
-        for paths, temp_paths in zip(files, temps):
-            for path, temp in zip(paths, temp_paths):
-                if temp.exists():
-                    temp.replace(path)
-    finally:  # on every way out, a failure or an interrupt included
+        _fill_behind(simulate_job, write, len(jobs))
+        for traj, paths, temp_paths in zip(trajs, files, temps):
+            for path, temp in zip(paths, temp_paths[:3 if traj.decisions else 2]):
+                temp.replace(path)
+    finally:  # on every way out of this process but a signal that kills it
         for temp_paths in temps:
             for temp in temp_paths:
                 temp.unlink(missing_ok=True)
     summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
                "t_end": t_end, "runs": []}
-    for (_, x0, mech), row in zip(jobs, stats.tolist()):
-        n_samples, n_first_5s, n_total, lo, mean, hi, n_viol, n_fallback = row
+    violations = 0
+    for (_, x0, mech), traj in zip(jobs, trajs):
+        n_viol = len(traj.violations())
+        violations += n_viol
         summary["runs"].append({
             "x0": x0,
             "mechanism": mech,
-            "n_samples": int(n_samples),
-            "n_first_5s": int(n_first_5s),
-            "n_total": int(n_total),
-            "intervals": {"min": lo, "mean": mean, "max": hi},
-            "violations": int(n_viol),
-            "fallback_decisions": int(n_fallback),
+            "n_samples": len(traj.samples),
+            "n_first_5s": traj.n_samples_before(min(5.0, t_end)),
+            "n_total": traj.n_samples_before(t_end),
+            "intervals": _interval_stats(traj),
+            "violations": n_viol,
+            "fallback_decisions": sum(d.used_fallback for d in traj.decisions),
         })
     with open(out / SUMMARY_NAME, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -314,7 +307,6 @@ def cmd_run(args) -> int:
               f"(first 5 s: {run['n_first_5s']}), intervals "
               f"[{run['intervals']['min']:.6g}, {run['intervals']['max']:.6g}], "
               f"violations={run['violations']}")
-    violations = sum(run["violations"] for run in summary["runs"])
     if violations:
         print(f"monitor violations: {violations}", file=sys.stderr)
         return 4

@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import _fill_in_parallel, _shared_table
+from .parallel import _exit_if_orphaned, _fill_in_parallel, _shared_table
 from .systems import component_rhs
 
 __all__ = [
@@ -288,6 +288,7 @@ def _level_tables(spec, grid_density):
     def fill(lo, hi):
         base = np.empty((_BLOCK, len(cols)))
         for b in range(lo, hi):
+            _exit_if_orphaned()
             rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
             block = list(zip(xs[rows], gs[rows]))
             for k, (x, g) in enumerate(block):

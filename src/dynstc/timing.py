@@ -109,10 +109,10 @@ def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float) -> float
     With q = gamma/lambda_cap, r^2 = q^2 - 1 and T = tan(lambda_cap*r*h)/r
     (tanh for r^2 < 0, lambda_cap*h for q = 1), the condition is the
     quadratic (1 + T)*lam^2 + 2*q*T*lam + T - 1 = 0.  Its root in (0, 1)
-    is taken as (1 - T)/(q*T + sqrt(T^2*r^2 + 1)), which avoids the
-    quadratic formula's cancellation; for small q, where that form cancels
-    in 1 - T and in the discriminant and misses the horizon, it is taken
-    through exp(-2*lambda_cap*r*h) instead.  Raises ``HorizonError`` when
+    is (1 - T)/(q*T + sqrt(T^2*r^2 + 1)), which avoids the quadratic
+    formula's cancellation; for r^2 < 0 it is taken through
+    exp(-2*lambda_cap*r*h), since for small q that form still cancels in
+    1 - T and in the discriminant.  Raises ``HorizonError`` when
     ``h >= t_max(gamma, lambda_cap)`` (no solution) or when the root misses
     the horizon by more than ``HORIZON_REL_TOL``, and ``ValueError`` for a
     non-positive horizon.
@@ -129,30 +129,19 @@ def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float) -> float
     r2 = q * q - 1.0
     r = math.sqrt(abs(r2))
     y = lambda_cap * r * h
-    if r2 > 0.0:
-        tt = math.tan(y) / r
-    elif r2 < 0.0:
-        tt = math.tanh(y) / r
-    else:
-        tt = lambda_cap * h
-    tol = HORIZON_REL_TOL * max(1.0, h)
-
-    def misses(lam):
-        return not (0.0 < lam < 1.0) or abs(t_tilde_max(lam, gamma, lambda_cap) - h) > tol
-
-    lam = (1.0 - tt) / (q * tt + math.sqrt(tt * tt * r2 + 1.0))
-    missed = misses(lam)
-    if missed and r2 < 0.0:
-        # For small q, T = tanh(y)/r is near 1, and both 1 - T and the
+    if r2 < 0.0:
+        # T = tanh(y)/r nears 1 for small q, and both 1 - T and the
         # discriminant T^2*(q^2 - 1) + 1 = sech(y)^2 cancel.  With
         # e = exp(-2y), r*(1 - T) = 2e/(1 + e) - q^2/(1 + r) and
-        # sech(y) = 2*exp(-y)/(1 + e) have none.  A root the form above
-        # certifies keeps its bits.
+        # sech(y) = 2*exp(-y)/(1 + e) have none.
         e = math.exp(-2.0 * y)
         lam = ((2.0 * e / (1.0 + e) - q * q / (1.0 + r))
                / (q * math.tanh(y) + 2.0 * r * math.exp(-y) / (1.0 + e)))
-        missed = misses(lam)
-    if missed:
+    else:
+        tt = math.tan(y) / r if r2 > 0.0 else lambda_cap * h
+        lam = (1.0 - tt) / (q * tt + math.sqrt(tt * tt * r2 + 1.0))
+    tol = HORIZON_REL_TOL * max(1.0, h)
+    if not (0.0 < lam < 1.0) or abs(t_tilde_max(lam, gamma, lambda_cap) - h) > tol:
         raise HorizonError(
             f"no contraction ratio within {tol} of horizon {h} (got lam = {lam})")
     return lam

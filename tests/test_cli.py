@@ -7,6 +7,9 @@ import mmap
 import os
 import shutil
 import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -577,7 +580,8 @@ def _digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
 
 
-# 2 x0 x 3 mechanisms: 6 jobs, split 3/3 over 2 CPUs and 2/2/2 over 3
+# 2 x0 x 3 mechanisms: 6 jobs, simulated in the test process; at k > 1
+# forked children write the CSVs of the jobs simulated so far
 _FAILING_RUN = {"x0": [[0.5], [-0.25]], "t_end": 3.0, "baselines": True}
 
 
@@ -585,46 +589,57 @@ def _failing_run(monkeypatch, capsys, template, out, failure, k):
     """`dynstc run` at k CPUs in a copy of `template`, with `failure` injected.
 
     Returns the exit code (or the name of the exception that left main),
-    stdout and stderr.
+    stdout, stderr, and the number of CSVs that children began to write.
     """
     shutil.copytree(template, out)
     parent = os.getpid()
-    real_simulate, real_periodic = cli.simulate, cli.simulate_periodic
-    real_monitors = cli.write_monitors_csv
-
-    def simulate(*args, **kwargs):
-        if failure.startswith("child killed") and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real_simulate(*args, **kwargs)
+    real_periodic = cli.simulate_periodic
+    real_trajectory, real_monitors = cli.write_trajectory_csv, cli.write_monitors_csv
+    log = out.parent / f"{out.name}.children"
 
     def simulate_periodic(x0, *args, **kwargs):
-        if failure.endswith("blowup in the last job") and x0 == _FAILING_RUN["x0"][-1]:
-            raise IntegrationBlowupError("flow diverged in the last job")
+        if x0 == _FAILING_RUN["x0"][-1]:  # the last job
+            # at k > 1, a child has begun to write before the failure
+            deadline = time.monotonic() + 10
+            while k > 1 and not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            if failure.endswith("blowup in the last job"):
+                raise IntegrationBlowupError("flow diverged in the last job")
+            if failure == "interrupt in the last job":
+                raise KeyboardInterrupt
         return real_periodic(x0, *args, **kwargs)
 
+    def write_trajectory_csv(path, traj):
+        if os.getpid() != parent:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{path.name}\n")
+            if failure.startswith("child killed"):
+                os.kill(os.getpid(), signal.SIGKILL)
+        real_trajectory(path, traj)
+
     def write_monitors_csv(path, traj):
-        # after the job's trajectory CSV is written
-        if failure == "interrupt in the parent's first job" and os.getpid() == parent:
-            raise KeyboardInterrupt
+        if failure == "write error in the second job" and "run0_static" in path.name:
+            raise OSError(errno.ENOSPC, "No space left on device")
         real_monitors(path, traj)
 
     with monkeypatch.context() as m:
         m.setattr(parallel, "_cpus", lambda: k)
-        m.setattr(cli, "simulate", simulate)
         m.setattr(cli, "simulate_periodic", simulate_periodic)
+        m.setattr(cli, "write_trajectory_csv", write_trajectory_csv)
         m.setattr(cli, "write_monitors_csv", write_monitors_csv)
         capsys.readouterr()
         try:
             code = cli.main(["run", "--config", str(template / "cfg.json"), "--out", str(out)])
-        except KeyboardInterrupt:
-            code = "KeyboardInterrupt"
+        except (KeyboardInterrupt, OSError) as exc:
+            code = type(exc).__name__
     text = capsys.readouterr()
-    return code, text.out, text.err
+    children = len(log.read_text().splitlines()) if log.exists() else 0
+    return code, text.out, text.err, children
 
 
 @pytest.mark.parametrize("failure", [
-    "blowup in the last job", "interrupt in the parent's first job", "child killed",
-    "child killed, blowup in the last job"])
+    "blowup in the last job", "interrupt in the last job", "write error in the second job",
+    "child killed", "child killed, blowup in the last job"])
 def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
         tmp_path, monkeypatch, capsys, failure):
     # --out holds a manifest and an older run; a run that fails leaves every
@@ -640,8 +655,10 @@ def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
     results = {}
     for k in (1, 2, 3):
         out = tmp_path / f"out{k}"
-        results[k] = _failing_run(monkeypatch, capsys, template, out, failure, k)
-        results[k] += (_digests(out),)
+        *results[k], children = _failing_run(monkeypatch, capsys, template, out, failure, k)
+        results[k].append(_digests(out))
+        # children write at k > 1 only, before the failure of the last job too
+        assert (children > 0) == (k > 1)
     code, stdout, stderr, digests = results[1]
     assert results[2] == results[1] and results[3] == results[1]
     if failure == "child killed":  # no child at k = 1; at 2 and 3 the parent refills
@@ -651,11 +668,91 @@ def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
         assert digests["summary.json"] != before["summary.json"]
     else:
         assert digests == before
-        if failure == "interrupt in the parent's first job":
-            assert (code, stdout, stderr) == ("KeyboardInterrupt", "", "")
-        else:
+        if failure == "blowup in the last job" or failure.startswith("child killed"):
             assert (code, stdout) == (5, "")
             assert stderr == "numerical failure: flow diverged in the last job\n"
+        else:
+            raised = {"interrupt in the last job": "KeyboardInterrupt",
+                      "write error in the second job": "OSError"}[failure]
+            assert (code, stdout, stderr) == (raised, "", "")
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from dynstc import cli, parallel
+
+config, out, log = sys.argv[1:]
+parallel._cpus = lambda: 2
+real_simulate, real_write = cli.simulate, cli.write_trajectory_csv
+
+
+def simulate(*args, **kwargs):
+    time.sleep(0.2)
+    return real_simulate(*args, **kwargs)
+
+
+def write_trajectory_csv(path, traj):
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {time.time()!r}\\n")
+    time.sleep(0.5)
+    real_write(path, traj)
+
+
+cli.simulate, cli.write_trajectory_csv = simulate, write_trajectory_csv
+sys.exit(cli.main(["run", "--config", config, "--out", out]))
+"""
+
+
+def _gone(pid):
+    """True once `pid` has exited (a zombie left to a parent that does not reap counts)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_children_of_a_killed_run_stop_before_their_next_job(tmp_path):
+    # a SIGTERM kills `run` without cleanup; its writer children are
+    # re-parented and each stops before its next job instead of finishing
+    # its range
+    out = tmp_path / "out"
+    out.mkdir()
+    x0 = [[0.5], [-0.25], [0.75], [-0.5], [0.25], [-0.75]]
+    cfg = _write_config(out / "cfg.json", run={"x0": x0, "t_end": 2.0, "baselines": False})
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    log = tmp_path / "log"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT, cfg, str(out), str(log)],
+                            env=env)
+    try:
+        # simulating takes 0.2 s a job and writing 0.5 s: the first child
+        # writes job 0, the second jobs 1-3 once the first has exited
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            pids = [line.split()[0] for line in
+                    (log.read_text().splitlines() if log.exists() else [])]
+            if len(set(pids) - {str(proc.pid)}) == 2:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"no second writer child: {pids}")
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        killed = time.time()
+    finally:
+        proc.kill()
+        proc.wait()
+    children = {int(pid) for pid in pids} - {proc.pid}
+    deadline = time.monotonic() + 30
+    while not all(_gone(pid) for pid in children) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert all(_gone(pid) for pid in children)
+    # no child began a job after its parent had been killed
+    late = [line for line in log.read_text().splitlines()
+            if int(line.split()[0]) in children and float(line.split()[1]) > killed]
+    assert late == []
 
 
 # SHA-256 of every artifact and of the stdout of `synthesize`, `run`,

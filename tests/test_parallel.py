@@ -1,0 +1,99 @@
+import errno
+import os
+import time
+
+import pytest
+
+from dynstc import parallel
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    real = parallel._fork
+
+    def fork(fill, lo, hi):
+        forks.append((lo, hi))
+        return real(fill, lo, hi)
+
+    monkeypatch.setattr(parallel, "_fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_fill_behind_fills_each_made_item_once(monkeypatch, k, n):
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    forks = _counting_forks(monkeypatch)
+    made = [False] * n
+    table = parallel._shared_table(n, 2, "test table")
+
+    def make(i):
+        time.sleep(0.002)
+        made[i] = True
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            table[i, 0] += 1
+            table[i, 1] = made[i]  # the copy a child got at its fork
+
+    parallel._fill_behind(make, fill, n)
+    assert table.tolist() == [[1.0, 1.0]] * n
+    # ranges handed to children are contiguous, in item order
+    assert [lo for lo, _ in forks] == [0, *(hi for _, hi in forks)][:len(forks)]
+    assert (len(forks) > 0) == (min(k, n) > 1)
+
+
+@pytest.mark.parametrize("bad", [{8}, {2, 8}, {4, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}])
+def test_fill_behind_raises_the_first_failing_item(monkeypatch, bad):
+    # whichever process fills an item, the parent raises the error of the
+    # first failing one, after every make
+    made = []
+
+    def make(i):
+        time.sleep(0.002)
+        made.append(i)
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            if i in bad:
+                raise ValueError(f"item {i}")
+
+    for k in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_cpus", lambda: k)
+        made.clear()
+        with pytest.raises(ValueError, match=f"^item {min(bad)}$"):
+            parallel._fill_behind(make, fill, 9)
+        assert made == list(range(9))
+
+
+def test_fill_behind_raises_an_error_of_make_at_once(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 3)
+    filled = parallel._shared_table(9, 1, "test table")
+
+    def make(i):
+        time.sleep(0.002)
+        if i == 6:
+            raise KeyboardInterrupt
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            time.sleep(0.01)
+            filled[i] = 1.0
+
+    with pytest.raises(KeyboardInterrupt):
+        parallel._fill_behind(make, fill, 9)
+    # no item from 6 on is filled, and the children are reaped (conftest)
+    assert not filled[6:].any()
+
+
+def test_fill_behind_fills_what_it_could_not_hand_off(monkeypatch):
+    monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    seen = []
+    parallel._fill_behind(lambda i: None, lambda lo, hi: seen.append((lo, hi)), 4)
+    # the parent fills every item, once
+    assert sorted(i for lo, hi in seen for i in range(lo, hi)) == [0, 1, 2, 3]

@@ -153,11 +153,12 @@ def _horizon_mp(mpmath, lam, gamma, cap):
         return float(mpmath.atanh(r * tt) / (cap * r))
 
 
-@pytest.mark.parametrize("q_lo", [1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("q_lo", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
 def test_solve_lambda_small_gain_ratio(q_lo):
-    # for q = gamma/cap in [q_lo, 10*q_lo), 1 - T and the discriminant of the
-    # closed form cancel; the root used to miss the horizon and raise
-    # HorizonError in up to 170 of 200 draws per cell.  The solve checks its
+    # for q = gamma/cap in [q_lo, 10*q_lo), every q < 1 taking the exp(-2y)
+    # form: in the tanh form 1 - T and the discriminant cancelled for small
+    # q, and the root missed the horizon and raised HorizonError in up to
+    # 170 of 200 draws per cell below q = 1e-4.  The solve checks its
     # root with t_tilde_max, itself within 2% of the tolerance of the exact
     # horizon at q = 1e-6, hence the 5% slack.
     mpmath = pytest.importorskip("mpmath")
