@@ -24,15 +24,19 @@ that order.  It simulates the jobs in turn in its own process, so a
 profiler that wraps `cli.simulate` there (perfbench/tracer.py) sees every
 simulation; meanwhile forked children write the CSVs of the jobs already
 simulated to temporary names in --out (`_fill_behind` of
-:mod:`dynstc.parallel`).  Once every job is simulated and written, the
-CSVs are renamed into place in job order, then summary.json and stdout
-are written.  A Python exception or an interrupt before the renames
-removes the temporary files, so a numerical failure leaves no partial run
-artifacts, older files in --out keep their bytes, and the error is the
-one a serial loop over the jobs raises.  A process killed by a signal
-cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in --out
-(its children stop before their next job), and an interrupt during the
-renames leaves some of the new CSVs beside the old summary.json.
+:mod:`dynstc.parallel`).  With fewer jobs than the k CPUs the process may
+use, each job's trajectory CSV is written in P = ceil(k / jobs) row
+ranges, each an item of its own, so one long job is written on every CPU;
+the last range's item also writes the job's monitors and decisions CSVs.
+Once every job is simulated and written, each job's ranges are joined in
+order, the CSVs are renamed into place in job order, then summary.json
+and stdout are written.  A Python exception or an interrupt before the
+renames removes the temporary files, so a numerical failure leaves no
+partial run artifacts, older files in --out keep their bytes, and the
+error is the one a serial loop over the jobs raises.  A process killed by
+a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
+--out (its children stop before their next item), and an interrupt during
+the renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
 3 synthesis or verification failure, 4 monitor violation, 5 numerical failure
@@ -45,6 +49,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,7 +60,7 @@ from .engine import (
     t_max_cap,
     t_min_of,
 )
-from .parallel import _exit_if_orphaned, _fill_behind
+from . import parallel
 from .sim import (
     IntegrationBlowupError,
     simulate,
@@ -245,6 +250,21 @@ def _interval_stats(traj):
     return {"min": min(gaps), "mean": math.fsum(gaps) / len(gaps), "max": max(gaps)}
 
 
+def _row_part(traj, part, parts):
+    """traj with the part-th of `parts` equal row ranges of its flow records, as views."""
+    n = len(traj.flow_points)
+    return replace(traj, flow_points=traj.flow_points.rows(n * part // parts,
+                                                          n * (part + 1) // parts))
+
+
+def _join_parts(paths):
+    """Append the CSVs paths[1:], each without its header line, to the CSV paths[0]."""
+    for path in paths[1:]:
+        with open(path, "rb") as src, open(paths[0], "ab") as dst:
+            src.readline()
+            shutil.copyfileobj(src, dst)
+
+
 def cmd_run(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
@@ -254,33 +274,49 @@ def cmd_run(args) -> int:
     jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(starts)
             for mech in mechanisms]
     trajs = [None] * len(jobs)
-    # each job's CSVs go to temporary names, renamed into place once every
-    # job is simulated and written
-    suffix = f".{os.getpid()}.tmp"
-    files = [[out / f"{stem}_{part}.csv" for part in ("trajectory", "monitors", "decisions")]
-             for stem, _, _ in jobs]
-    temps = [[path.with_name(path.name + suffix) for path in paths] for paths in files]
+    # with fewer jobs than CPUs, a job is `parts` items: item p writes the
+    # p-th row range of its trajectory CSV to a temporary name of its own
+    # (<name>.<pid>.tmp for p = 0, <name>.<pid>.<p>.tmp after), and the last
+    # item also the job's other CSVs.  Once every job is simulated and
+    # written, the parts are joined and the CSVs renamed into place.
+    parts = -(-parallel._cpus() // len(jobs))
+    pid = os.getpid()
 
-    def simulate_job(i):
-        _, x0, mech = jobs[i]
-        trajs[i] = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
+    def temp(path, part=0):
+        return path.with_name(f"{path.name}.{pid}{f'.{part}' if part else ''}.tmp")
+
+    files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
+             for stem, _, _ in jobs]
+    temps = [[temp(path) for path in paths] for paths in files]
+    pieces = [[temp(paths[0], part) for part in range(parts)] for paths in files]
+
+    def simulate_job(item):
+        i, part = divmod(item, parts)
+        if part == 0:
+            _, x0, mech = jobs[i]
+            trajs[i] = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
 
     def write(lo, hi):
-        for i in range(lo, hi):
-            _exit_if_orphaned()
-            trajectory, monitors, decisions = temps[i]
-            write_trajectory_csv(trajectory, trajs[i])
-            write_monitors_csv(monitors, trajs[i])
-            if trajs[i].decisions:  # a periodic run makes none
-                write_decisions_csv(decisions, trajs[i])
+        for item in range(lo, hi):
+            parallel._exit_if_orphaned()
+            i, part = divmod(item, parts)
+            traj = trajs[i]
+            write_trajectory_csv(pieces[i][part], _row_part(traj, part, parts))
+            if part == parts - 1:
+                _, monitors, decisions = temps[i]
+                write_monitors_csv(monitors, traj)
+                if traj.decisions:  # a periodic run makes none
+                    write_decisions_csv(decisions, traj)
 
     try:
-        _fill_behind(simulate_job, write, len(jobs))
+        parallel._fill_behind(simulate_job, write, len(jobs) * parts)
+        for job_pieces in pieces:
+            _join_parts(job_pieces)
         for traj, paths, temp_paths in zip(trajs, files, temps):
             for path, temp in zip(paths, temp_paths[:3 if traj.decisions else 2]):
                 temp.replace(path)
     finally:  # on every way out of this process but a signal that kills it
-        for temp_paths in temps:
+        for temp_paths in temps + pieces:
             for temp in temp_paths:
                 temp.unlink(missing_ok=True)
     summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
@@ -324,7 +360,7 @@ def cmd_verify(args) -> int:
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run synthesize first")
     family, density = read_manifest(manifest)
-    check_density = 2 * density if density >= 8 else 96
+    check_density = 96 if density is None else 2 * density
     reports = verify_family(spec, family, check_density)
     worst = 0
     print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'violation':>14} {'ok':>4} "

@@ -5,13 +5,16 @@ pass uses ``_fill_in_parallel(fill, n)``, which calls ``fill(lo, hi)``
 for ranges 1..k-1 in forked children and for range 0 in the calling
 process, k being the number of CPUs the process may use.  ``dynstc run``
 uses ``_fill_behind(make, fill, n)``: the calling process makes each item
-in turn (simulates a run) and forked children fill the items already made
-(write the run's CSVs) meanwhile.  A child reports nothing but its exit
-status; what it computes goes into a table in an anonymous shared
-mapping (``_shared_table``), made before the fork, or into files.  A
-range whose child fails is filled again by the parent, so every error is
-raised in the parent as a serial loop over the items raises it.  A child
-whose parent was killed stops before its next item (``_exit_if_orphaned``).
+in turn and forked children fill the items already made meanwhile.  There
+an item is a run, simulated by make and written to its CSVs by fill; with
+fewer runs than CPUs it is one of a run's write parts, a row range of its
+trajectory CSV, and make simulates the run at its first part only.  A
+child reports nothing but its exit status; what it computes goes into a
+table in an anonymous shared mapping (``_shared_table``), made before the
+fork, or into files.  A range whose child fails is filled again by the
+parent, so every error is raised in the parent as a serial loop over the
+items raises it.  A child whose parent was killed stops before its next
+item (``_exit_if_orphaned``).
 Only ``os`` and ``mmap`` are used: ``multiprocessing`` and
 ``concurrent.futures`` would cost every command 12-13 ms of imports.
 """

@@ -105,6 +105,11 @@ class FlowRecords:
     def __len__(self):
         return len(self.t)
 
+    def rows(self, lo, hi):
+        """Records lo..hi - 1, as views of these columns."""
+        return FlowRecords(self.t[lo:hi], self.j[lo:hi], self.x[lo:hi], self.v[lo:hi],
+                           self.u[lo:hi])
+
 
 @dataclass(frozen=True)
 class MonitorRecord:
@@ -308,8 +313,7 @@ def _segments(traj: HybridTrajectory):
     # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
     fp = traj.flow_points
     edges = np.searchsorted(fp.j, np.arange(1, len(traj.samples) + 1)).tolist()
-    return [FlowRecords(fp.t[lo:hi], fp.j[lo:hi], fp.x[lo:hi], fp.v[lo:hi], fp.u[lo:hi])
-            for lo, hi in zip(edges, edges[1:])]
+    return [fp.rows(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _region(seg: FlowRecords, c):

@@ -205,15 +205,16 @@ def _row_terms(rhs, x, g, ec, base):
     points by component, one row per component.  f is read in component
     form (systems.component_rhs) on one x row, so every array here holds
     n_e doubles, and the result goes into the given row base.  The dot
-    products accumulate from +0.0 one component at a time: the operations
-    of numpy's einsum for n_x <= 2 (the built-ins), so even the sign of a
-    zero is the same.
+    products accumulate from the float +0.0 one component at a time: the
+    operations of numpy's einsum for n_x <= 2 (the built-ins), so even the
+    sign of a zero is the same.  A component of f that does not depend on
+    the error (van_der_pol's x2) stays a Python float until it meets one
+    that does.
     """
-    gvf = np.zeros(ec.shape[1])
-    h2 = np.zeros(ec.shape[1])
+    gvf = h2 = 0.0
     for gi, fi in zip(g, rhs(*x, *ec)):
-        gvf += gi * fi
-        h2 += fi * fi
+        gvf = gvf + gi * fi
+        h2 = h2 + fi * fi
     np.add(gvf, h2, out=base)
 
 
@@ -514,9 +515,18 @@ def write_manifest(path, family: ParameterFamily, grid_density: int) -> None:
 
 
 def read_manifest(path):
-    """Returns (family, grid_density) from a manifest file."""
+    """Returns (family, grid_density) from a manifest file.
+
+    grid_density is None where set 0 has no such key; one below 8, the
+    least _grids takes, makes the manifest malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     family = manifest_to_family(doc)
-    density = _manifest_number(doc["sets"][0].get("grid_density", 0), "grid_density", True)
+    density = None
+    if "grid_density" in doc["sets"][0]:
+        density = _manifest_number(doc["sets"][0]["grid_density"], "grid_density", True)
+        if density < 8:
+            raise ValueError(f"malformed parameter-family manifest: 'grid_density' is "
+                             f"{density!r}, below 8")
     return family, density

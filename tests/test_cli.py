@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,19 @@ def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
         assert "failed re-verification" in capsys.readouterr().err
 
 
+def test_verify_without_grid_density_checks_at_96(tmp_path, capsys):
+    # a manifest whose set 0 names no density is re-checked at density 96
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    doc = _manifest_with()
+    del doc["sets"][0]["grid_density"]
+    (out / "family.json").write_text(json.dumps(doc))
+    assert read_manifest(out / "family.json")[1] is None
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 3 sets re-verified at density 96"
+
+
 def test_verify_without_manifest(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json")
     assert cli.main(["verify", "--config", cfg,
@@ -303,6 +317,10 @@ def _manifest_with(**first):
     ("verify", "family.json", _manifest_with(grid_density=16.9)),
     ("run", "family.json", _manifest_with(epsilon=True)),
     ("run", "family.json", _manifest_with(gamma="1.05")),
+    # and grid_density at least 8, the least density of a grid
+    ("verify", "family.json", _manifest_with(grid_density=-5)),
+    ("verify", "family.json", _manifest_with(grid_density=7)),
+    ("run", "family.json", _manifest_with(grid_density=0)),
 ])
 def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     cfg = _write_config(tmp_path / "cfg.json")
@@ -583,48 +601,70 @@ def _digests(out):
 # 2 x0 x 3 mechanisms: 6 jobs, simulated in the test process; at k > 1
 # forked children write the CSVs of the jobs simulated so far
 _FAILING_RUN = {"x0": [[0.5], [-0.25]], "t_end": 3.0, "baselines": True}
+# one job: at k > 1 its trajectory CSV is written in k parts, parts 0..k-2
+# by forked children once it is simulated
+_ONE_JOB_RUN = {"x0": [[0.5]], "t_end": 3.0, "baselines": False}
 
 
 def _failing_run(monkeypatch, capsys, template, out, failure, k):
     """`dynstc run` at k CPUs in a copy of `template`, with `failure` injected.
 
     Returns the exit code (or the name of the exception that left main),
-    stdout, stderr, and the number of CSVs that children began to write.
+    stdout, stderr, the number of trajectory and monitors CSVs that children
+    began to write, and the number of forks.
     """
     shutil.copytree(template, out)
+    run = json.loads((template / "cfg.json").read_text())["run"]
+    n_jobs = len(run["x0"]) * (3 if run["baselines"] else 1)
     parent = os.getpid()
-    real_periodic = cli.simulate_periodic
     real_trajectory, real_monitors = cli.write_trajectory_csv, cli.write_monitors_csv
+    real_fork = parallel._fork
     log = out.parent / f"{out.name}.children"
+    simulated, forks = [], []
 
-    def simulate_periodic(x0, *args, **kwargs):
-        if x0 == _FAILING_RUN["x0"][-1]:  # the last job
-            # at k > 1, a child has begun to write before the failure
-            deadline = time.monotonic() + 10
-            while k > 1 and not log.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
-            if failure.endswith("blowup in the last job"):
-                raise IntegrationBlowupError("flow diverged in the last job")
-            if failure == "interrupt in the last job":
-                raise KeyboardInterrupt
-        return real_periodic(x0, *args, **kwargs)
+    def failing(real):
+        def simulate(*args, **kwargs):
+            simulated.append(None)
+            if len(simulated) == n_jobs:  # the last job
+                # at k > 1, a child has begun to write an earlier job first
+                deadline = time.monotonic() + 10
+                while n_jobs > 1 and k > 1 and not log.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                if failure.endswith("blowup in the last job"):
+                    raise IntegrationBlowupError("flow diverged in the last job")
+                if failure == "interrupt in the last job":
+                    raise KeyboardInterrupt
+            return real(*args, **kwargs)
+        return simulate
 
-    def write_trajectory_csv(path, traj):
+    def in_child(path):
         if os.getpid() != parent:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{path.name}\n")
-            if failure.startswith("child killed"):
-                os.kill(os.getpid(), signal.SIGKILL)
+            return True
+        return False
+
+    def write_trajectory_csv(path, traj):
+        if in_child(path) and failure.startswith("child killed"):
+            os.kill(os.getpid(), signal.SIGKILL)
         real_trajectory(path, traj)
 
     def write_monitors_csv(path, traj):
-        if failure == "write error in the second job" and "run0_static" in path.name:
+        in_child(path)
+        if (failure == "write error in the second job" and "run0_static" in path.name
+                or failure == "write error in the last part"):
             raise OSError(errno.ENOSPC, "No space left on device")
         real_monitors(path, traj)
 
+    def fork(fill, lo, hi):
+        forks.append((lo, hi))
+        return real_fork(fill, lo, hi)
+
     with monkeypatch.context() as m:
         m.setattr(parallel, "_cpus", lambda: k)
-        m.setattr(cli, "simulate_periodic", simulate_periodic)
+        m.setattr(parallel, "_fork", fork)
+        m.setattr(cli, "simulate", failing(cli.simulate))
+        m.setattr(cli, "simulate_periodic", failing(cli.simulate_periodic))
         m.setattr(cli, "write_trajectory_csv", write_trajectory_csv)
         m.setattr(cli, "write_monitors_csv", write_monitors_csv)
         capsys.readouterr()
@@ -634,7 +674,18 @@ def _failing_run(monkeypatch, capsys, template, out, failure, k):
             code = type(exc).__name__
     text = capsys.readouterr()
     children = len(log.read_text().splitlines()) if log.exists() else 0
-    return code, text.out, text.err, children
+    return code, text.out, text.err, children, len(forks)
+
+
+def _template_with_older_run(tmp_path, run, older):
+    """A directory with the config of `run`, its manifest, and `older` files of an earlier run."""
+    template = tmp_path / "template"
+    template.mkdir()
+    cfg = _write_config(template / "cfg.json", run=run)
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(template)]) == 0
+    for name in older:
+        (template / name).write_text(f"older {name}\n", encoding="utf-8")
+    return template
 
 
 @pytest.mark.parametrize("failure", [
@@ -644,18 +695,14 @@ def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
         tmp_path, monkeypatch, capsys, failure):
     # --out holds a manifest and an older run; a run that fails leaves every
     # file of it as it was and no temporary file, at any number of CPUs
-    template = tmp_path / "template"
-    template.mkdir()
-    cfg = _write_config(template / "cfg.json", run=_FAILING_RUN)
-    assert cli.main(["synthesize", "--config", cfg, "--out", str(template)]) == 0
-    for name in ("run0_dynamic_trajectory.csv", "run1_periodic_monitors.csv",
-                 "run1_static_decisions.csv", "summary.json"):
-        (template / name).write_text(f"older {name}\n", encoding="utf-8")
+    template = _template_with_older_run(
+        tmp_path, _FAILING_RUN, ("run0_dynamic_trajectory.csv", "run1_periodic_monitors.csv",
+                                 "run1_static_decisions.csv", "summary.json"))
     before = _digests(template)
     results = {}
     for k in (1, 2, 3):
         out = tmp_path / f"out{k}"
-        *results[k], children = _failing_run(monkeypatch, capsys, template, out, failure, k)
+        *results[k], children, _ = _failing_run(monkeypatch, capsys, template, out, failure, k)
         results[k].append(_digests(out))
         # children write at k > 1 only, before the failure of the last job too
         assert (children > 0) == (k > 1)
@@ -675,6 +722,44 @@ def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
             raised = {"interrupt in the last job": "KeyboardInterrupt",
                       "write error in the second job": "OSError"}[failure]
             assert (code, stdout, stderr) == (raised, "", "")
+
+
+@pytest.mark.parametrize("failure", [
+    "write error in the last part", "child killed", "blowup in the last job"])
+def test_split_job_fails_as_the_whole_job_and_leaves_out_as_it_was(
+        tmp_path, monkeypatch, capsys, failure):
+    # one job written in k parts fails as at k = 1, where it is one part:
+    # the last part's monitors CSV cannot be written, a child writing a part
+    # is killed (and the parent writes the part again), or the simulation
+    # blows up before any part is written
+    template = _template_with_older_run(
+        tmp_path, _ONE_JOB_RUN, ("run0_dynamic_trajectory.csv", "run0_dynamic_monitors.csv",
+                                 "summary.json"))
+    before = _digests(template)
+    results = {}
+    for k in (1, 2, 3):
+        out = tmp_path / f"out{k}"
+        *results[k], children, forks = _failing_run(monkeypatch, capsys, template, out,
+                                                    failure, k)
+        results[k].append(_digests(out))
+        if failure == "blowup in the last job":
+            assert (children, forks) == (0, 0)
+        else:  # a child for each part but the last, which writes the monitors
+            assert children == forks == k - 1
+    code, stdout, stderr, digests = results[1]
+    assert results[2] == results[1] and results[3] == results[1]
+    if failure == "child killed":
+        assert code == 0 and stderr == ""
+        # 3 CSVs, summary.json, family.json and cfg.json, and no temporary file
+        assert len(digests) == 6 and not [n for n in digests if n.endswith(".tmp")]
+        assert digests["run0_dynamic_trajectory.csv"] != before["run0_dynamic_trajectory.csv"]
+    else:
+        assert digests == before
+        if failure == "blowup in the last job":
+            assert (code, stdout) == (5, "")
+            assert stderr == "numerical failure: flow diverged in the last job\n"
+        else:
+            assert (code, stdout, stderr) == ("OSError", "", "")
 
 
 _ORPHAN_SCRIPT = """
@@ -853,8 +938,88 @@ def test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", sorted(_DIGEST_CONFIGS))
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_run_keeps_its_bytes_at_every_cpu_count(tmp_path, capsys, monkeypatch, name, k):
-    # the grid pass and `run` split their work over k CPUs; the pinned bytes do not move
+    # the grid pass and `run` split their work over k CPUs; the pinned bytes
+    # do not move.  From k = 4 on, each of the 3 jobs is written in 2 parts.
     monkeypatch.setattr(parallel, "_cpus", lambda: k)
     test_artifacts_and_stdout_keep_their_bytes(tmp_path, capsys, name)
+
+
+@pytest.mark.parametrize("name", sorted(_DIGEST_CONFIGS))
+def test_one_job_keeps_its_bytes_in_every_split(tmp_path, capsys, monkeypatch, name):
+    # the dynamic job alone: at k CPUs its trajectory CSV is written in k
+    # parts, and every artifact and stdout has the bytes of k = 1
+    overrides = dict(_DIGEST_CONFIGS[name])
+    overrides["run"] = dict(overrides["run"], baselines=False)
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    results = {}
+    for k in (1, 2, 3, 5):
+        monkeypatch.setattr(parallel, "_cpus", lambda: k)
+        out = tmp_path / f"out{k}"
+        stdout = []
+        for command in ("synthesize", "run", "compare"):
+            config = [] if command == "compare" else ["--config", cfg]
+            assert cli.main([command, *config, "--out", str(out)]) == 0
+            stdout.append(capsys.readouterr().out)
+        results[k] = _digests(out), stdout
+    assert sorted(results[1][0]) == [
+        "compare.txt", "family.json", "plots.gp", "run0_dynamic_decisions.csv",
+        "run0_dynamic_monitors.csv", "run0_dynamic_trajectory.csv", "summary.json"]
+    assert results[2] == results[1] and results[3] == results[1] and results[5] == results[1]
+    # the dynamic run of the pinned config, written whole at k = 1
+    pinned = _PINNED_DIGESTS[name]["run0_dynamic_trajectory.csv"]
+    assert results[5][0]["run0_dynamic_trajectory.csv"] == pinned
+
+
+@pytest.mark.parametrize("n_x0, baselines, k, items", [
+    (2, True, 2, 6), (1, True, 3, 3), (4, True, 2, 12),  # jobs >= k: one item a job
+    (1, True, 4, 6), (1, True, 6, 6), (1, False, 2, 2), (1, False, 5, 5), (2, False, 3, 4)])
+def test_run_splits_its_jobs_only_below_the_cpu_count(
+        tmp_path, monkeypatch, n_x0, baselines, k, items):
+    # ceil(k / jobs) items a job, each writing its own trajectory part; no
+    # fork succeeds, so the parent writes every part and sees each name
+    cfg = _write_config(tmp_path / "cfg.json", run={"x0": [[0.5]] * n_x0, "t_end": 1.0,
+                                                     "baselines": baselines})
+    counts, written = [], []
+    real_fill_behind, real_trajectory = parallel._fill_behind, cli.write_trajectory_csv
+
+    def fill_behind(make, fill, n):
+        counts.append(n)
+        real_fill_behind(make, fill, n)
+
+    def write_trajectory_csv(path, traj):
+        written.append(path.name)
+        real_trajectory(path, traj)
+
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    monkeypatch.setattr(parallel, "_fork", lambda fill, lo, hi: None)
+    monkeypatch.setattr(parallel, "_fill_behind", fill_behind)
+    monkeypatch.setattr(cli, "write_trajectory_csv", write_trajectory_csv)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    parts = items // (n_x0 * (3 if baselines else 1))
+    suffixes = [f".{os.getpid()}.tmp"] + [f".{os.getpid()}.{p}.tmp" for p in range(1, parts)]
+    stems = [f"run{i}_{mech}_trajectory.csv" for i in range(n_x0)
+             for mech in (("dynamic", "static", "periodic") if baselines else ("dynamic",))]
+    assert counts == [items]
+    assert sorted(written) == sorted(stem + suffix for stem in stems for suffix in suffixes)
+
+
+def test_row_parts_join_to_the_whole_csv(tmp_path):
+    # parts of 0 rows, a trajectory of 0 rows and a periodic one (U is NaN)
+    # join to the bytes that write_trajectory_csv gives for the whole
+    full = simulate_periodic([0.5], linear_test(), 0.25, 1.0)
+    n_full = len(full.flow_points)
+    for n_rows, parts, sizes in ((3, 5, [0, 1, 0, 1, 1]), (0, 2, [0, 0]),
+                                 (n_full, 4, [n_full * (p + 1) // 4 - n_full * p // 4
+                                              for p in range(4)])):
+        traj = replace(full, flow_points=full.flow_points.rows(0, n_rows))
+        whole = tmp_path / f"whole{n_rows}.csv"
+        write_trajectory_csv(whole, traj)
+        paths = [tmp_path / f"part{n_rows}.{p}.csv" for p in range(parts)]
+        for p, path in enumerate(paths):
+            part = cli._row_part(traj, p, parts)
+            assert len(part.flow_points) == sizes[p]
+            write_trajectory_csv(path, part)
+        cli._join_parts(paths)
+        assert paths[0].read_bytes() == whole.read_bytes()
