@@ -23,11 +23,14 @@ makes one job per initial state and mechanism, run{k}_{mechanism} in
 that order.  It simulates the jobs in turn in its own process, so a
 profiler that wraps `cli.simulate` there (perfbench/tracer.py) sees every
 simulation; meanwhile forked children write the CSVs of the jobs already
-simulated to temporary names in --out (`_fill_behind` of
-:mod:`dynstc.parallel`).  With fewer jobs than the k CPUs the process may
-use, each job's trajectory CSV is written in P = ceil(k / jobs) row
-ranges, each an item of its own, so one long job is written on every CPU;
-the last range's item also writes the job's monitors and decisions CSVs.
+simulated to temporary names in --out, and the CSVs left once the last
+job is simulated are split over the free CPUs, the last range written by
+the process itself (`_fill_in_parallel` of :mod:`dynstc.parallel`, the
+grid pass's helper, given the simulation as its make).  With fewer jobs
+than the k CPUs the process may use, each job's trajectory CSV is written
+in P = ceil(k / jobs) row ranges, each an item of its own, so one long
+job is written on every CPU; the last range's item also writes the job's
+monitors and decisions CSVs.
 Once every job is simulated and written, each job's ranges are joined in
 order, the CSVs are renamed into place in job order, then summary.json
 and stdout are written.  A Python exception or an interrupt before the
@@ -38,9 +41,10 @@ a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
 --out (its children stop before their next item), and an interrupt during
 the renames leaves some of the new CSVs beside the old summary.json.
 
-Exit codes: 0 success, 2 invalid config or missing or malformed artifact,
-3 synthesis or verification failure, 4 monitor violation, 5 numerical failure
-or out of memory.
+Exit codes: 0 success, 2 invalid or unreadable config, an --out that
+cannot be made a directory, or a missing or malformed artifact, 3 synthesis
+or verification failure, 4 monitor violation, 5 numerical failure or out of
+memory.
 """
 
 from __future__ import annotations
@@ -168,8 +172,8 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:  # absent, a directory, or not readable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     doc = _block(raw, "")
@@ -198,7 +202,10 @@ def _stc_config(doc, spec, out, reuse):
                           if reuse else "config requires a 'synthesis' block for this command")
     else:
         family = build_family(spec, epsilons, synth["l_const"], synth["grid_density"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in its way, or no permission
+            raise ConfigError(f"--out {out} cannot be made a directory: {exc.strerror}") from exc
         write_manifest(manifest, family, synth["grid_density"])
     return StcConfig(family=family, c=spec.region_c, **doc["stc"])
 
@@ -309,7 +316,7 @@ def cmd_run(args) -> int:
                     write_decisions_csv(decisions, traj)
 
     try:
-        parallel._fill_behind(simulate_job, write, len(jobs) * parts)
+        parallel._fill_in_parallel(write, len(jobs) * parts, make=simulate_job)
         for job_pieces in pieces:
             _join_parts(job_pieces)
         for traj, paths, temp_paths in zip(trajs, files, temps):

@@ -1,20 +1,22 @@
 """Independent work items on every CPU, in forked children, with serial errors.
 
-Two callers split their items into contiguous ranges.  The synthesis grid
-pass uses ``_fill_in_parallel(fill, n)``, which calls ``fill(lo, hi)``
-for ranges 1..k-1 in forked children and for range 0 in the calling
-process, k being the number of CPUs the process may use.  ``dynstc run``
-uses ``_fill_behind(make, fill, n)``: the calling process makes each item
-in turn and forked children fill the items already made meanwhile.  There
-an item is a run, simulated by make and written to its CSVs by fill; with
-fewer runs than CPUs it is one of a run's write parts, a row range of its
-trajectory CSV, and make simulates the run at its first part only.  A
-child reports nothing but its exit status; what it computes goes into a
-table in an anonymous shared mapping (``_shared_table``), made before the
-fork, or into files.  A range whose child fails is filled again by the
-parent, so every error is raised in the parent as a serial loop over the
-items raises it.  A child whose parent was killed stops before its next
-item (``_exit_if_orphaned``).
+One helper, ``_fill_in_parallel(fill, n, make=None)``, calls
+``fill(lo, hi)`` over contiguous ranges of items 0..n-1, on k CPUs, k
+being the number the process may use.  Given ``make``, the calling
+process makes each item in turn and forked children fill the items
+already made meanwhile; the items left once every item is made (all of
+them without ``make``) are split into one range per free CPU, children
+fill every range but the last, and the calling process the last.  The
+synthesis grid pass passes no ``make``: its items are blocks of x rows.
+``dynstc run`` passes one: an item is a run, simulated by make and
+written to its CSVs by fill; with fewer runs than CPUs it is one of a
+run's write parts, a row range of its trajectory CSV, and make simulates
+the run at its first part only.  A child reports nothing but its exit
+status; what it computes goes into a table in an anonymous shared
+mapping (``_shared_table``), made before the fork, or into files.  A
+range whose child fails is filled again by the parent, so every error is
+raised in the parent as a serial loop over the items raises it.  A child
+whose parent was killed stops before its next item (``_exit_if_orphaned``).
 Only ``os`` and ``mmap`` are used: ``multiprocessing`` and
 ``concurrent.futures`` would cost every command 12-13 ms of imports.
 """
@@ -101,81 +103,64 @@ def _kill_and_reap(pids):
             os.waitpid(pid, 0)
 
 
-def _fill_in_parallel(fill, n):
-    """fill(lo, hi) over items 0..n-1, split into k contiguous ranges.
+def _fill_in_parallel(fill, n, make=None):
+    """fill(lo, hi) over items 0..n-1 on k CPUs (_cpus, at most n), with serial errors.
 
-    k is the number of CPUs (_cpus), at most n.  Ranges 1..k-1 go to
-    forked children and the parent fills range 0, then waits for the
-    children in range order and refills any range whose child did not exit
-    0 or could not be forked.  So each error is raised by the parent, at the
-    first failing item in item order, as a serial loop raises it; and
-    children are killed and reaped on every way out of the call.
+    With `make`, this process calls make(i) for each item in turn, and
+    after each make but the last, if fewer than k - 1 children run, forks
+    a child to fill every item made and not yet handed out.  So children
+    fill the earlier items while this process makes the later ones.  Once
+    every item is made (at once without make), the items left are split
+    into one contiguous range per free CPU; children fill every range but
+    the last, and this process the last.  It then waits for the children
+    in range order, fills again each range whose child did not exit 0 or
+    could not be forked, and raises the error of its own range last.  So
+    an error of make is raised at once, and one of fill after every make,
+    at the first failing item, as a loop over make and then one over fill
+    raise them; children are killed and reaped on every way out.
     """
     k = min(_cpus(), n)
-    edges = [n * i // k for i in range(k + 1)]
-    pids = []
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            pids.append(_fork(fill, lo, hi))
-        fill(edges[0], edges[1])
-        for i, pid in enumerate(pids):
-            status = 1 if pid is None else os.waitpid(pid, 0)[1]
-            pids[i] = None
-            if status != 0:
-                fill(edges[i + 1], edges[i + 2])
-    finally:
-        _kill_and_reap([pid for pid in pids if pid is not None])
+    handed, failed, pids = [], set(), {}  # ranges in item order; lo of those failed; lo -> pid
 
+    def hand_out(lo, hi):
+        handed.append((lo, hi))
+        pid = _fork(fill, lo, hi)
+        if pid is None:
+            failed.add(lo)
+        else:
+            pids[lo] = pid
 
-def _fill_behind(make, fill, n):
-    """make(i) for items 0..n-1 in this process, fill over them in forked children.
-
-    After each make but the last, if fewer than k - 1 children run (k
-    being the number of CPUs, _cpus, at most n), a child is forked to fill
-    every item made and not yet handed out.  So children fill the earlier
-    items while the parent makes the later ones, and a range grows while
-    the children lag.  After the last make the parent fills the items no
-    child took (at k = 1, all of them) beside the children, then waits for
-    them in range order and fills again each range whose child did not
-    exit 0 or could not be forked.  An error of make is raised at once,
-    and one of fill after every make, at the first failing item, as a loop
-    over make and then one over fill raise them; children are killed and
-    reaped on every way out of the call.
-    """
-    k = min(_cpus(), n)
-    running, refill = {}, []  # lo -> (hi, pid) of each child; ranges the parent fills
-    taken = 0  # the items before it are handed out
-
-    def reap(lo, hang):
-        hi, pid = running[lo]
-        done, status = os.waitpid(pid, 0 if hang else os.WNOHANG)
+    def reap(lo, flags=0):
+        done, status = os.waitpid(pids[lo], flags)
         if done:
-            del running[lo]
+            del pids[lo]
             if status != 0:
-                refill.append((lo, hi))
+                failed.add(lo)
 
     try:
-        for i in range(n):
+        taken = 0  # the items before it are handed out
+        for i in range(n if make else 0):
             make(i)
-            for lo in list(running):
-                reap(lo, hang=False)
-            if i < n - 1 and len(running) < k - 1:
-                pid = _fork(fill, taken, i + 1)
-                if pid is None:
-                    refill.append((taken, i + 1))
-                else:
-                    running[taken] = (i + 1, pid)
+            for lo in list(pids):
+                reap(lo, os.WNOHANG)
+            if i < n - 1 and len(pids) < k - 1:
+                hand_out(taken, i + 1)
                 taken = i + 1
+        free = max(1, min(k - len(pids), n - taken))
+        edges = [taken + (n - taken) * j // free for j in range(free + 1)]
+        for lo, hi in zip(edges[:-2], edges[1:-1]):
+            hand_out(lo, hi)
         error = None
         try:
-            fill(taken, n)
-        except Exception as exc:  # raised after those of the earlier items
+            fill(edges[-2], edges[-1])
+        except Exception as exc:  # raised after those of the earlier ranges
             error = exc
-        for lo in list(running):
-            reap(lo, hang=True)
-        for lo, hi in sorted(refill):
-            fill(lo, hi)
+        for lo, hi in handed:
+            if lo in pids:
+                reap(lo)
+            if lo in failed:
+                fill(lo, hi)
         if error is not None:
             raise error
     finally:
-        _kill_and_reap([pid for _, pid in running.values()])
+        _kill_and_reap(list(pids.values()))

@@ -274,8 +274,8 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
                             flow_points=fp)
 
 
-def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = None,
-             monitors: bool = True) -> HybridTrajectory:
+def simulate(x0, cfg: StcConfig, spec, t_end: float,
+             dt_flow: float | None = None) -> HybridTrajectory:
     """Run the dynamic mechanism from x0 until the first sample >= t_end.
 
     cfg.c may not exceed spec.region_c, the level the certificates hold on.
@@ -292,9 +292,7 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float, dt_flow: float | None = Non
         return dec.h, dec, dec.v_now, dyn.eta
 
     traj = _hybrid(x0, spec, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
-    if monitors:
-        traj = replace(traj, monitors=tuple(run_monitors(traj, cfg)))
-    return traj
+    return replace(traj, monitors=tuple(run_monitors(traj, cfg)))
 
 
 def simulate_periodic(x0, spec, period: float, t_end: float,

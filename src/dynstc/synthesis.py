@@ -36,8 +36,8 @@ faults at density 80.  The one table takes n_x * levels * 8 bytes:
 30 MB at density 80, 75 MB at 96.  Its x rows are independent, so the
 pass splits its blocks of rows into k contiguous ranges, k the number
 of CPUs the process may use (at most one per block; 1 without os.fork
-or os.sched_getaffinity).  Forked children fill ranges 1..k-1 and the
-parent range 0, all into one table in an anonymous shared mmap (the
+or os.sched_getaffinity).  Forked children fill ranges 0..k-2 and the
+parent the last, all into one table in an anonymous shared mmap (the
 fork helper of :mod:`dynstc.parallel`, which ``dynstc run`` uses too).  Each
 process touches only its own rows, and the parent maps a child's rows
 only where it later reads them.  On 2 vCPUs the pass at density 80
@@ -254,7 +254,8 @@ def _level_tables(spec, grid_density):
 
     f is evaluated once per grid point, on the error points in rank-major
     order (_rank_major).  The blocks of _BLOCK x rows are split into one
-    contiguous range per CPU (_fill_in_parallel); each range is filled by
+    contiguous range per CPU (_fill_in_parallel: children fill every range
+    but the last, which this process fills); each range is filled by
     the same function, so every row goes through the same IEEE operations
     in whichever process, and base_max and base_cols, which live in one
     shared mapping (_shared_table), are the bits of a serial pass.  A

@@ -200,7 +200,7 @@ def test_acceptance_4_fallback_decrease(capsys):
     ps = ParameterSet(epsilon=0.5, gamma=1.05, l_const=0.05)
     cfg = StcConfig(family=ParameterFamily(sets=(ps,)),
                     c=1.0, m=5)
-    traj = simulate([0.9], cfg, spec, 30.0, monitors=False)
+    traj = simulate([0.9], cfg, spec, 30.0)
     factor = math.exp(-ps.epsilon * t_min_of(cfg))
     errs = []
     pairs = 0
@@ -269,7 +269,7 @@ def test_acceptance_6_static_equivalence(bench, capsys):
         if a != b:
             errs.append(f"decision mismatch at x = {x}")
             break
-    static_traj = simulate(X0, cfg1, bench.spec, 15.0, monitors=False)
+    static_traj = simulate(X0, cfg1, bench.spec, 15.0)
     n_dyn = bench.traj.n_samples_before(15.0)
     n_static = static_traj.n_samples_before(15.0)
     if n_dyn > n_static:

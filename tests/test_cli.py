@@ -471,6 +471,23 @@ def test_unparseable_config_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command, config, out", [
+    ("run", "a directory", "out"), ("synthesize", "a directory", "out"),
+    ("synthesize", "cfg.json", "a file"), ("run", "cfg.json", "a file"),
+    ("run", "cfg.json", "a file/sub"), ("synthesize", "cfg.json", "a file/sub")])
+def test_unusable_paths_exit_2(tmp_path, capsys, command, config, out):
+    # a config that cannot be read and an --out that cannot be made a
+    # directory end in one config error line, not a traceback
+    _write_config(tmp_path / "cfg.json")
+    (tmp_path / "a directory").mkdir()
+    (tmp_path / "a file").write_text("older\n")
+    assert cli.main([command, "--config", str(tmp_path / config),
+                     "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert (tmp_path / "a file").read_text() == "older\n"
+
+
 def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
 
@@ -972,6 +989,33 @@ def test_one_job_keeps_its_bytes_in_every_split(tmp_path, capsys, monkeypatch, n
     assert results[5][0]["run0_dynamic_trajectory.csv"] == pinned
 
 
+@pytest.mark.parametrize("run, calls", [
+    ({"x0": [[0.5], [-0.25]], "t_end": 1.0, "baselines": True},
+     ["simulate", "simulate", "simulate_periodic"] * 2),
+    ({"x0": [[0.5]], "t_end": 1.0, "baselines": False}, ["simulate"])],
+    ids=["baselines", "one job"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_run_simulates_every_job_in_the_cli_process(tmp_path, monkeypatch, run, calls, k):
+    # a profiler that wraps cli.simulate and cli.simulate_periodic in the
+    # CLI process (perfbench/tracer.py) sees each job's simulation there,
+    # once; the log is a file, so a call in a child would show too
+    cfg = _write_config(tmp_path / "cfg.json", run=run)
+    log = tmp_path / "calls"
+
+    def logged(name, real):
+        def call(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    for name in ("simulate", "simulate_periodic"):
+        monkeypatch.setattr(cli, name, logged(name, getattr(cli, name)))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert log.read_text().splitlines() == [f"{name} {os.getpid()}" for name in calls]
+
+
 @pytest.mark.parametrize("n_x0, baselines, k, items", [
     (2, True, 2, 6), (1, True, 3, 3), (4, True, 2, 12),  # jobs >= k: one item a job
     (1, True, 4, 6), (1, True, 6, 6), (1, False, 2, 2), (1, False, 5, 5), (2, False, 3, 4)])
@@ -982,11 +1026,11 @@ def test_run_splits_its_jobs_only_below_the_cpu_count(
     cfg = _write_config(tmp_path / "cfg.json", run={"x0": [[0.5]] * n_x0, "t_end": 1.0,
                                                      "baselines": baselines})
     counts, written = [], []
-    real_fill_behind, real_trajectory = parallel._fill_behind, cli.write_trajectory_csv
+    real_fill, real_trajectory = parallel._fill_in_parallel, cli.write_trajectory_csv
 
-    def fill_behind(make, fill, n):
+    def fill_in_parallel(fill, n, make=None):
         counts.append(n)
-        real_fill_behind(make, fill, n)
+        real_fill(fill, n, make)
 
     def write_trajectory_csv(path, traj):
         written.append(path.name)
@@ -994,7 +1038,7 @@ def test_run_splits_its_jobs_only_below_the_cpu_count(
 
     monkeypatch.setattr(parallel, "_cpus", lambda: k)
     monkeypatch.setattr(parallel, "_fork", lambda fill, lo, hi: None)
-    monkeypatch.setattr(parallel, "_fill_behind", fill_behind)
+    monkeypatch.setattr(parallel, "_fill_in_parallel", fill_in_parallel)
     monkeypatch.setattr(cli, "write_trajectory_csv", write_trajectory_csv)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     parts = items // (n_x0 * (3 if baselines else 1))

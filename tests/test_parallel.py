@@ -36,7 +36,7 @@ def test_fill_behind_fills_each_made_item_once(monkeypatch, k, n):
             table[i, 0] += 1
             table[i, 1] = made[i]  # the copy a child got at its fork
 
-    parallel._fill_behind(make, fill, n)
+    parallel._fill_in_parallel(fill, n, make)
     assert table.tolist() == [[1.0, 1.0]] * n
     # ranges handed to children are contiguous, in item order
     assert [lo for lo, _ in forks] == [0, *(hi for _, hi in forks)][:len(forks)]
@@ -62,7 +62,7 @@ def test_fill_behind_raises_the_first_failing_item(monkeypatch, bad):
         monkeypatch.setattr(parallel, "_cpus", lambda: k)
         made.clear()
         with pytest.raises(ValueError, match=f"^item {min(bad)}$"):
-            parallel._fill_behind(make, fill, 9)
+            parallel._fill_in_parallel(fill, 9, make)
         assert made == list(range(9))
 
 
@@ -81,7 +81,7 @@ def test_fill_behind_raises_an_error_of_make_at_once(monkeypatch):
             filled[i] = 1.0
 
     with pytest.raises(KeyboardInterrupt):
-        parallel._fill_behind(make, fill, 9)
+        parallel._fill_in_parallel(fill, 9, make)
     # no item from 6 on is filled, and the children are reaped (conftest)
     assert not filled[6:].any()
 
@@ -94,6 +94,59 @@ def test_fill_behind_fills_what_it_could_not_hand_off(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     seen = []
-    parallel._fill_behind(lambda i: None, lambda lo, hi: seen.append((lo, hi)), 4)
+    parallel._fill_in_parallel(lambda lo, hi: seen.append((lo, hi)), 4, lambda i: None)
     # the parent fills every item, once
     assert sorted(i for lo, hi in seen for i in range(lo, hi)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_static_split_hands_every_range_but_the_last_to_children(monkeypatch, k, n):
+    # without make: one contiguous range per CPU, children fill the first
+    # min(k, n) - 1 and the parent the last
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    forks = _counting_forks(monkeypatch)
+    parent = os.getpid()
+    table = parallel._shared_table(n, 2, "test table")
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            table[i, 0] += 1
+            table[i, 1] = os.getpid() == parent
+
+    parallel._fill_in_parallel(fill, n)
+    m = min(k, n)
+    assert forks == [(n * j // m, n * (j + 1) // m) for j in range(m - 1)]
+    assert table[:, 0].tolist() == [1.0] * n
+    assert table[:, 1].tolist() == [float(i >= n * (m - 1) // m) for i in range(n)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_static_split_raises_the_first_failing_item(monkeypatch, k, n):
+    # the first item of each range fails, the parent's last; the error of
+    # item 0 is raised, whichever process filled it
+    monkeypatch.setattr(parallel, "_cpus", lambda: k)
+    m = min(k, n)
+    firsts = {n * j // m for j in range(m)}
+
+    def fill(lo, hi):
+        for i in range(lo, hi):
+            if i in firsts:
+                raise ValueError(f"item {i}")
+
+    with pytest.raises(ValueError, match="^item 0$"):
+        parallel._fill_in_parallel(fill, n)
+    # the parent's range alone fails: its error, after the children's ranges
+    last = n * (m - 1) // m
+    seen = parallel._shared_table(n, 1, "test table")
+
+    def fill_last(lo, hi):
+        for i in range(lo, hi):
+            seen[i] = 1.0
+            if i == last:
+                raise ValueError(f"item {i}")
+
+    with pytest.raises(ValueError, match=f"^item {last}$"):
+        parallel._fill_in_parallel(fill_last, n)
+    assert seen[:last + 1].all()

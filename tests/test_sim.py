@@ -235,8 +235,8 @@ def test_baseline_dominance_counts():
     cfg, spec = _linear_cfg(m=5)
     cfg1 = dataclasses.replace(cfg, m=1)
     horizon = 40.0
-    dyn = simulate([0.8], cfg, spec, t_end=horizon, monitors=False)
-    stat = simulate([0.8], cfg1, spec, t_end=horizon, monitors=False)
+    dyn = simulate([0.8], cfg, spec, t_end=horizon)
+    stat = simulate([0.8], cfg1, spec, t_end=horizon)
     per = simulate_periodic([0.8], spec, t_min_of(cfg), horizon)
     n_dyn = dyn.n_samples_before(horizon)
     n_stat = stat.n_samples_before(horizon)

@@ -386,15 +386,17 @@ def _raised(monkeypatch, spec, density, k):
 
 
 @pytest.mark.parametrize("failure", ["nan", _Boom])
-@pytest.mark.parametrize("where", ["last block", "two ranges"])
+@pytest.mark.parametrize("where", ["first block", "last block", "two ranges"])
 def test_parallel_pass_raises_as_serial(monkeypatch, failure, where):
-    # 26 blocks split 8/9/9 over 3 CPUs: the last block is a child's, and
-    # "two ranges" fails in both children's ranges, with different rows
+    # 26 blocks split 8/9/9 over 3 CPUs: the first block is the first
+    # child's and the last block the parent's, and "two ranges" fails in
+    # the second child's range and the parent's, with different rows
     spec = van_der_pol()
     xg = _grids(spec, 24)[0]
     n_blocks = -(-xg.shape[0] // _BLOCK)
     last = xg[(n_blocks - 1) * _BLOCK:]
-    bad = last if where == "last block" else np.vstack([xg[12 * _BLOCK + 5:][:3], last[-2:]])
+    bad = {"first block": xg[:_BLOCK], "last block": last,
+           "two ranges": np.vstack([xg[12 * _BLOCK + 5:][:3], last[-2:]])}[where]
     bad_spec = _failing_spec(spec, bad, failure)
     serial = _raised(monkeypatch, bad_spec, 24, 1)
     assert serial[0] is (ValueError if failure == "nan" else _Boom)
@@ -404,9 +406,12 @@ def test_parallel_pass_raises_as_serial(monkeypatch, failure, where):
 
 
 def test_interrupt_in_parent_range_reaps_children(monkeypatch):
-    # the children are busy with their ranges when the parent's first row raises
+    # the children are busy with their ranges when the parent's first row
+    # raises: of 26 blocks over 3 CPUs, the parent fills the last 9
     spec = van_der_pol()
-    bad_spec = _failing_spec(spec, _grids(spec, 24)[0][:1], KeyboardInterrupt)
+    xg = _grids(spec, 24)[0]
+    n_blocks = -(-xg.shape[0] // _BLOCK)
+    bad_spec = _failing_spec(spec, xg[n_blocks * 2 // 3 * _BLOCK:][:1], KeyboardInterrupt)
     monkeypatch.setattr(parallel, "_cpus", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         _level_tables(bad_spec, 24)
