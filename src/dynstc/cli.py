@@ -42,9 +42,9 @@ a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
 the renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid or unreadable config, an --out that
-cannot be made a directory, or a missing or malformed artifact, 3 synthesis
-or verification failure, 4 monitor violation, 5 numerical failure or out of
-memory.
+cannot be made a directory (found before any synthesis), or a missing or
+malformed artifact, 3 synthesis or verification failure, 4 monitor
+violation, 5 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -201,6 +201,9 @@ def _stc_config(doc, spec, out, reuse):
         raise ConfigError(f"no manifest at {manifest} and no 'synthesis' block in the config"
                           if reuse else "config requires a 'synthesis' block for this command")
     else:
+        # a file in the way of --out is found before the synthesis, not after it
+        if not next((p for p in (out, *out.parents) if os.path.exists(p)), out).is_dir():
+            raise ConfigError(f"--out {out} cannot be made a directory: a file is in its way")
         family = build_family(spec, epsilons, synth["l_const"], synth["grid_density"])
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -294,8 +297,9 @@ def cmd_run(args) -> int:
 
     files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
              for stem, _, _ in jobs]
-    temps = [[temp(path) for path in paths] for paths in files]
-    pieces = [[temp(paths[0], part) for part in range(parts)] for paths in files]
+    # per job: its trajectory parts 0..parts-1, then its monitors and decisions
+    temps = [[temp(paths[0], part) for part in range(parts)] + [temp(path) for path in paths[1:]]
+             for paths in files]
 
     def simulate_job(item):
         i, part = divmod(item, parts)
@@ -303,27 +307,26 @@ def cmd_run(args) -> int:
             _, x0, mech = jobs[i]
             trajs[i] = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
 
-    def write(lo, hi):
-        for item in range(lo, hi):
-            parallel._exit_if_orphaned()
-            i, part = divmod(item, parts)
-            traj = trajs[i]
-            write_trajectory_csv(pieces[i][part], _row_part(traj, part, parts))
-            if part == parts - 1:
-                _, monitors, decisions = temps[i]
-                write_monitors_csv(monitors, traj)
-                if traj.decisions:  # a periodic run makes none
-                    write_decisions_csv(decisions, traj)
+    def write(item):
+        i, part = divmod(item, parts)
+        traj = trajs[i]
+        write_trajectory_csv(temps[i][part], _row_part(traj, part, parts))
+        if part == parts - 1:
+            *_, monitors, decisions = temps[i]
+            write_monitors_csv(monitors, traj)
+            if traj.decisions:  # a periodic run makes none
+                write_decisions_csv(decisions, traj)
 
     try:
         parallel._fill_in_parallel(write, len(jobs) * parts, make=simulate_job)
-        for job_pieces in pieces:
-            _join_parts(job_pieces)
+        for temp_paths in temps:
+            _join_parts(temp_paths[:parts])
         for traj, paths, temp_paths in zip(trajs, files, temps):
-            for path, temp in zip(paths, temp_paths[:3 if traj.decisions else 2]):
+            for path, temp in zip(paths[:3 if traj.decisions else 2],
+                                  [temp_paths[0], *temp_paths[parts:]]):
                 temp.replace(path)
     finally:  # on every way out of this process but a signal that kills it
-        for temp_paths in temps + pieces:
+        for temp_paths in temps:
             for temp in temp_paths:
                 temp.unlink(missing_ok=True)
     summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),

@@ -1,8 +1,8 @@
 """Independent work items on every CPU, in forked children, with serial errors.
 
-One helper, ``_fill_in_parallel(fill, n, make=None)``, calls
-``fill(lo, hi)`` over contiguous ranges of items 0..n-1, on k CPUs, k
-being the number the process may use.  Given ``make``, the calling
+One helper, ``_fill_in_parallel(fill, n, make=None)``, calls ``fill(i)``
+for each of the items 0..n-1, over contiguous ranges of them, on k CPUs,
+k being the number the process may use.  Given ``make``, the calling
 process makes each item in turn and forked children fill the items
 already made meanwhile; the items left once every item is made (all of
 them without ``make``) are split into one range per free CPU, children
@@ -16,7 +16,7 @@ status; what it computes goes into a table in an anonymous shared
 mapping (``_shared_table``), made before the fork, or into files.  A
 range whose child fails is filled again by the parent, so every error is
 raised in the parent as a serial loop over the items raises it.  A child
-whose parent was killed stops before its next item (``_exit_if_orphaned``).
+whose parent was killed stops before its next item (``_fork``).
 Only ``os`` and ``mmap`` are used: ``multiprocessing`` and
 ``concurrent.futures`` would cost every command 12-13 ms of imports.
 """
@@ -55,38 +55,28 @@ def _shared_table(n_rows, n_cols, name):
     return np.frombuffer(buf, dtype=float).reshape(n_rows, n_cols)
 
 
-_forked_by = None  # in a child of _fork: the pid of the process that forked it
-
-
-def _exit_if_orphaned():
-    """In a child of _fork whose parent has exited, exit at once with status 1.
-
-    A parent killed by a signal runs no `finally`, so nothing kills its
-    children.  Each fill calls this before each of its items, so such a
-    child stops after the item it is on, not at the end of its range.  In
-    the parent it does nothing.
-    """
-    if _forked_by is not None and os.getppid() != _forked_by:
-        os._exit(1)
-
-
 def _fork(fill, lo, hi):
-    """The pid of a child that runs fill(lo, hi), or None if fork fails.
+    """The pid of a child that runs fill(i) for i in lo..hi-1, or None if fork fails.
 
-    The child exits 0 iff fill returns and 1 on any exception, interrupts
-    included; os._exit runs no handler and flushes no buffer of the parent's.
+    The child exits 0 iff every fill returns and 1 on any exception,
+    interrupts included; os._exit runs no handler and flushes no buffer of
+    the parent's.  A parent killed by a signal runs no `finally`, so
+    nothing kills its children: before each item the child compares its
+    parent's pid with the one at the fork and exits 1 once they differ, so
+    it stops after the item it is on, not at the end of its range.
     """
-    global _forked_by
     parent = os.getpid()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the parent fills the range itself
         return None
     if pid == 0:
-        _forked_by = parent
         code = 1
         try:
-            fill(lo, hi)
+            for i in range(lo, hi):
+                if os.getppid() != parent:
+                    os._exit(1)
+                fill(i)
             code = 0
         finally:
             os._exit(code)
@@ -104,7 +94,7 @@ def _kill_and_reap(pids):
 
 
 def _fill_in_parallel(fill, n, make=None):
-    """fill(lo, hi) over items 0..n-1 on k CPUs (_cpus, at most n), with serial errors.
+    """fill(i) for each of the items 0..n-1 on k CPUs (_cpus, at most n), with serial errors.
 
     With `make`, this process calls make(i) for each item in turn, and
     after each make but the last, if fewer than k - 1 children run, forks
@@ -152,14 +142,16 @@ def _fill_in_parallel(fill, n, make=None):
             hand_out(lo, hi)
         error = None
         try:
-            fill(edges[-2], edges[-1])
+            for i in range(edges[-2], edges[-1]):
+                fill(i)
         except Exception as exc:  # raised after those of the earlier ranges
             error = exc
         for lo, hi in handed:
             if lo in pids:
                 reap(lo)
             if lo in failed:
-                fill(lo, hi)
+                for i in range(lo, hi):
+                    fill(i)
         if error is not None:
             raise error
     finally:

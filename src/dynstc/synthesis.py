@@ -27,7 +27,7 @@ pass reads f by component and lays the error points out rank-major:
 levels ranked by point count, column block j holds the j-th point of
 every level with more than j points, so a block's maxima are one
 contiguous np.maximum per rank (26 ranks at density 80) and one gather
-back to W^2 order.  The rows go into a buffer made once per range, and
+back to W^2 order.  The rows go into a buffer made once per pass, and
 every array a call of f makes holds one row of n_e doubles: below the
 64 KB at which a free makes glibc trim the heap, up to 8192 error points
 (density about 100).  Arrays of a block of rows, freed block after
@@ -66,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .parallel import _exit_if_orphaned, _fill_in_parallel, _shared_table
+from .parallel import _fill_in_parallel, _shared_table
 from .systems import component_rhs
 
 __all__ = [
@@ -255,7 +255,7 @@ def _level_tables(spec, grid_density):
     f is evaluated once per grid point, on the error points in rank-major
     order (_rank_major).  The blocks of _BLOCK x rows are split into one
     contiguous range per CPU (_fill_in_parallel: children fill every range
-    but the last, which this process fills); each range is filled by
+    but the last, which this process fills); each block is filled by
     the same function, so every row goes through the same IEEE operations
     in whichever process, and base_max and base_cols, which live in one
     shared mapping (_shared_table), are the bits of a serial pass.  A
@@ -263,9 +263,10 @@ def _level_tables(spec, grid_density):
     holds about 1/k of it until a search reads the other rows.
 
     Each x row's base goes into a row of a (_BLOCK, n_e) buffer made once
-    per range, and _rank_max folds them block by block, so every array a
-    call makes holds n_e doubles (39 KB at density 80, 57 KB at 96), below
-    the 64 KB at which a free makes glibc trim the heap.  Arrays of a whole
+    per pass, before the split (each process writes its own copy), and
+    _rank_max folds them block by block, so every array a call makes holds
+    n_e doubles (39 KB at density 80, 57 KB at 96), below the 64 KB at
+    which a free makes glibc trim the heap.  Arrays of a whole
     block (0.6 MB each at density 80) went back to the OS when freed and
     were faulted in again by the next block.  Above 8192 error points
     (density about 100) a row exceeds 64 KB again.
@@ -287,20 +288,19 @@ def _level_tables(spec, grid_density):
     table = _shared_table(len(xs) + n_blocks, len(starts), "level table")
     base_max, base_cols = table[:len(xs)], table[len(xs):]
 
-    def fill(lo, hi):
-        base = np.empty((_BLOCK, len(cols)))
-        for b in range(lo, hi):
-            _exit_if_orphaned()
-            rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
-            block = list(zip(xs[rows], gs[rows]))
-            for k, (x, g) in enumerate(block):
-                _row_terms(rhs, x, g, ec, base[k])
-            terms = base[:len(block)]
-            # min and max carry a NaN through, and show an infinity of either sign
-            if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
-                raise ValueError("non-finite certificate evaluation on the grid")
-            _rank_max(terms, widths, back, base_max[rows])
-            np.max(base_max[rows], axis=0, out=base_cols[b])
+    base = np.empty((_BLOCK, len(cols)))
+
+    def fill(b):
+        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
+        block = list(zip(xs[rows], gs[rows]))
+        for k, (x, g) in enumerate(block):
+            _row_terms(rhs, x, g, ec, base[k])
+        terms = base[:len(block)]
+        # min and max carry a NaN through, and show an infinity of either sign
+        if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
+            raise ValueError("non-finite certificate evaluation on the grid")
+        _rank_max(terms, widths, back, base_max[rows])
+        np.max(base_max[rows], axis=0, out=base_cols[b])
 
     _fill_in_parallel(fill, n_blocks)
     return _LevelTables(

@@ -91,16 +91,15 @@ def t_tilde_max(lam: float, gamma: float, lambda_cap: float) -> float:
     if r2 == 0.0:
         return (1.0 - lam) / ((1.0 + lam) * lambda_cap)
     r = math.sqrt(abs(r2))
-    denom = 2.0 * lam * (q - 1.0) / (1.0 + lam) + 1.0 + lam
-    arg = r * (1.0 - lam) / denom
     if r2 > 0.0:
-        return math.atan(arg) / (lambda_cap * r)
-    # 1 - arg rewritten without cancellation: the q^2/(1+r) term absorbs
-    # the near-unity difference 1 - r when q is small.
-    one_minus = (q * q / (1.0 + r)
-                 + lam * ((1.0 + r) + 2.0 * (q - 1.0) / (1.0 + lam))) / denom
-    atanh_arg = 0.5 * math.log((1.0 + arg) / one_minus)
-    return atanh_arg / (lambda_cap * r)
+        denom = 2.0 * lam * (q - 1.0) / (1.0 + lam) + 1.0 + lam
+        return math.atan(r * (1.0 - lam) / denom) / (lambda_cap * r)
+    # h = y/(lambda_cap*r), y = atanh(r*T), T = (1 - lam^2)/(1 + 2*q*lam + lam^2).
+    # With the solve's e = exp(-2y) = (1 - r*T)/(1 + r*T), 1/e = 1 + 2*r*(1 - lam^2)/n
+    # for n = (1 - r*T)*(1 + 2*q*lam + lam^2), a sum of positive terms by
+    # 1 - r = q^2/(1 + r), where 1 - r*T itself cancels for small q and lam.
+    n = q * q / (1.0 + r) + 2.0 * q * lam + lam * lam * (1.0 + r)
+    return 0.5 * math.log1p(2.0 * r * (1.0 - lam) * (1.0 + lam) / n) / (lambda_cap * r)
 
 
 def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float) -> float:

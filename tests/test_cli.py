@@ -475,9 +475,14 @@ def test_unparseable_config_exits_2(tmp_path, capsys):
     ("run", "a directory", "out"), ("synthesize", "a directory", "out"),
     ("synthesize", "cfg.json", "a file"), ("run", "cfg.json", "a file"),
     ("run", "cfg.json", "a file/sub"), ("synthesize", "cfg.json", "a file/sub")])
-def test_unusable_paths_exit_2(tmp_path, capsys, command, config, out):
+def test_unusable_paths_exit_2(tmp_path, monkeypatch, capsys, command, config, out):
     # a config that cannot be read and an --out that cannot be made a
-    # directory end in one config error line, not a traceback
+    # directory end in one config error line, not a traceback, and before
+    # any synthesis
+    def build_family(*args, **kwargs):
+        pytest.fail("synthesized for an unusable path")
+
+    monkeypatch.setattr(cli, "build_family", build_family)
     _write_config(tmp_path / "cfg.json")
     (tmp_path / "a directory").mkdir()
     (tmp_path / "a file").write_text("older\n")

@@ -1,5 +1,7 @@
 import errno
 import os
+import select
+import signal
 import time
 
 import pytest
@@ -31,10 +33,9 @@ def test_fill_behind_fills_each_made_item_once(monkeypatch, k, n):
         time.sleep(0.002)
         made[i] = True
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            table[i, 0] += 1
-            table[i, 1] = made[i]  # the copy a child got at its fork
+    def fill(i):
+        table[i, 0] += 1
+        table[i, 1] = made[i]  # the copy a child got at its fork
 
     parallel._fill_in_parallel(fill, n, make)
     assert table.tolist() == [[1.0, 1.0]] * n
@@ -53,10 +54,9 @@ def test_fill_behind_raises_the_first_failing_item(monkeypatch, bad):
         time.sleep(0.002)
         made.append(i)
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            if i in bad:
-                raise ValueError(f"item {i}")
+    def fill(i):
+        if i in bad:
+            raise ValueError(f"item {i}")
 
     for k in (1, 2, 3):
         monkeypatch.setattr(parallel, "_cpus", lambda: k)
@@ -75,10 +75,9 @@ def test_fill_behind_raises_an_error_of_make_at_once(monkeypatch):
         if i == 6:
             raise KeyboardInterrupt
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            time.sleep(0.01)
-            filled[i] = 1.0
+    def fill(i):
+        time.sleep(0.01)
+        filled[i] = 1.0
 
     with pytest.raises(KeyboardInterrupt):
         parallel._fill_in_parallel(fill, 9, make)
@@ -94,9 +93,9 @@ def test_fill_behind_fills_what_it_could_not_hand_off(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     seen = []
-    parallel._fill_in_parallel(lambda lo, hi: seen.append((lo, hi)), 4, lambda i: None)
+    parallel._fill_in_parallel(seen.append, 4, lambda i: None)
     # the parent fills every item, once
-    assert sorted(i for lo, hi in seen for i in range(lo, hi)) == [0, 1, 2, 3]
+    assert sorted(seen) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -109,10 +108,9 @@ def test_static_split_hands_every_range_but_the_last_to_children(monkeypatch, k,
     parent = os.getpid()
     table = parallel._shared_table(n, 2, "test table")
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            table[i, 0] += 1
-            table[i, 1] = os.getpid() == parent
+    def fill(i):
+        table[i, 0] += 1
+        table[i, 1] = os.getpid() == parent
 
     parallel._fill_in_parallel(fill, n)
     m = min(k, n)
@@ -130,10 +128,9 @@ def test_static_split_raises_the_first_failing_item(monkeypatch, k, n):
     m = min(k, n)
     firsts = {n * j // m for j in range(m)}
 
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            if i in firsts:
-                raise ValueError(f"item {i}")
+    def fill(i):
+        if i in firsts:
+            raise ValueError(f"item {i}")
 
     with pytest.raises(ValueError, match="^item 0$"):
         parallel._fill_in_parallel(fill, n)
@@ -141,12 +138,57 @@ def test_static_split_raises_the_first_failing_item(monkeypatch, k, n):
     last = n * (m - 1) // m
     seen = parallel._shared_table(n, 1, "test table")
 
-    def fill_last(lo, hi):
-        for i in range(lo, hi):
-            seen[i] = 1.0
-            if i == last:
-                raise ValueError(f"item {i}")
+    def fill_last(i):
+        seen[i] = 1.0
+        if i == last:
+            raise ValueError(f"item {i}")
 
     with pytest.raises(ValueError, match=f"^item {last}$"):
         parallel._fill_in_parallel(fill_last, n)
     assert seen[:last + 1].all()
+
+
+
+def test_a_child_whose_parent_is_killed_stops_before_its_next_item(tmp_path):
+    # a forked process runs the static split at k = 2 and is SIGKILLed
+    # while its child is on its first item; the child, re-parented, starts
+    # no further item of its range
+    log = tmp_path / "log"
+
+    def fill(i):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {time.time()!r}\n")
+        time.sleep(0.3)
+
+    # the child inherits the write end, so the read end sees EOF once it exits
+    done, held = os.pipe()
+    parent = os.fork()
+    if parent == 0:
+        try:
+            parallel._cpus = lambda: 2
+            parallel._fill_in_parallel(fill, 8)
+        finally:
+            os._exit(0)
+    os.close(held)
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            pids = {int(line.split()[0]) for line in
+                    (log.read_text().splitlines() if log.exists() else [])}
+            if pids - {parent}:
+                break
+            time.sleep(0.01)
+        else:
+            pytest.fail(f"the child filled no item: {pids}")
+    finally:
+        os.kill(parent, signal.SIGKILL)
+        os.waitpid(parent, 0)
+    killed = time.time()
+    try:
+        assert select.select([done], [], [], 30)[0] and os.read(done, 1) == b""
+    finally:
+        os.close(done)
+    (child,) = pids - {parent}
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert [t for pid, t in lines if int(pid) == child and float(t) > killed] == []
+    assert 1 <= sum(int(pid) == child for pid, _ in lines) < 4

@@ -153,14 +153,15 @@ def _horizon_mp(mpmath, lam, gamma, cap):
         return float(mpmath.atanh(r * tt) / (cap * r))
 
 
-@pytest.mark.parametrize("q_lo", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+@pytest.mark.parametrize("q_lo", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
 def test_solve_lambda_small_gain_ratio(q_lo):
     # for q = gamma/cap in [q_lo, 10*q_lo), every q < 1 taking the exp(-2y)
     # form: in the tanh form 1 - T and the discriminant cancelled for small
     # q, and the root missed the horizon and raised HorizonError in up to
-    # 170 of 200 draws per cell below q = 1e-4.  The solve checks its
-    # root with t_tilde_max, itself within 2% of the tolerance of the exact
-    # horizon at q = 1e-6, hence the 5% slack.
+    # 170 of 200 draws per cell below q = 1e-4.  The solve checks its root
+    # with t_tilde_max, whose q < 1 branch cancelled too: below q = 1e-7 it
+    # missed the exact horizon of an exact root by more than the tolerance,
+    # and the solve raised HorizonError.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(19)
     for frac in (0.9, 0.99, 0.999, 0.9999):
@@ -170,12 +171,19 @@ def test_solve_lambda_small_gain_ratio(q_lo):
             h = frac * t_max(gamma, cap)
             lam = solve_lambda_for_horizon(h, gamma, cap)
             assert 0.0 < lam < 1.0
-            assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1.05e-10 * max(1.0, h)
+            assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-10 * max(1.0, h)
+            assert (abs(t_tilde_max(lam, gamma, cap) - _horizon_mp(mpmath, lam, gamma, cap))
+                    <= 1e-14 * max(1.0, h))
     # the gain pair at which the closed form missed by 1.45e-10
     gamma, cap = 0.0015735133423960812, 22.15918699175904
     h = 0.9 * t_max(gamma, cap)
     lam = solve_lambda_for_horizon(h, gamma, cap)
     assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-13
+    # an exact root (to 6e-17 of its horizon) that t_tilde_max missed by
+    # 4.1 tolerances, so the solve raised HorizonError
+    h, gamma, cap = 1.6223057159746008, 2.223840443841582e-08, 11.516015590759928
+    lam = solve_lambda_for_horizon(h, gamma, cap)
+    assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-15
 
 
 def test_solve_lambda_tiny_horizon():
