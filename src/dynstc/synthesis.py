@@ -27,27 +27,18 @@ pass reads f by component and lays the error points out rank-major:
 levels ranked by point count, column block j holds the j-th point of
 every level with more than j points, so a block's maxima are one
 contiguous np.maximum per rank (26 ranks at density 80) and one gather
-back to W^2 order.  The rows go into a buffer made once per pass, and
-every array a call of f makes holds one row of n_e doubles: below the
-64 KB at which a free makes glibc trim the heap, up to 8192 error points
-(density about 100).  Arrays of a block of rows, freed block after
-block, went back to the OS and were faulted in again, about 120k page
-faults at density 80.  The one table takes n_x * levels * 8 bytes:
-30 MB at density 80, 75 MB at 96.  Its x rows are independent, so the
-pass splits its blocks of rows into k contiguous ranges, k the number
-of CPUs the process may use (at most one per block; 1 without os.fork
-or os.sched_getaffinity).  Forked children fill ranges 0..k-2 and the
-parent the last, all into one table in an anonymous shared mmap (the
-fork helper of :mod:`dynstc.parallel`, which ``dynstc run`` uses too).  Each
-process touches only its own rows, and the parent maps a child's rows
-only where it later reads them.  On 2 vCPUs the pass at density 80
-takes 0.35 s instead of 0.57 s, and its process peaks at 48 MB RSS
-instead of 63 MB.  Each set then searches the table block by block,
-in decreasing order of an upper bound per block, and stops once no
-remaining bound reaches its best value, so it reads a few blocks rather
-than the whole table, in one scratch buffer per call.
-``build_family`` serves both the ratios and the check of the inflated
-gammas from one pass.
+back to W^2 order.  The x rows are independent, so the pass splits its
+blocks of rows into one contiguous range per CPU the process may use
+(:mod:`dynstc.parallel`).  It keeps only each block's column maxima,
+blocks x levels doubles in a shared mmap (1.85 MB at density 80, 4.7 MB
+at 96; a table of every x row would take 30 and 75 MB).  Each set searches
+block by block, in decreasing order of an upper bound per block from
+those maxima, until no remaining bound reaches its best value; a block
+it reads is filled again by the pass's own function, once per pass (11
+of 305 blocks at density 80, about 4% more f work).  On 2 vCPUs
+``dynstc verify`` peaks at 37 MB RSS at density 80 (52 MB with that
+table) and 44 MB at 96 (80 MB).  ``build_family`` serves both the
+ratios and the check of the inflated gammas from one pass.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
@@ -61,7 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -178,10 +169,12 @@ class _LevelTables:
     """One f pass over the X x E grid, reduced to the distinct W^2 levels.
 
     The error grid is sorted once, stably, by W^2 into eg_s, so each level
-    of exactly equal W^2 is a contiguous run of points.  Row x of base_max
-    holds, per level in ascending W^2, the maximum of
-    base = <grad V, f> + H^2 over that level's error points; base_cols
-    holds the column maxima of each block of _BLOCK rows.
+    of exactly equal W^2 is a contiguous run of points.  Row x of the level
+    table holds, per level in ascending W^2, the maximum of
+    base = <grad V, f> + H^2 over that level's error points.  Only its
+    column maxima per block of _BLOCK rows (base_cols) and its level-0
+    column where W = 0 is a level (zero_max, else empty) are kept; rows(b)
+    recomputes block b.  Those maxima also bound any prefix of a block.
     """
 
     density: int
@@ -194,8 +187,34 @@ class _LevelTables:
     n_zero: int          # points of eg_s with W = 0, the lowest level
     vx: np.ndarray
     gx: np.ndarray
-    base_max: np.ndarray
     base_cols: np.ndarray
+    zero_max: np.ndarray
+    rhs: object          # f in component form (systems.component_rhs)
+    ec: np.ndarray       # eg_s in rank-major order, by component (_rank_major)
+    widths: list
+    back: np.ndarray
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def fill(self, b, base, out):
+        """Block b's rows of the level table into out (returned), with base as scratch."""
+        lo = b * _BLOCK
+        xs, gs = self.xg[lo:lo + _BLOCK].tolist(), self.gx[lo:lo + _BLOCK].tolist()
+        for k, (x, g) in enumerate(zip(xs, gs)):
+            _row_terms(self.rhs, x, g, self.ec, base[k])
+        terms = base[:len(xs)]
+        # min and max carry a NaN through, and show an infinity of either sign
+        if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
+            raise ValueError("non-finite certificate evaluation on the grid")
+        _rank_max(terms, self.widths, self.back, out[:len(xs)])
+        return out[:len(xs)]
+
+    def rows(self, b):
+        """Block b's rows of the level table: the pass's fill run again, once per block."""
+        if b not in self._rows:
+            n = len(self.xg[b * _BLOCK:(b + 1) * _BLOCK])
+            self._rows[b] = self.fill(b, np.empty((n, self.ec.shape[1])),
+                                      np.empty((n, len(self.lev))))
+        return self._rows[b]
 
 
 def _row_terms(rhs, x, g, ec, base):
@@ -250,26 +269,17 @@ def _rank_max(terms, widths, back, out):
 
 
 def _level_tables(spec, grid_density):
-    """The level table of one f pass, one x row per call of f, on every CPU.
+    """The column maxima of one f pass, one x row per call of f, on every CPU.
 
-    f is evaluated once per grid point, on the error points in rank-major
-    order (_rank_major).  The blocks of _BLOCK x rows are split into one
-    contiguous range per CPU (_fill_in_parallel: children fill every range
-    but the last, which this process fills); each block is filled by
-    the same function, so every row goes through the same IEEE operations
-    in whichever process, and base_max and base_cols, which live in one
-    shared mapping (_shared_table), are the bits of a serial pass.  A
-    process touches only its own rows of the table, so the parent's RSS
-    holds about 1/k of it until a search reads the other rows.
-
-    Each x row's base goes into a row of a (_BLOCK, n_e) buffer made once
-    per pass, before the split (each process writes its own copy), and
-    _rank_max folds them block by block, so every array a call makes holds
-    n_e doubles (39 KB at density 80, 57 KB at 96), below the 64 KB at
-    which a free makes glibc trim the heap.  Arrays of a whole
-    block (0.6 MB each at density 80) went back to the OS when freed and
-    were faulted in again by the next block.  Above 8192 error points
-    (density about 100) a row exceeds 64 KB again.
+    The blocks of _BLOCK x rows are split into one contiguous range per
+    CPU (_fill_in_parallel: children fill every range but the last, which
+    this process fills).  _LevelTables.fill runs each block through the
+    same IEEE operations in whichever process, into (_BLOCK, n_e) and
+    (_BLOCK, levels) buffers made once per pass, before the split; only
+    the block's column maxima, and its rows' level-0 maxima where W = 0
+    is a level, go into the shared mapping (_shared_table).  Every array a
+    call of f makes holds n_e doubles, below the 64 KB at which a free
+    makes glibc trim the heap, up to 8192 error points (density about 100).
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -279,38 +289,34 @@ def _level_tables(spec, grid_density):
     eg_s, we2_s = eg[perm], we2[perm]
     starts = np.flatnonzero(np.concatenate(([True], we2_s[1:] != we2_s[:-1])))
     cols, widths, back = _rank_major(starts, len(we2_s))
-    ec = np.ascontiguousarray(eg_s[cols].T)
-    vx = np.asarray(spec.v(xg), dtype=float)
-    gx = np.asarray(spec.grad_v(xg), dtype=float)
-    rhs = component_rhs(spec)
-    xs, gs = xg.tolist(), gx.tolist()
-    n_blocks = -(-len(xs) // _BLOCK)
-    table = _shared_table(len(xs) + n_blocks, len(starts), "level table")
-    base_max, base_cols = table[:len(xs)], table[len(xs):]
+    n_x, n_lev = xg.shape[0], len(starts)
+    n_zero = int(np.searchsorted(we2_s, 0.0, side="right"))
+    n_blocks = -(-n_x // _BLOCK)
+    shared = _shared_table(1, n_blocks * n_lev + (n_x if n_zero else 0), "level table")[0]
+    t = _LevelTables(
+        density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
+        lev=we2_s[starts], n_zero=n_zero, vx=np.asarray(spec.v(xg), dtype=float),
+        gx=np.asarray(spec.grad_v(xg), dtype=float),
+        base_cols=shared[:n_blocks * n_lev].reshape(n_blocks, n_lev),
+        zero_max=shared[n_blocks * n_lev:], rhs=component_rhs(spec),
+        ec=np.ascontiguousarray(eg_s[cols].T), widths=widths, back=back)
 
-    base = np.empty((_BLOCK, len(cols)))
+    base, out = np.empty((_BLOCK, len(cols))), np.empty((_BLOCK, n_lev))
 
     def fill(b):
-        rows = slice(b * _BLOCK, (b + 1) * _BLOCK)
-        block = list(zip(xs[rows], gs[rows]))
-        for k, (x, g) in enumerate(block):
-            _row_terms(rhs, x, g, ec, base[k])
-        terms = base[:len(block)]
-        # min and max carry a NaN through, and show an infinity of either sign
-        if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
-            raise ValueError("non-finite certificate evaluation on the grid")
-        _rank_max(terms, widths, back, base_max[rows])
-        np.max(base_max[rows], axis=0, out=base_cols[b])
+        rows = t.fill(b, base, out)
+        np.max(rows, axis=0, out=t.base_cols[b])
+        if n_zero:
+            t.zero_max[b * _BLOCK:(b + 1) * _BLOCK] = rows[:, 0]
 
     _fill_in_parallel(fill, n_blocks)
-    return _LevelTables(
-        density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
-        lev=we2_s[starts], n_zero=int(np.searchsorted(we2_s, 0.0, side="right")),
-        vx=vx, gx=gx, base_max=base_max, base_cols=base_cols)
+    return t
 
 
-def _table_max(table, cols, a, combine, buf):
+def _table_max(rows_of, cols, a, combine, buf):
     """The maximum of combine(table + a[:, None]) and the first row attaining it.
+
+    rows_of(b) gives the rows of block b of the table, cols its column maxima.
 
     combine must be nondecreasing in each entry: it adds or subtracts a
     per-level constant, or divides by a positive one, in place, and
@@ -322,8 +328,8 @@ def _table_max(table, cols, a, combine, buf):
     the best value so far; equal values keep the smallest row, as a sweep
     in grid order would.
 
-    buf (_bound_buffer) takes the bounds, then each searched block, so a
-    set's search allocates nothing of the table's width.
+    buf (_bound_buffer) takes the bounds, then each searched block, so the
+    search itself allocates nothing of the table's width.
     """
     a_max = np.maximum.reduceat(a, np.arange(0, len(a), _BLOCK))
     bounds = combine(np.add(cols, a_max[:, None], out=buf[:len(cols)])).max(axis=1)
@@ -332,7 +338,7 @@ def _table_max(table, cols, a, combine, buf):
         if bounds[b] < best:
             break
         lo = int(b) * _BLOCK
-        rows = table[lo:lo + _BLOCK]
+        rows = rows_of(int(b))
         s = combine(np.add(rows, a[lo:lo + _BLOCK, None], out=buf[:len(rows)]))
         j = int(np.argmax(s))
         r = lo + j // s.shape[1]
@@ -341,10 +347,10 @@ def _table_max(table, cols, a, combine, buf):
     return best, row
 
 
-def _row_base(spec, t, r, errors):
+def _row_base(t, r, errors):
     """base at the x row r of the tables t over the error points `errors`, in a fresh row."""
     base = np.empty(errors.shape[0])
-    _row_terms(component_rhs(spec), t.xg[r].tolist(), t.gx[r].tolist(), errors.T, base)
+    _row_terms(t.rhs, t.xg[r].tolist(), t.gx[r].tolist(), errors.T, base)
     return base
 
 
@@ -353,7 +359,7 @@ def _bound_buffer(cols):
     return np.empty((max(cols.shape[0], _BLOCK), cols.shape[1]))
 
 
-def _ratios(spec, t, epsilons):
+def _ratios(t, epsilons):
     """Per epsilon, the grid maximum over W > 0 of (base + eps*V)/W^2.
 
     A W = 0 grid point with a positive numerator is raised as a
@@ -361,32 +367,32 @@ def _ratios(spec, t, epsilons):
     epsilon, at its largest W = 0 numerator, first in grid order on ties.
     """
     w_pos = slice(1 if t.n_zero else 0, None)  # the levels with W > 0
-    table, cols, lev = t.base_max[:, w_pos], t.base_cols[:, w_pos], t.lev[w_pos]
+    cols, lev = t.base_cols[:, w_pos], t.lev[w_pos]
     buf = _bound_buffer(cols)
     ratios = np.empty(len(epsilons))
     for k, eps in enumerate(epsilons):
         a = eps * t.vx
         if t.n_zero:
-            num = t.base_max[:, 0] + a
+            num = t.zero_max + a
             bi = int(np.argmax(num))
             if num[bi] > 0.0:
-                base = _row_base(spec, t, bi, t.eg_s[:t.n_zero])
+                base = _row_base(t, bi, t.eg_s[:t.n_zero])
                 x_off = tuple(t.xg[bi])
                 e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num[bi]].min()])
                 raise SynthesisError(
                     f"epsilon={eps}: positive certificate numerator "
                     f"{num[bi]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
                     epsilon=eps, point=(x_off, e_off))
-        ratios[k] = _table_max(table, cols, a,
+        ratios[k] = _table_max(lambda b: t.rows(b)[:, w_pos], cols, a,
                                lambda m: np.divide(m, lev, out=m), buf)[0]
     return ratios
 
 
-def _verify_tables(spec, t, family):
+def _verify_tables(t, family):
     """The report of every set of the family, from the level tables.
 
     A set's maximum of s = base + eps*V - gamma^2*W^2 over the grid is the
-    maximum over the table of base_max + eps*V - gamma^2*lev, bit for
+    maximum over the level table of its rows + eps*V - gamma^2*lev, bit for
     bit: the maximum commutes with each set's monotone map.  The worst
     (x, e) is recovered from the one maximizing row, recomputed over every
     error point; ties go to the first point in grid order over x, then e.
@@ -397,9 +403,9 @@ def _verify_tables(spec, t, family):
         g2 = ps.gamma * ps.gamma
         g2lev = g2 * t.lev
         a = ps.epsilon * t.vx
-        best, r = _table_max(t.base_max, t.base_cols, a,
+        best, r = _table_max(t.rows, t.base_cols, a,
                              lambda m: np.subtract(m, g2lev, out=m), buf)
-        base = _row_base(spec, t, r, t.eg_s)
+        base = _row_base(t, r, t.eg_s)
         worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
         reports.append(VerificationReport(
             max_violation=float(best), worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
@@ -409,7 +415,7 @@ def _verify_tables(spec, t, family):
 
 def verify_family(spec, family: ParameterFamily, grid_density: int):
     """Reports for every set of the family from one f pass over the grid."""
-    return _verify_tables(spec, _level_tables(spec, grid_density), family)
+    return _verify_tables(_level_tables(spec, grid_density), family)
 
 
 def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
@@ -429,12 +435,12 @@ def build_family(spec, epsilons: Sequence[float], l_const: float = 0.05,
     first = int(np.argmax(epsilons))
     epsilons = [epsilons[first]] + epsilons[:first] + epsilons[first + 1:]
     tables = _level_tables(spec, grid_density)
-    ratios = _ratios(spec, tables, epsilons)
+    ratios = _ratios(tables, epsilons)
     family = ParameterFamily(sets=tuple(
         ParameterSet(epsilon=eps, l_const=float(l_const),
                      gamma=GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR)
         for eps, r in zip(epsilons, ratios)))
-    for eps, ps, rep in zip(epsilons, family.sets, _verify_tables(spec, tables, family)):
+    for eps, ps, rep in zip(epsilons, family.sets, _verify_tables(tables, family)):
         if not rep.certified:
             raise SynthesisError(
                 f"epsilon={eps}: inflated gamma={ps.gamma:.6g} still violates the "

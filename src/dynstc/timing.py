@@ -19,6 +19,9 @@ where the simulator forms the combined energy ``V + gamma*phi(tau)*W^2``:
 
 Everything is a closed form and deterministic.  The functions take and
 return scalars; ``PhiSolution.evaluate`` accepts scalars and arrays.
+Against 60-digit ``mpmath``, ``t_max`` and ``t_tilde_max`` are within
+2e-15 relative for q = gamma/lambda_cap in [1e-9, 1e9], lambda_cap in
+[1e-3, 1e3] and lam in (1e-6, 1 - 1e-6) (a seeded test at two seeds).
 """
 
 from __future__ import annotations

@@ -233,7 +233,7 @@ def test_verify_rejects_corrupted_manifest(tmp_path, capsys):
     halved["sets"][0]["gamma"] *= 0.5
     # gamma^2 just below the grid ratio at the check density 32: the grid
     # maximum is about +4e-9, and a set fails however small its excess
-    ratio = _ratios(linear_test(), _level_tables(linear_test(), 32), [0.5])[0]
+    ratio = _ratios(_level_tables(linear_test(), 32), [0.5])[0]
     near = {"fallback_index": 0, "sets": [{"epsilon": 0.5, "L": 0.05, "grid_density": 16,
                                            "gamma": math.sqrt((1.0 - 1e-9) * ratio)}]}
     for doc in (halved, near):

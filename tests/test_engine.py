@@ -25,8 +25,9 @@ from dynstc.engine import (
     update_eta,
     window_average_c,
 )
-from dynstc.synthesis import ParameterFamily, ParameterSet
-from dynstc.systems import linear_test
+from dynstc.synthesis import (ParameterFamily, ParameterSet, build_family,
+                              default_epsilon_ladder)
+from dynstc.systems import linear_test, van_der_pol
 from dynstc.timing import t_max
 
 
@@ -155,6 +156,34 @@ def test_interval_conventions():
     assert interval_for_set(1.0, 0.0, _candidate(ps_pos), 1) == 0.0
     with pytest.raises(ValueError):
         interval_for_set(-1.0, 1.0, _candidate(ps), 1)
+
+
+def test_log_interval_rounds_past_its_root():
+    # the float h = log(C/V)/a of the log branch lies above the exact root
+    # of (eps_ref - eps_i)*h = log(C/V) in about half the draws; the excess
+    # in that inequality is a rounding of C/V and of three operations,
+    # below 4u(1 + log(C/V)) for the unit roundoff u (at most 1.34u(1 + log)
+    # seen).  Relative to h it grows as C/V nears 1: up to 6.5e-13 here.
+    mpmath = pytest.importorskip("mpmath")
+    fam = build_family(van_der_pol(), default_epsilon_ladder(), 0.05, 48)
+    cfg = StcConfig(family=fam, c=10.0)
+    rng = np.random.default_rng(3)
+    u, n_log, n_over = 2.0 ** -53, 0, 0
+    for _ in range(20000):
+        i = int(rng.integers(len(fam.sets)))
+        v, c_val = rng.uniform(0.0, cfg.c, 2)
+        h = interval_for_set(v, c_val, cfg, i)
+        if not (c_val >= v and cfg.eps_ref > fam.sets[i].epsilon
+                and h < cfg._interval_caps[i]):
+            continue
+        n_log += 1
+        with mpmath.workdps(50):
+            log_cv = mpmath.log(mpmath.mpf(c_val) / mpmath.mpf(v))
+            a = mpmath.mpf(cfg.eps_ref) - mpmath.mpf(fam.sets[i].epsilon)
+            excess = a * mpmath.mpf(h) - log_cv
+            assert excess <= 4 * u * (1 + log_cv)
+            n_over += excess > 0
+    assert n_log > 1000 and n_log / 3 < n_over < n_log
 
 
 def test_stc_config_validation():

@@ -1,11 +1,14 @@
 """Tests for grid verification and parameter-set synthesis."""
 
 import errno
+import gc
 import json
 import math
 import mmap
 import os
 import signal
+import types
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -258,19 +261,64 @@ def test_build_family_makes_one_f_pass(monkeypatch):
     # f is counted in this process only, so the pass must not fork
     monkeypatch.setattr(parallel, "_cpus", lambda: 1)
     spec = van_der_pol()
-    points = []
+    calls = []
 
     def f(x, e):
-        points.append(math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(e)[:-1])))
+        xs = np.reshape(x, (-1, spec.n_x))
+        assert np.all(xs == xs[0])  # one x row per call
+        calls.append((tuple(xs[0]),
+                      math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(e)[:-1]))))
         return spec.f(x, e)
 
     epsilons = [0.01, -1.0, -40.0]
     fam = build_family(replace(spec, f=f), epsilons, grid_density=24)
     assert fam == build_family(spec, epsilons, grid_density=24)
-    # one table pass plus at most one recomputed row per set, one x row per call
-    n_x, n_e = (g.shape[0] for g in _grids(spec, 24))
-    assert sum(points) <= n_x * n_e + len(epsilons) * n_e
-    assert max(points) <= n_e
+    xg, eg = _grids(spec, 24)
+    assert {n for _, n in calls} == {eg.shape[0]}
+    # every x row once in the pass, then once more if a search reads its
+    # block, each such block whole and at most once; then one worst-point
+    # row per set, whose block a search has read
+    counts = Counter(row for row, _ in calls)
+    assert set(counts) == set(map(tuple, xg))
+    again = [counts[tuple(x)] > 1 for x in xg]
+    blocks = [again[lo:lo + _BLOCK] for lo in range(0, len(xg), _BLOCK)]
+    assert all(all(blk) or not any(blk) for blk in blocks)
+    assert sum(counts.values()) == len(xg) + sum(again) + len(epsilons)
+    assert 0 < sum(map(any, blocks)) < len(blocks) // 2
+
+
+def _kept_arrays(obj):
+    """The arrays reachable from obj through fields, containers and closures, and their buffers."""
+    arrays, buffers, seen, todo = [], {}, set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            buffers[id(o)] = o.nbytes  # a shared mapping's whole length
+        elif isinstance(o, types.FunctionType):  # not its module's globals
+            todo.extend(c.cell_contents for c in o.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(o))
+    return arrays, sum(buffers.values())
+
+
+def test_level_tables_keep_no_row_per_x():
+    # the searches recompute the rows they read, so the tables hold a row
+    # per block of _BLOCK x rows and vectors of the grids, not a table of
+    # n_x rows by levels (75 MB at density 96)
+    spec = van_der_pol()
+    t = _level_tables(spec, 96)
+    n_x, n_e, n_lev = t.xg.shape[0], t.eg.shape[0], len(t.lev)
+    n_blocks = -(-n_x // _BLOCK)
+    arrays, n_bytes = _kept_arrays(t)
+    assert any(a is t.base_cols for a in arrays)
+    assert not [a.shape for a in arrays if a.ndim == 2 and n_x in a.shape and n_lev in a.shape]
+    assert n_blocks * n_lev * 8 < n_bytes <= (n_blocks + 1) * n_lev * 8 + 8 * (n_x + n_e) * 8
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -285,11 +333,15 @@ def test_table_max_matches_argmax(seed):
     cols = np.maximum.reduceat(table, blocks, axis=0)
     kept = table.copy()
     buf = _bound_buffer(cols)
+
+    def rows_of(b):
+        return table[b * _BLOCK:(b + 1) * _BLOCK]
+
     for combine in (lambda m: np.subtract(m, c, out=m), lambda m: np.add(m, c, out=m),
                     lambda m: np.divide(m, c, out=m)):
         s = combine(table + a[:, None])
         flat = int(np.argmax(s))
-        best, row = _table_max(table, cols, a, combine, buf)
+        best, row = _table_max(rows_of, cols, a, combine, buf)
         assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
         # combine works in the buffer, never in the table
         assert _bits(table) == _bits(kept)
@@ -315,6 +367,12 @@ def test_rank_max_matches_reduceat(seed):
     assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
+def _tables_bits(t):
+    """The bytes (so the signs of zeros) of the maxima kept and of every block's rows."""
+    n_blocks = t.base_cols.shape[0]
+    return [_bits(t.base_cols), _bits(t.zero_max)] + [_bits(t.rows(b)) for b in range(n_blocks)]
+
+
 @pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 129)])
 def test_drift_without_rhs_gives_same_tables(system, density):
     # the built-in's component rhs against one call of f unpacked by component;
@@ -323,9 +381,7 @@ def test_drift_without_rhs_gives_same_tables(system, density):
     plain = replace(spec, f=lambda x, e: spec.f(x, e))
     assert not hasattr(plain.f, "rhs")
     assert _grids(spec, density)[0].shape[0] > 4 * _BLOCK
-    t, u = _level_tables(spec, density), _level_tables(plain, density)
-    for name in ("base_max", "base_cols"):
-        assert _bits(getattr(t, name)) == _bits(getattr(u, name))
+    assert _tables_bits(_level_tables(spec, density)) == _tables_bits(_level_tables(plain, density))
 
 
 def _forced_tables(monkeypatch, spec, density, k):
@@ -342,21 +398,27 @@ def _forced_tables(monkeypatch, spec, density, k):
         return _level_tables(spec, density), len(forks)
 
 
-@pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 200),
-                                             ("linear_test", 24), ("linear_test", 16)])
+@pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("van_der_pol", 25),
+                                             ("linear_test", 200), ("linear_test", 24),
+                                             ("linear_test", 16)])
 def test_parallel_pass_keeps_its_bits(monkeypatch, system, density):
-    # linear_test at 24 has 2 x row blocks and at 16 one, fewer than 3 CPUs
+    # linear_test at 24 has 2 x row blocks and at 16 one, fewer than 3 CPUs;
+    # van_der_pol at 25 has W = 0 points, so a level-0 column
     spec = spec_from_config({"name": system})
-    n_blocks = -(-_grids(spec, density)[0].shape[0] // _BLOCK)
+    n_x = _grids(spec, density)[0].shape[0]
+    n_blocks = -(-n_x // _BLOCK)
     serial, forks = _forced_tables(monkeypatch, spec, density, 1)
     assert forks == 0
+    assert serial.zero_max.shape == ((n_x,) if density % 2 else (0,))
     for k in (2, 3):
         t, forks = _forced_tables(monkeypatch, spec, density, k)
         assert forks == min(k, n_blocks) - 1
-        for name in ("base_max", "base_cols"):
-            assert _bits(getattr(t, name)) == _bits(getattr(serial, name))
-            assert np.array_equal(np.signbit(getattr(t, name)),
-                                  np.signbit(getattr(serial, name)))
+        assert _tables_bits(t) == _tables_bits(serial)
+        # the rows recomputed here have the maxima the pass's processes stored
+        for b in range(n_blocks):
+            assert _bits(t.rows(b).max(axis=0)) == _bits(t.base_cols[b])
+            if t.n_zero:
+                assert _bits(t.rows(b)[:, 0]) == _bits(t.zero_max[b * _BLOCK:][:_BLOCK])
 
 
 class _Boom(Exception):
@@ -439,8 +501,7 @@ def test_parent_refills_ranges_it_could_not_hand_off(monkeypatch, fails):
     monkeypatch.setattr(os, "fork", fork)
     t = _level_tables(replace(spec, f=f), 24)
     assert len(calls) == 2
-    for name in ("base_max", "base_cols"):
-        assert _bits(getattr(t, name)) == _bits(getattr(serial, name))
+    assert _tables_bits(t) == _tables_bits(serial)
 
 
 def test_table_allocation_failure_is_memory_error(monkeypatch):
@@ -482,7 +543,7 @@ def test_level_pass_matches_point_sweep(system, density, config):
     block = {"name": system, **(_CUSTOM[system] if config == "custom" else {})}
     spec = spec_from_config(block)
     ratios = _ref_synth_ratios(spec, epsilons, density)
-    assert _bits(_ratios(spec, _level_tables(spec, density), epsilons)) == _bits(ratios)
+    assert _bits(_ratios(_level_tables(spec, density), epsilons)) == _bits(ratios)
     fam = build_family(spec, epsilons, grid_density=density)
     gammas = [GAMMA_INFLATION * math.sqrt(r) if r > 0.0 else GAMMA_FLOOR
               for r in ratios]

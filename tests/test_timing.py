@@ -139,18 +139,27 @@ def test_solve_lambda_near_cap():
                 assert abs(t_tilde_max(lam, gamma, cap) - h) <= 1e-12 * h
 
 
-def _horizon_mp(mpmath, lam, gamma, cap):
-    """The exact horizon of lam for q = gamma/cap < 1, in 60 digits.
+def _t_tilde_mp(mpmath, lam, gamma, cap):
+    """t_tilde_max in 60 digits on the float inputs, every branch; lam None gives t_max.
 
-    From (1 + T)*lam^2 + 2*q*T*lam + T - 1 = 0 with T = tanh(cap*r*h)/r:
-    T = (1 - lam^2)/(1 + 2*q*lam + lam^2) and h = atanh(r*T)/(cap*r).
+    With q = gamma/cap, r^2 = |q^2 - 1| and T = (1 - lam^2)/(1 + 2*q*lam + lam^2)
+    (T = 1 at lam = 0): atan(r*T)/(cap*r) for q > 1, atanh(r*T)/(cap*r) for
+    q < 1 and T/cap at q = 1.
     """
     with mpmath.workdps(60):
-        lam, gamma, cap = mpmath.mpf(lam), mpmath.mpf(gamma), mpmath.mpf(cap)
+        gamma, cap = mpmath.mpf(gamma), mpmath.mpf(cap)
         q = gamma / cap
-        r = mpmath.sqrt(1 - q * q)
-        tt = (1 - lam * lam) / (1 + 2 * q * lam + lam * lam)
-        return float(mpmath.atanh(r * tt) / (cap * r))
+        if lam is None:
+            tt = 1
+        else:
+            lam = mpmath.mpf(lam)
+            tt = (1 - lam * lam) / (1 + 2 * q * lam + lam * lam)
+        r2 = q * q - 1
+        if r2 > 0:
+            return mpmath.atan(mpmath.sqrt(r2) * tt) / (cap * mpmath.sqrt(r2))
+        if r2 < 0:
+            return mpmath.atanh(mpmath.sqrt(-r2) * tt) / (cap * mpmath.sqrt(-r2))
+        return tt / cap
 
 
 @pytest.mark.parametrize("q_lo", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
@@ -171,19 +180,19 @@ def test_solve_lambda_small_gain_ratio(q_lo):
             h = frac * t_max(gamma, cap)
             lam = solve_lambda_for_horizon(h, gamma, cap)
             assert 0.0 < lam < 1.0
-            assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-10 * max(1.0, h)
-            assert (abs(t_tilde_max(lam, gamma, cap) - _horizon_mp(mpmath, lam, gamma, cap))
+            assert abs(_t_tilde_mp(mpmath, lam, gamma, cap) - h) <= 1e-10 * max(1.0, h)
+            assert (abs(t_tilde_max(lam, gamma, cap) - _t_tilde_mp(mpmath, lam, gamma, cap))
                     <= 1e-14 * max(1.0, h))
     # the gain pair at which the closed form missed by 1.45e-10
     gamma, cap = 0.0015735133423960812, 22.15918699175904
     h = 0.9 * t_max(gamma, cap)
     lam = solve_lambda_for_horizon(h, gamma, cap)
-    assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-13
+    assert abs(_t_tilde_mp(mpmath, lam, gamma, cap) - h) <= 1e-13
     # an exact root (to 6e-17 of its horizon) that t_tilde_max missed by
     # 4.1 tolerances, so the solve raised HorizonError
     h, gamma, cap = 1.6223057159746008, 2.223840443841582e-08, 11.516015590759928
     lam = solve_lambda_for_horizon(h, gamma, cap)
-    assert abs(_horizon_mp(mpmath, lam, gamma, cap) - h) <= 1e-15
+    assert abs(_t_tilde_mp(mpmath, lam, gamma, cap) - h) <= 1e-15
 
 
 def test_solve_lambda_tiny_horizon():
@@ -279,3 +288,22 @@ def test_certified_horizon_is_evaluable():
             assert phi[0] == 1.0 / lam and np.all(np.isfinite(phi))
     assert solved >= 150
 
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_horizons_match_mpmath(seed):
+    # both branches of q = gamma/cap, the shipped family's q >= 467 in the
+    # arctangent one; at most 1.1e-15 (t_max) and 4.7e-16 (t_tilde_max)
+    # were seen over these draws
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    branches = set()
+    for _ in range(3000):
+        q, cap = 10.0 ** rng.uniform(-9.0, 9.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        lam = rng.uniform(1e-6, 1.0 - 1e-6)
+        gamma = q * cap
+        branches.add(q > 1.0)
+        exact = _t_tilde_mp(mpmath, None, gamma, cap)
+        assert abs(t_max(gamma, cap) - exact) <= 2e-15 * exact
+        exact = _t_tilde_mp(mpmath, lam, gamma, cap)
+        assert abs(t_tilde_max(lam, gamma, cap) - exact) <= 2e-15 * exact
+    assert branches == {False, True}
