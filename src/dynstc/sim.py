@@ -16,7 +16,8 @@ Every run can be checked against the inequalities that back the design:
 * sample decrease: the certificate recorded with each decision
   (window bound or fall-back decrease), their combination with
   rate min{eps_1, eps_ref}, a running cap, and a windowed geometric
-  envelope;
+  envelope, from the samples' V alone (no sample keeps the register: the
+  window bounds take the last m V's under any ``stc.eta_init``);
 * region invariance: V <= c (plus tolerance) at every flow node, the
   loop's escape rule.
 
@@ -90,7 +91,6 @@ class Sample:
     j: int
     x: np.ndarray
     v: float
-    eta: tuple
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, dec=None):
 def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
     """The sampling loop: jump at t = 0, then flow and jump until a sample >= t_end.
 
-    ``jump(x)`` returns (h, decision or None, V(x), register) at a sample.
+    ``jump(x)`` returns (h, decision or None, V(x)) at a sample.
     dt_flow defaults to h_min/32 and is at most h_min/16, h_min being the
     shortest interval the jump issues.
     """
@@ -259,9 +259,9 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
     segments = [(np.empty(0), np.empty(0, dtype=int), np.empty((0, spec.n_x)),
                  np.empty(0), np.empty(0))]  # the columns' types, for a run without flow
     while True:
-        h, dec, v, eta = jump(x)
+        h, dec, v = jump(x)
         j = len(samples) + 1
-        samples.append(Sample(t=t, j=j, x=x.copy(), v=v, eta=eta))
+        samples.append(Sample(t=t, j=j, x=x.copy(), v=v))
         if dec is not None:
             decisions.append(dec)
         if t >= t_end:
@@ -289,7 +289,7 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float,
         if dyn is None:  # the register starts from V(x0)
             dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
         dec, dyn = stc_step(x, dyn, cfg, spec)
-        return dec.h, dec, dec.v_now, dyn.eta
+        return dec.h, dec, dec.v_now
 
     traj = _hybrid(x0, spec, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
     return replace(traj, monitors=tuple(run_monitors(traj, cfg)))
@@ -301,7 +301,7 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
     traj = _hybrid(x0, spec, spec.region_c, period, t_end, dt_flow,
-                   lambda x: (period, None, float(spec.v(x)), ()))
+                   lambda x: (period, None, float(spec.v(x))))
     return replace(traj, monitors=tuple(_region(seg, spec.region_c) for seg in _segments(traj)),
                    kind="periodic", period=period)
 
@@ -351,36 +351,36 @@ def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
 
 
 def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
-    """Certificate checks across consecutive samples.
+    """Certificate checks across consecutive samples, read from their V history.
 
     Emits one record per sample pair for the decision's own bound, the
-    combined bound with rate min{eps_1, eps_ref}, the running cap
-    V(t_j) <= max{V(t_0), eta(t_0)}, and a conservative windowed
-    envelope contracting once per full window of m samples.
+    combined bound with rate min{eps_1, eps_ref} on max{V_max(0,k-m+1), ..,
+    V_k}, the running cap V(t_j) <= V(t_0), and a conservative windowed
+    envelope contracting once per full window of m samples.  Under either
+    initial register those are the maxima of V_k with the register the
+    trigger held and of V(t_0) with its first: a "v0" pad repeats V(t_0),
+    a "zero" pad lies below every V.
     """
     records = []
     if not traj.samples:
         return records
     tmin = t_min_of(cfg)
     eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
-    v0 = traj.samples[0].v
-    eta0 = eta_initial(cfg.m, v0, cfg.eta_init).eta
-    m0 = max([v0] + list(eta0))
-    for k in range(len(traj.samples) - 1):
+    vs = [s.v for s in traj.samples]
+    for k in range(len(vs) - 1):
         dec = traj.decisions[k]
-        v_next = traj.samples[k + 1].v
+        v_next = vs[k + 1]
         if dec.used_fallback:
             bound = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
         else:
             bound = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
         records.append(_bound("sample-decrease", k + 1, v_next, bound))
-        eta_pre = traj.samples[k - 1].eta if k > 0 else eta0
-        comb = math.exp(-eps_tilde * tmin) * max([dec.v_now] + list(eta_pre))
+        comb = math.exp(-eps_tilde * tmin) * max(vs[max(0, k - cfg.m + 1):k + 1])
         records.append(_bound("combined-decrease", k + 1, v_next, comb))
     for k, smp in enumerate(traj.samples):
-        records.append(_bound("running-cap", smp.j, smp.v, m0))
+        records.append(_bound("running-cap", smp.j, smp.v, vs[0]))
         depth = max(0, k - cfg.m) / cfg.m
-        env = math.exp(-eps_tilde * tmin * depth) * m0
+        env = math.exp(-eps_tilde * tmin * depth) * vs[0]
         records.append(_bound("window-envelope", smp.j, smp.v, env))
     return records
 

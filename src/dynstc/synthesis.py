@@ -172,8 +172,7 @@ class _LevelTables:
     of exactly equal W^2 is a contiguous run of points.  Row x of the level
     table holds, per level in ascending W^2, the maximum of
     base = <grad V, f> + H^2 over that level's error points.  Only its
-    column maxima per block of _BLOCK rows (base_cols) and its level-0
-    column where W = 0 is a level (zero_max, else empty) are kept; rows(b)
+    column maxima per block of _BLOCK rows (base_cols) are kept; rows(b)
     recomputes block b.  Those maxima also bound any prefix of a block.
     """
 
@@ -188,7 +187,6 @@ class _LevelTables:
     vx: np.ndarray
     gx: np.ndarray
     base_cols: np.ndarray
-    zero_max: np.ndarray
     rhs: object          # f in component form (systems.component_rhs)
     ec: np.ndarray       # eg_s in rank-major order, by component (_rank_major)
     widths: list
@@ -276,10 +274,10 @@ def _level_tables(spec, grid_density):
     this process fills).  _LevelTables.fill runs each block through the
     same IEEE operations in whichever process, into (_BLOCK, n_e) and
     (_BLOCK, levels) buffers made once per pass, before the split; only
-    the block's column maxima, and its rows' level-0 maxima where W = 0
-    is a level, go into the shared mapping (_shared_table).  Every array a
-    call of f makes holds n_e doubles, below the 64 KB at which a free
-    makes glibc trim the heap, up to 8192 error points (density about 100).
+    the block's column maxima go into the shared mapping (_shared_table).
+    Every array a call of f makes holds n_e doubles, below the 64 KB at
+    which a free makes glibc trim the heap, up to 8192 error points
+    (density about 100).
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -292,22 +290,17 @@ def _level_tables(spec, grid_density):
     n_x, n_lev = xg.shape[0], len(starts)
     n_zero = int(np.searchsorted(we2_s, 0.0, side="right"))
     n_blocks = -(-n_x // _BLOCK)
-    shared = _shared_table(1, n_blocks * n_lev + (n_x if n_zero else 0), "level table")[0]
     t = _LevelTables(
         density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
         lev=we2_s[starts], n_zero=n_zero, vx=np.asarray(spec.v(xg), dtype=float),
         gx=np.asarray(spec.grad_v(xg), dtype=float),
-        base_cols=shared[:n_blocks * n_lev].reshape(n_blocks, n_lev),
-        zero_max=shared[n_blocks * n_lev:], rhs=component_rhs(spec),
+        base_cols=_shared_table(n_blocks, n_lev, "level table"), rhs=component_rhs(spec),
         ec=np.ascontiguousarray(eg_s[cols].T), widths=widths, back=back)
 
     base, out = np.empty((_BLOCK, len(cols))), np.empty((_BLOCK, n_lev))
 
     def fill(b):
-        rows = t.fill(b, base, out)
-        np.max(rows, axis=0, out=t.base_cols[b])
-        if n_zero:
-            t.zero_max[b * _BLOCK:(b + 1) * _BLOCK] = rows[:, 0]
+        np.max(t.fill(b, base, out), axis=0, out=t.base_cols[b])
 
     _fill_in_parallel(fill, n_blocks)
     return t
@@ -364,7 +357,8 @@ def _ratios(t, epsilons):
 
     A W = 0 grid point with a positive numerator is raised as a
     SynthesisError (no finite gamma can help there): the first such
-    epsilon, at its largest W = 0 numerator, first in grid order on ties.
+    epsilon, at its largest W = 0 numerator (_table_max on level column 0),
+    first in grid order on ties.
     """
     w_pos = slice(1 if t.n_zero else 0, None)  # the levels with W > 0
     cols, lev = t.base_cols[:, w_pos], t.lev[w_pos]
@@ -373,15 +367,15 @@ def _ratios(t, epsilons):
     for k, eps in enumerate(epsilons):
         a = eps * t.vx
         if t.n_zero:
-            num = t.zero_max + a
-            bi = int(np.argmax(num))
-            if num[bi] > 0.0:
+            num, bi = _table_max(lambda b: t.rows(b)[:, :1], t.base_cols[:, :1], a,
+                                 lambda m: m, buf[:, :1])
+            if num > 0.0:
                 base = _row_base(t, bi, t.eg_s[:t.n_zero])
                 x_off = tuple(t.xg[bi])
-                e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num[bi]].min()])
+                e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num].min()])
                 raise SynthesisError(
                     f"epsilon={eps}: positive certificate numerator "
-                    f"{num[bi]:.3e} at a W=0 grid point x={x_off}, e={e_off}",
+                    f"{num:.3e} at a W=0 grid point x={x_off}, e={e_off}",
                     epsilon=eps, point=(x_off, e_off))
         ratios[k] = _table_max(lambda b: t.rows(b)[:, w_pos], cols, a,
                                lambda m: np.divide(m, lev, out=m), buf)[0]

@@ -22,6 +22,8 @@ return scalars; ``PhiSolution.evaluate`` accepts scalars and arrays.
 Against 60-digit ``mpmath``, ``t_max`` and ``t_tilde_max`` are within
 2e-15 relative for q = gamma/lambda_cap in [1e-9, 1e9], lambda_cap in
 [1e-3, 1e3] and lam in (1e-6, 1 - 1e-6) (a seeded test at two seeds).
+On the arctangent branch, q in [1, 1e9], the lam solved for h in (0, t_max)
+has a 60-digit horizon within 1e-14*max(1, h) of h (same seeds; 7.9e-15 seen).
 """
 
 from __future__ import annotations

@@ -13,11 +13,21 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dynstc import cli, parallel
-from dynstc.engine import StcConfig, t_max_cap, t_min_of
-from dynstc.sim import IntegrationBlowupError, simulate_periodic, write_trajectory_csv
+from dynstc.engine import StcConfig, TriggerDecision, set_lambda_cap, t_max_cap, t_min_of
+from dynstc.sim import (
+    FlowRecords,
+    HybridTrajectory,
+    IntegrationBlowupError,
+    Sample,
+    run_monitors,
+    simulate_periodic,
+    write_monitors_csv,
+    write_trajectory_csv,
+)
 from dynstc.synthesis import _level_tables, _ratios, read_manifest, verify_family
 from dynstc.systems import linear_test
 
@@ -992,6 +1002,70 @@ def test_one_job_keeps_its_bytes_in_every_split(tmp_path, capsys, monkeypatch, n
     # the dynamic run of the pinned config, written whole at k = 1
     pinned = _PINNED_DIGESTS[name]["run0_dynamic_trajectory.csv"]
     assert results[5][0]["run0_dynamic_trajectory.csv"] == pinned
+
+
+def _read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _rebuilt_trajectory(out, stem, cfg):
+    """Run `stem`'s HybridTrajectory in out, from its trajectory and decisions CSVs.
+
+    Each decision's set is cfg's (the family of family.json) and its rate
+    cap set_lambda_cap's; each sample's x is its segment's tau = 0 row, or
+    the last row for the final sample, which starts no segment.
+    """
+    rows = _read_csv(out / f"{stem}_trajectory.csv")
+    decs = _read_csv(out / f"{stem}_decisions.csv")
+    n_x = len(rows[0]) - 7  # t, j, x1..xn, V, U, interval, set_index, used_fallback
+
+    def column(key, kind=float):
+        return np.array([kind(row[key]) for row in rows])
+
+    fp = FlowRecords(t=column("t"), j=column("j", int),
+                     x=np.stack([column(f"x{i + 1}") for i in range(n_x)], axis=-1),
+                     v=column("V"), u=column("U"))
+    first = {}
+    for k, j in enumerate(fp.j.tolist()):
+        first.setdefault(j, k)
+    samples = tuple(Sample(t=float(d["t"]), j=int(d["j"]), v=float(d["V"]),
+                           x=fp.x[first[int(d["j"])] if int(d["j"]) < len(decs) else -1])
+                    for d in decs)
+    decisions = tuple(TriggerDecision(h=float(d["h"]), set_index=i, params=cfg.family.sets[i],
+                                      lambda_cap_used=set_lambda_cap(cfg, i),
+                                      v_now=float(d["V"]), c_val=float(d["C"]))
+                      for d in decs for i in [int(d["set_index"])])
+    return HybridTrajectory(samples=samples, decisions=decisions, flow_points=fp)
+
+
+# the pinned configs, and a register seeded with zeros under another window length
+_REBUILD_CONFIGS = dict(_DIGEST_CONFIGS, linear_zero_register={
+    "stc": {"delta": 0.999, "eps_ref": 0.01, "m": 3, "eta_init": "zero"},
+    "run": {"x0": [[0.5], [-0.9]], "t_end": 10.0, "baselines": True},
+})
+
+
+@pytest.mark.parametrize("name", sorted(_REBUILD_CONFIGS))
+def test_monitors_rebuild_from_the_artifacts(tmp_path, name):
+    # what a run writes is all its monitors read: every dynamic and static
+    # run, rebuilt from its CSVs, family.json and the config, gives the
+    # bytes of its monitors CSV through the same run_monitors
+    path = _write_config(tmp_path / "cfg.json", **_REBUILD_CONFIGS[name])
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+    doc, spec = cli._load_config(path)
+    family, _ = read_manifest(out / "family.json")
+    cfg = StcConfig(family=family, c=spec.region_c, **doc["stc"])
+    stems = [(f"run{k}_{mech}", replace(cfg, m=1) if mech == "static" else cfg)
+             for k in range(len(doc["run"]["x0"])) for mech in ("dynamic", "static")]
+    for stem, run_cfg in stems:
+        traj = _rebuilt_trajectory(out, stem, run_cfg)
+        assert len(traj.samples) >= cfg.m  # the dynamic runs fill their window
+        write_monitors_csv(tmp_path / "monitors.csv",
+                           replace(traj, monitors=tuple(run_monitors(traj, run_cfg))))
+        assert (tmp_path / "monitors.csv").read_bytes() == \
+            (out / f"{stem}_monitors.csv").read_bytes(), stem
 
 
 @pytest.mark.parametrize("run, calls", [

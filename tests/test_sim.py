@@ -430,7 +430,7 @@ def _run_key(traj):
     """Every sample, decision, flow record and monitor record, as exact text."""
     fp = traj.flow_points
     return repr((
-        [(s.t, s.j, s.x.tolist(), s.v, s.eta) for s in traj.samples],
+        [(s.t, s.j, s.x.tolist(), s.v) for s in traj.samples],
         [dataclasses.astuple(d) for d in traj.decisions],
         [fp.t.tolist(), fp.j.tolist(), fp.x.tolist(), fp.v.tolist(), fp.u.tolist()],
         [dataclasses.astuple(r) for r in traj.monitors],

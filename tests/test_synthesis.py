@@ -368,9 +368,12 @@ def test_rank_max_matches_reduceat(seed):
 
 
 def _tables_bits(t):
-    """The bytes (so the signs of zeros) of the maxima kept and of every block's rows."""
+    """The bytes (so the signs of zeros) of the column maxima kept and of every block's rows.
+
+    Where W = 0 is a level, column 0 of the rows holds its maxima.
+    """
     n_blocks = t.base_cols.shape[0]
-    return [_bits(t.base_cols), _bits(t.zero_max)] + [_bits(t.rows(b)) for b in range(n_blocks)]
+    return [_bits(t.base_cols)] + [_bits(t.rows(b)) for b in range(n_blocks)]
 
 
 @pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 129)])
@@ -403,13 +406,14 @@ def _forced_tables(monkeypatch, spec, density, k):
                                              ("linear_test", 16)])
 def test_parallel_pass_keeps_its_bits(monkeypatch, system, density):
     # linear_test at 24 has 2 x row blocks and at 16 one, fewer than 3 CPUs;
-    # van_der_pol at 25 has W = 0 points, so a level-0 column
+    # van_der_pol at 25 has W = 0 points, so its level 0 is column 0 of the rows
     spec = spec_from_config({"name": system})
     n_x = _grids(spec, density)[0].shape[0]
     n_blocks = -(-n_x // _BLOCK)
     serial, forks = _forced_tables(monkeypatch, spec, density, 1)
     assert forks == 0
-    assert serial.zero_max.shape == ((n_x,) if density % 2 else (0,))
+    assert serial.base_cols.shape == (n_blocks, len(serial.lev))
+    assert (serial.n_zero > 0) == (serial.lev[0] == 0.0) == bool(density % 2)
     for k in (2, 3):
         t, forks = _forced_tables(monkeypatch, spec, density, k)
         assert forks == min(k, n_blocks) - 1
@@ -417,8 +421,6 @@ def test_parallel_pass_keeps_its_bits(monkeypatch, system, density):
         # the rows recomputed here have the maxima the pass's processes stored
         for b in range(n_blocks):
             assert _bits(t.rows(b).max(axis=0)) == _bits(t.base_cols[b])
-            if t.n_zero:
-                assert _bits(t.rows(b)[:, 0]) == _bits(t.zero_max[b * _BLOCK:][:_BLOCK])
 
 
 class _Boom(Exception):

@@ -307,3 +307,19 @@ def test_horizons_match_mpmath(seed):
         exact = _t_tilde_mp(mpmath, lam, gamma, cap)
         assert abs(t_tilde_max(lam, gamma, cap) - exact) <= 2e-15 * exact
     assert branches == {False, True}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_solve_lambda_matches_mpmath_on_arctangent_branch(seed):
+    # q = gamma/cap >= 1, the branch the shipped family's q >= 467 take: the
+    # 60-digit horizon of the solved lam missed h by at most 1.9e-15 (seed 7)
+    # and 7.9e-15 (seed 8) times max(1, h) over these draws, and by at most
+    # 6.2e-13 relative to h itself
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    for _ in range(3000):
+        q, cap = 10.0 ** rng.uniform(0.0, 9.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        gamma = q * cap
+        h = t_max(gamma, cap) * rng.uniform(1e-6, 1.0 - 1e-6)
+        lam = solve_lambda_for_horizon(h, gamma, cap)
+        assert abs(_t_tilde_mp(mpmath, lam, gamma, cap) - h) <= 1e-14 * max(1.0, h)
