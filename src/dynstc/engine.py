@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .synthesis import ParameterFamily, ParameterSet
-from .timing import t_max
+from .timing import T_MAX_REL_ERR, t_max
 
 __all__ = [
     "WINDOW_BOUND",
@@ -129,6 +129,9 @@ class StcConfig:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly in (0, 1)")
+        if not (1.0 - self.delta > T_MAX_REL_ERR):
+            raise ValueError(f"1 - delta must exceed {T_MAX_REL_ERR:g}, the relative error "
+                             "of t_max, so that delta * t_max stays below the exact horizon")
         if not (0.0 < self.eps_ref < math.inf):
             raise ValueError("eps_ref must be positive and finite")
         if self.m < 1:

@@ -38,13 +38,16 @@ Each stage computes x_i + hs*k_i, xh_i - y_i and
 x_i + s6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i), the same IEEE operations
 in the same order as numpy arithmetic on the state vectors, so every
 node state has the same bits.  A trajectory keeps its
-flow records as columns (:class:`FlowRecords`), one row per record.
+flow records as columns (:class:`FlowRecords`), one row per record.  The
+CSV writers convert one flow segment's records (trajectory) or one row
+(monitors, decisions) to Python objects at a time, never a whole run's.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -307,11 +310,14 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
 
 
 def _segments(traj: HybridTrajectory):
-    """The records of each flown segment j = 1 .. len(samples) - 1, in order."""
+    """The records of each flown segment j = 1 .. len(samples) - 1, in order, one at a time.
+
+    Of a row range of the records, a segment holds only its rows in the range.
+    """
     # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
     fp = traj.flow_points
-    edges = np.searchsorted(fp.j, np.arange(1, len(traj.samples) + 1)).tolist()
-    return [fp.rows(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    edges = np.searchsorted(fp.j, np.arange(1, len(traj.samples) + 1))
+    return (fp.rows(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def _region(seg: FlowRecords, c):
@@ -412,32 +418,36 @@ def _write_rows(path, header, rows):
 
 
 def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
-    """One row per flow record, streamed; the same bytes as :func:`_write_rows`."""
+    """One row per flow record, the same bytes as :func:`_write_rows`, one segment at a time.
+
+    Each segment's columns become Python floats only while it is written,
+    so the memory held beyond the records is one segment's, not one run's.
+    Records of a row range (``FlowRecords.rows``) write that range's rows.
+    """
     fp = traj.flow_points
     n = fp.x.shape[1]
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
     if traj.kind == "periodic":
-        tails = [(traj.period, -1, False)] * len(traj.samples)
+        tails = itertools.repeat((traj.period, -1, False))
     else:
-        tails = [(d.h, d.set_index, d.used_fallback) for d in traj.decisions]
-    tails = [",".join(_fmt(v) for v in tail) for tail in tails]
+        tails = ((d.h, d.set_index, d.used_fallback) for d in traj.decisions)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for t, j, x, v, u in zip(fp.t.tolist(), fp.j.tolist(), fp.x.tolist(),
-                                 fp.v.tolist(), fp.u.tolist()):
-            xs = ",".join(map(repr, x))
-            fh.write(f"{t!r},{j},{xs},{v!r},{u!r},{tails[j - 1]}\n")
+        for j, (seg, tail) in enumerate(zip(_segments(traj), tails), start=1):
+            tail = ",".join(_fmt(v) for v in tail)
+            for t, x, v, u in zip(seg.t.tolist(), seg.x.tolist(), seg.v.tolist(),
+                                  seg.u.tolist()):
+                xs = ",".join(map(repr, x))
+                fh.write(f"{t!r},{j},{xs},{v!r},{u!r},{tail}\n")
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:
     header = ["j", "t", "h", "set_index", "epsilon", "used_fallback", "V", "C"]
-    rows = [[s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
-             d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)]
-    _write_rows(path, header, rows)
+    _write_rows(path, header, ([s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
+                                d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)))
 
 
 def write_monitors_csv(path, traj: HybridTrajectory) -> None:
     header = ["monitor", "j", "slack", "passed"]
-    rows = [[r.monitor, r.j, r.slack, r.passed] for r in traj.monitors]
-    _write_rows(path, header, rows)
+    _write_rows(path, header, ([r.monitor, r.j, r.slack, r.passed] for r in traj.monitors))

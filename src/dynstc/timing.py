@@ -24,6 +24,10 @@ Against 60-digit ``mpmath``, ``t_max`` and ``t_tilde_max`` are within
 [1e-3, 1e3] and lam in (1e-6, 1 - 1e-6) (a seeded test at two seeds).
 On the arctangent branch, q in [1, 1e9], the lam solved for h in (0, t_max)
 has a 60-digit horizon within 1e-14*max(1, h) of h (same seeds; 7.9e-15 seen).
+So an issued interval, at most delta * t_max, is at most
+delta * (exact t_max) * (1 + T_MAX_REL_ERR), up to the rounding of the
+product: below the exact horizon while 1 - delta exceeds T_MAX_REL_ERR,
+which ``StcConfig`` requires.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 HORIZON_REL_TOL = 1e-10  # |t_tilde_max(lam) - h| allowed, relative to max(1, h)
+T_MAX_REL_ERR = 2e-15  # |t_max - exact t_max| / exact t_max, bounded against mpmath
 
 
 class HorizonError(ValueError):

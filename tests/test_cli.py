@@ -24,11 +24,19 @@ from dynstc.sim import (
     IntegrationBlowupError,
     Sample,
     run_monitors,
+    simulate,
     simulate_periodic,
     write_monitors_csv,
     write_trajectory_csv,
 )
-from dynstc.synthesis import _level_tables, _ratios, read_manifest, verify_family
+from dynstc.synthesis import (
+    ParameterFamily,
+    ParameterSet,
+    _level_tables,
+    _ratios,
+    read_manifest,
+    verify_family,
+)
 from dynstc.systems import linear_test
 
 
@@ -524,6 +532,17 @@ def test_window_length_beyond_bound_exits_2(tmp_path, capsys, command, m):
     err = capsys.readouterr().err
     assert "config error" in err and "'stc.m' must be at most 1000000" in err
     assert not (tmp_path / "out" / "family.json").exists()
+
+
+def test_delta_too_close_to_one_exits_2(tmp_path, capsys):
+    # 1 - delta = 1e-15 is below the relative error of t_max, so delta * t_max
+    # could reach the exact horizon
+    cfg = _write_config(tmp_path / "cfg.json",
+                        stc={"delta": 1.0 - 1e-15, "eps_ref": 0.01, "m": 5})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 1 - delta must exceed 2e-15")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run"])
@@ -1129,17 +1148,29 @@ def test_run_splits_its_jobs_only_below_the_cpu_count(
 
 
 def test_row_parts_join_to_the_whole_csv(tmp_path):
-    # parts of 0 rows, a trajectory of 0 rows and a periodic one (U is NaN)
-    # join to the bytes that write_trajectory_csv gives for the whole
-    full = simulate_periodic([0.5], linear_test(), 0.25, 1.0)
-    n_full = len(full.flow_points)
-    for n_rows, parts, sizes in ((3, 5, [0, 1, 0, 1, 1]), (0, 2, [0, 0]),
-                                 (n_full, 4, [n_full * (p + 1) // 4 - n_full * p // 4
-                                              for p in range(4)])):
+    # parts of 0 rows, a trajectory of 0 rows, a periodic one (U is NaN) and
+    # a dynamic one, whose part cuts fall inside segments with unequal
+    # interval columns, join to the bytes that write_trajectory_csv gives
+    # for the whole
+    periodic = simulate_periodic([0.5], linear_test(), 0.25, 1.0)
+    family = ParameterFamily(sets=tuple(ParameterSet(epsilon=eps, gamma=1.05, l_const=0.05)
+                                        for eps in (0.5, -1.0, -5.0)))
+    dynamic = simulate([0.8], StcConfig(family=family, c=1.0, m=5), linear_test(), 3.0)
+    assert len({(d.h, d.set_index) for d in dynamic.decisions}) > 1
+    j, n_per = dynamic.flow_points.j, len(periodic.flow_points)
+    assert all(j[len(j) * p // 4 - 1] == j[len(j) * p // 4] for p in (1, 2, 3))
+
+    def quarters(n):
+        return [n * (p + 1) // 4 - n * p // 4 for p in range(4)]
+
+    for case, (full, n_rows, sizes) in enumerate((
+            (periodic, 3, [0, 1, 0, 1, 1]), (periodic, 0, [0, 0]),
+            (periodic, n_per, quarters(n_per)), (dynamic, len(j), quarters(len(j))))):
         traj = replace(full, flow_points=full.flow_points.rows(0, n_rows))
-        whole = tmp_path / f"whole{n_rows}.csv"
+        whole = tmp_path / f"whole{case}.csv"
         write_trajectory_csv(whole, traj)
-        paths = [tmp_path / f"part{n_rows}.{p}.csv" for p in range(parts)]
+        parts = len(sizes)
+        paths = [tmp_path / f"part{case}.{p}.csv" for p in range(parts)]
         for p, path in enumerate(paths):
             part = cli._row_part(traj, p, parts)
             assert len(part.flow_points) == sizes[p]

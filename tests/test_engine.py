@@ -28,7 +28,7 @@ from dynstc.engine import (
 from dynstc.synthesis import (ParameterFamily, ParameterSet, build_family,
                               default_epsilon_ladder)
 from dynstc.systems import linear_test, van_der_pol
-from dynstc.timing import t_max
+from dynstc.timing import T_MAX_REL_ERR, t_max
 
 
 def _family(*triples):
@@ -194,6 +194,19 @@ def test_stc_config_validation():
                    {"eps_ref": math.inf}, {"c": math.inf}):
         with pytest.raises(ValueError):
             StcConfig(family=fam, c=kwargs.pop("c", 10.0), **kwargs)
+
+
+def test_delta_keeps_issued_intervals_below_the_exact_horizon():
+    # an issued h is at most delta * t_max * (1 + T_MAX_REL_ERR), below
+    # the exact horizon only while 1 - delta exceeds T_MAX_REL_ERR; doubles
+    # just below 1 lie ulp apart, and 1 - delta is exact there
+    fam = _family(FB)
+    ulp = 2.0 ** -53
+    k = math.floor(T_MAX_REL_ERR / ulp) + 1  # the fewest ulps below 1 that are allowed
+    assert StcConfig(family=fam, c=10.0, delta=1.0 - k * ulp).delta == 1.0 - k * ulp
+    for delta in (1.0 - (k - 1) * ulp, 1.0 - ulp):
+        with pytest.raises(ValueError, match="1 - delta must exceed 2e-15"):
+            StcConfig(family=fam, c=10.0, delta=delta)
 
 
 def test_t_min_and_cap():

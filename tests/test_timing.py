@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dynstc.timing import (
+    T_MAX_REL_ERR,
     HorizonError,
     phi_solve,
     solve_lambda_for_horizon,
@@ -303,7 +304,7 @@ def test_horizons_match_mpmath(seed):
         gamma = q * cap
         branches.add(q > 1.0)
         exact = _t_tilde_mp(mpmath, None, gamma, cap)
-        assert abs(t_max(gamma, cap) - exact) <= 2e-15 * exact
+        assert abs(t_max(gamma, cap) - exact) <= T_MAX_REL_ERR * exact
         exact = _t_tilde_mp(mpmath, lam, gamma, cap)
         assert abs(t_tilde_max(lam, gamma, cap) - exact) <= 2e-15 * exact
     assert branches == {False, True}
