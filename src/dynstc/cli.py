@@ -42,9 +42,10 @@ a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
 the renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid or unreadable config, an --out that
-cannot be made a directory (found before any synthesis), or a missing or
-malformed artifact, 3 synthesis or verification failure, 4 monitor
-violation, 5 numerical failure or out of memory.
+cannot be made a directory (both found before any synthesis, the stc
+block by ``StcConfig``'s own checks), or a missing or malformed
+artifact, 3 synthesis or verification failure, 4 monitor violation,
+5 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -184,7 +185,10 @@ def _load_config(path):
 
 def _stc_config(doc, spec, out, reuse):
     """The trigger config.  Its family is the manifest in `out` if `reuse` finds one,
-    else synthesized and written there; the synthesis block is checked either way."""
+    else synthesized and written there; the stc and synthesis blocks are checked
+    either way, before any synthesis."""
+    # StcConfig's checks read no family, so the stc block is checked by them up front
+    cfg = StcConfig(family=None, c=spec.region_c, **doc["stc"])
     synth = doc["synthesis"]
     if synth is not None:
         if ("epsilons" in synth) == ("ladder" in synth):
@@ -210,7 +214,7 @@ def _stc_config(doc, spec, out, reuse):
         except OSError as exc:  # a file in its way, or no permission
             raise ConfigError(f"--out {out} cannot be made a directory: {exc.strerror}") from exc
         write_manifest(manifest, family, synth["grid_density"])
-    return StcConfig(family=family, c=spec.region_c, **doc["stc"])
+    return replace(cfg, family=family)
 
 
 def _run_params(doc, spec, cfg):

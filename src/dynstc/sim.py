@@ -41,6 +41,20 @@ node state has the same bits.  A trajectory keeps its
 flow records as columns (:class:`FlowRecords`), one row per record.  The
 CSV writers convert one flow segment's records (trajectory) or one row
 (monitors, decisions) to Python objects at a time, never a whole run's.
+
+Per segment the loop does only what the next jump and the escape rule
+need: the RK4 nodes, the non-finite and V <= c*(1 + tolerance) checks,
+and its decision's comparison function (``solve_lambda_for_horizon``,
+``phi_solve``).  U and the record columns, then the flow-bound and
+region records, are computed once per block of whole segments of at
+most ``BLOCK_RECORDS`` records (a longer segment is a block of its own):
+elementwise numpy over the block and ``reduceat`` at its segment edges,
+with the operations a segment alone would take, so every record keeps
+its bits whatever the block size.  On the ``long`` benchmark workload
+(646 segments, 21963 records, 2 vCPU) this took ``simulate`` from 0.164
+to 0.114 s and ``run_monitors`` from 0.037 to 0.015 s (medians of 20
+alternating calls in one process); the RK4 stepper and the trigger are
+most of what is left.
 """
 
 from __future__ import annotations
@@ -62,7 +76,7 @@ from .engine import (
     t_min_of,
 )
 from .systems import component_rhs
-from .timing import phi_solve, solve_lambda_for_horizon
+from .timing import phi_solve, phi_values, solve_lambda_for_horizon
 
 __all__ = [
     "IntegrationBlowupError",
@@ -82,6 +96,9 @@ __all__ = [
 
 MON_TOL = 1e-7
 FLOW_RECORD_TARGET = 64  # dense records per segment before striding
+# flow records whose U and flow and region monitors are evaluated at once; a
+# block's temporaries grow the heap, and 4096 raised fleet's peak RSS by 0.3 MB
+BLOCK_RECORDS = 1024
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -202,13 +219,12 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
     return np.array(rows), taus
 
 
-def _flow(spec, x_hold, h, dt_flow, c, t_start, j, dec=None):
-    """Flow one hold interval from x_hold; returns (end state, records).
+def _flow(spec, x_hold, h, dt_flow, c, t_start):
+    """Flow one hold interval from x_hold; returns (end state, offsets, states, V).
 
-    Raises on a non-finite node or on V above c + tolerance.  The records
-    (columns t, j, x, V, U) keep every stride-th node plus the last one;
-    for a trigger decision dec they carry U = V + gamma*phi(tau)*W(e)^2
-    with its set's gamma and rate cap, otherwise U is NaN.
+    Raises on a non-finite node or on V above c + tolerance.  Of the
+    nodes it keeps every stride-th plus the last one, their offsets tau
+    from t_start, states and V; :func:`_columns` makes them flow records.
     """
     xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
     if not np.all(np.isfinite(xs)):
@@ -223,17 +239,53 @@ def _flow(spec, x_hold, h, dt_flow, c, t_start, j, dec=None):
             f"V = {vs[bad]:.6g} left the region level c = {c:.6g} "
             f"at t = {t_start + taus[bad]:.6g}",
             t=float(t_start + taus[bad]), x=xs[bad].copy(), v=float(vs[bad]))
-    if dec is None:
-        us = np.full(len(taus), math.nan)
-    else:
-        gamma, lam_cap = dec.params.gamma, dec.lambda_cap_used
-        w = np.linalg.norm(x_hold - xs, axis=-1)
-        phi = phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap)
-        us = vs + gamma * phi.evaluate(taus) * w * w
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
     idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-    records = (t_start + taus[idx], np.full(len(idx), j), xs[idx], vs[idx], us[idx])
-    return xs[-1], records
+    return xs[-1], taus[idx], xs[idx], vs[idx]
+
+
+def _blocks(edges):
+    """Ranges (k0, k1) of whole segments, segment k holding rows edges[k]..edges[k + 1] - 1.
+
+    A range holds at most BLOCK_RECORDS rows, or is one longer segment.
+    """
+    k0, last = 0, len(edges) - 1
+    while k0 < last:
+        k1 = max(k0 + 1, int(np.searchsorted(edges, edges[k0] + BLOCK_RECORDS, "right")) - 1)
+        yield k0, k1
+        k0 = k1
+
+
+def _columns(samples, flows, phis, n_x) -> FlowRecords:
+    """The flow records of the segments flows[k] = (offsets, states, V) of samples[k].
+
+    U = V + gamma*phi(tau)*W(e)^2 with segment k's comparison function
+    phis[k] (NaN where it is None: no trigger decision), computed for one
+    block of whole segments at a time, so the temporaries are one block's.
+    """
+    counts = np.array([len(tau) for tau, _, _ in flows], dtype=int)
+    edges = np.concatenate([[0], np.cumsum(counts)])
+    fp = FlowRecords(np.empty(edges[-1]), np.repeat(np.arange(1, len(counts) + 1), counts),
+                     np.empty((edges[-1], n_x)), np.empty(edges[-1]),
+                     np.full(edges[-1], math.nan))
+    for k0, k1 in _blocks(edges):
+        recs, n = fp.rows(edges[k0], edges[k1]), counts[k0:k1]
+        taus, xs, vs = zip(*flows[k0:k1])
+        tau = np.concatenate(taus)
+        np.add(np.repeat([smp.t for smp in samples[k0:k1]], n), tau, out=recs.t)
+        np.concatenate(xs, out=recs.x)
+        np.concatenate(vs, out=recs.v)
+        # Every segment of a run has a decision or none does (simulate
+        # always decides, simulate_periodic never), so phis[k0] speaks for the block.
+        if phis[k0] is not None:
+            lam, gamma, cap, horizon = (
+                np.repeat([getattr(phi, f) for phi in phis[k0:k1]], n)
+                for f in ("lam", "gamma", "lambda_cap", "horizon"))
+            hold = np.repeat([smp.x for smp in samples[k0:k1]], n, axis=0)
+            w = np.linalg.norm(hold - recs.x, axis=-1)
+            np.add(recs.v, gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
+                   out=recs.u)
+    return fp
 
 
 def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
@@ -259,22 +311,24 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
                                 t=0.0, x=x.copy(), v=v)
     t = 0.0
     samples, decisions = [], []
-    segments = [(np.empty(0), np.empty(0, dtype=int), np.empty((0, spec.n_x)),
-                 np.empty(0), np.empty(0))]  # the columns' types, for a run without flow
+    flows, phis = [], []  # per segment: its kept nodes, and phi for its decision
     while True:
         h, dec, v = jump(x)
-        j = len(samples) + 1
-        samples.append(Sample(t=t, j=j, x=x.copy(), v=v))
+        samples.append(Sample(t=t, j=len(samples) + 1, x=x.copy(), v=v))
         if dec is not None:
             decisions.append(dec)
         if t >= t_end:
             break
-        x, records = _flow(spec, x, h, dt_flow, c, t, j, dec)
-        segments.append(records)
+        x, *kept = _flow(spec, x, h, dt_flow, c, t)
+        flows.append(kept)
+        if dec is None:
+            phis.append(None)
+        else:
+            gamma, lam_cap = dec.params.gamma, dec.lambda_cap_used
+            phis.append(phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap))
         t += h
-    fp = FlowRecords(*(np.concatenate(col) for col in zip(*segments)))
     return HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
-                            flow_points=fp)
+                            flow_points=_columns(samples, flows, phis, spec.n_x))
 
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float,
@@ -305,8 +359,14 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         raise ValueError("period must be positive and finite")
     traj = _hybrid(x0, spec, spec.region_c, period, t_end, dt_flow,
                    lambda x: (period, None, float(spec.v(x))))
-    return replace(traj, monitors=tuple(_region(seg, spec.region_c) for seg in _segments(traj)),
-                   kind="periodic", period=period)
+    monitors = tuple(rec for recs, starts, _, _ in _segment_blocks(traj)
+                     for rec in _regions(recs, starts, spec.region_c))
+    return replace(traj, monitors=monitors, kind="periodic", period=period)
+
+
+def _edges(traj: HybridTrajectory):
+    """Segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)."""
+    return np.searchsorted(traj.flow_points.j, np.arange(1, len(traj.samples) + 1))
 
 
 def _segments(traj: HybridTrajectory):
@@ -314,33 +374,59 @@ def _segments(traj: HybridTrajectory):
 
     Of a row range of the records, a segment holds only its rows in the range.
     """
-    # segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)
-    fp = traj.flow_points
-    edges = np.searchsorted(fp.j, np.arange(1, len(traj.samples) + 1))
-    return (fp.rows(lo, hi) for lo, hi in zip(edges, edges[1:]))
+    edges = _edges(traj)
+    return (traj.flow_points.rows(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
-def _region(seg: FlowRecords, c):
-    """Region record of one segment: c + tolerance minus its largest recorded V."""
+def _segment_blocks(traj: HybridTrajectory):
+    """Blocks of whole flown segments: (records, starts, k0, k1) for segments k0 + 1 .. k1.
+
+    records are the block's rows, as views, and starts[k] the first row of
+    its k-th segment.
+    """
+    edges = _edges(traj)
+    for k0, k1 in _blocks(edges):
+        yield traj.flow_points.rows(edges[k0], edges[k1]), edges[k0:k1] - edges[k0], k0, k1
+
+
+def _segment_records(monitor, recs, starts, slack, passed):
+    """One record per segment of a block: its j, slack and verdict, as Python objects."""
+    return [MonitorRecord(monitor, j, s, p) for j, s, p in
+            zip(recs.j[starts].tolist(), slack.tolist(), passed.tolist())]
+
+
+def _regions(recs: FlowRecords, starts, c):
+    """Region record of each segment: c + tolerance minus its largest recorded V."""
     lim = c * (1.0 + REGION_TOL_REL)
-    vmax = seg.v.max()
-    return MonitorRecord(monitor="region", j=int(seg.j[0]), slack=float(lim - vmax),
-                         passed=bool(vmax <= lim))
+    vmax = np.maximum.reduceat(recs.v, starts)
+    return _segment_records("region", recs, starts, lim - vmax, vmax <= lim)
+
+
+def _within(value, bound):
+    """The one bound rule's verdict, value <= bound + MON_TOL*(1 + |bound|), elementwise."""
+    return value <= bound + MON_TOL * (1.0 + abs(bound))
 
 
 def _bound(monitor, j, value, bound):
-    """The one bound rule: value <= bound + MON_TOL*(1 + |bound|), slack min(bound - value).
+    """The one bound rule on floats, :func:`_within`, with slack bound - value."""
+    return MonitorRecord(monitor, j, float(bound - value), bool(_within(value, bound)))
 
-    value and bound are floats, or equal-length tuples of columns, each
-    value column checked against its bound column; the slack is the least
-    column minimum, compared in column order (a tie of zeros keeps the first's sign).
+
+def _flow_bounds(recs: FlowRecords, starts, decs, v_plus, t_start):
+    """Flow-bound record of each segment k of a block, from its decs[k], v_plus[k] and t_start[k].
+
+    Checks U <= exp(rate*tau)*V(t_j+) and V <= U on each record by the
+    one bound rule.  The slack is the least of the two columns' minima,
+    compared in column order (a tie of zeros keeps the first's sign).
     """
-    if not isinstance(value, tuple):
-        return MonitorRecord(monitor, j, float(bound - value),
-                             bool(value <= bound + MON_TOL * (1.0 + abs(bound))))
-    slack = min((b - v).min() for v, b in zip(value, bound))
-    passed = all(np.all(v <= b + MON_TOL * (1.0 + np.abs(b))) for v, b in zip(value, bound))
-    return MonitorRecord(monitor, j, float(slack), passed)
+    rate = [max(-d.params.epsilon, 2.0 * (d.params.l_const - d.lambda_cap_used)) for d in decs]
+    n = np.diff(starts, append=len(recs))
+    env = np.exp(np.repeat(rate, n) * (recs.t - np.repeat(t_start, n))) * np.repeat(v_plus, n)
+    slack_env = np.minimum.reduceat(env - recs.u, starts)
+    slack_vu = np.minimum.reduceat(recs.u - recs.v, starts)
+    slack = np.where(slack_vu < slack_env, slack_vu, slack_env)
+    ok = _within(recs.u, env) & _within(recs.v, recs.u)
+    return _segment_records("flow-bound", recs, starts, slack, np.logical_and.reduceat(ok, starts))
 
 
 def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
@@ -348,12 +434,10 @@ def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
 
     rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound,
     with eps_i, L_i of the decision's set and Lambda_i its rate cap.
-    Every segment is checked, both inequalities by the one bound rule.
+    Every segment is checked, both inequalities by the one bound rule;
+    this is the one-segment case of the block check runs use.
     """
-    ps = dec.params
-    rate = max(-ps.epsilon, 2.0 * (ps.l_const - dec.lambda_cap_used))
-    env = np.exp(rate * (seg.t - t_start)) * v_plus
-    return _bound("flow-bound", int(seg.j[0]), (seg.u, seg.v), (env, seg.u))
+    return _flow_bounds(seg, np.zeros(1, dtype=int), [dec], [v_plus], [t_start])[0]
 
 
 def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
@@ -394,9 +478,11 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
     """All monitor records for a dynamic trajectory."""
     records = []
-    for smp, dec, seg in zip(traj.samples, traj.decisions, _segments(traj)):
-        records.append(monitor_flow_bound(seg, dec, smp.v, smp.t))
-        records.append(_region(seg, cfg.c))
+    for recs, starts, k0, k1 in _segment_blocks(traj):
+        smps = traj.samples[k0:k1]
+        flow = _flow_bounds(recs, starts, traj.decisions[k0:k1], [smp.v for smp in smps],
+                            [smp.t for smp in smps])
+        records.extend(itertools.chain.from_iterable(zip(flow, _regions(recs, starts, cfg.c))))
     records.extend(monitor_sample_decrease(traj, cfg))
     return records
 

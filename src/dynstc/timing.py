@@ -18,7 +18,8 @@ where the simulator forms the combined energy ``V + gamma*phi(tau)*W^2``:
   equation with constant coefficients.
 
 Everything is a closed form and deterministic.  The functions take and
-return scalars; ``PhiSolution.evaluate`` accepts scalars and arrays.
+return scalars; ``PhiSolution.evaluate`` accepts scalars and arrays, and
+``phi_values`` evaluates phi for arrays of parameters as well.
 Against 60-digit ``mpmath``, ``t_max`` and ``t_tilde_max`` are within
 2e-15 relative for q = gamma/lambda_cap in [1e-9, 1e9], lambda_cap in
 [1e-3, 1e3] and lam in (1e-6, 1 - 1e-6) (a seeded test at two seeds).
@@ -44,6 +45,7 @@ __all__ = [
     "t_tilde_max",
     "solve_lambda_for_horizon",
     "phi_solve",
+    "phi_values",
 ]
 
 HORIZON_REL_TOL = 1e-10  # |t_tilde_max(lam) - h| allowed, relative to max(1, h)
@@ -156,6 +158,34 @@ def solve_lambda_for_horizon(h: float, gamma: float, lambda_cap: float) -> float
     return lam
 
 
+def phi_values(tau, lam, gamma, lambda_cap, horizon):
+    """phi(tau) of the comparison ODE for parameters broadcast against tau.
+
+    Every argument is a scalar or an array; each element is the closed
+    form of :class:`PhiSolution` with its own (lam, gamma, lambda_cap,
+    horizon), so a run's flow records are evaluated in one call however
+    many intervals they span.  An element's value does not depend on the
+    others: it has the bits of the scalar call.  Raises ``ValueError`` if
+    any tau lies outside [0, horizon] by more than
+    ``HORIZON_REL_TOL * max(1, tau)``.
+    """
+    tau, lam, gamma, cap, horizon = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (tau, lam, gamma, lambda_cap, horizon)))
+    tol = HORIZON_REL_TOL * np.maximum(1.0, tau)
+    if np.any(tau < -tol) or np.any(tau - horizon > tol):
+        raise ValueError("tau outside [0, horizon]")
+    tau = np.asarray(np.clip(tau, 0.0, horizon))
+    w2 = (gamma - cap) * (gamma + cap)
+    c, s = np.ones(tau.shape), tau.copy()  # (1, tau) where gamma = lambda_cap
+    for branch, cf, sf in ((w2 > 0.0, np.cos, np.sin), (w2 < 0.0, np.cosh, np.sinh)):
+        if branch.any():
+            w = np.sqrt(np.abs(w2[branch]))
+            wt = w * tau[branch]
+            c[branch], s[branch] = cf(wt), sf(wt) / w
+    p0 = 1.0 / lam
+    return (c * p0 - s * (cap * p0 + gamma)) / (c + s * (gamma * p0 + cap))
+
+
 @dataclass(frozen=True)
 class PhiSolution:
     """Exact solution of the comparison ODE on [0, horizon].
@@ -166,9 +196,11 @@ class PhiSolution:
     with (C, S) = (cos(w*tau), sin(w*tau)/w) for gamma > lambda_cap,
     (cosh(w*tau), sinh(w*tau)/w) for gamma < lambda_cap and (1, tau) at
     equality, w^2 = |lambda_cap^2 - gamma^2|.  ``evaluate`` (also
-    available as call syntax) accepts scalars and arrays;
-    ``evaluate(0.0)`` returns ``1/lam`` exactly.  tau may lie outside
-    [0, horizon] by the solve's tolerance, ``HORIZON_REL_TOL * max(1, tau)``.
+    available as call syntax) is :func:`phi_values` at this solution's
+    parameters: it accepts scalars and arrays, returns a float for a
+    scalar, and ``evaluate(0.0)`` returns ``1/lam`` exactly.  tau may lie
+    outside [0, horizon] by the solve's tolerance,
+    ``HORIZON_REL_TOL * max(1, tau)``.
     """
 
     lam: float
@@ -177,26 +209,8 @@ class PhiSolution:
     horizon: float
 
     def evaluate(self, tau):
-        tau_arr = np.asarray(tau, dtype=float)
-        tol = HORIZON_REL_TOL * np.maximum(1.0, tau_arr)
-        if np.any(tau_arr < -tol) or np.any(tau_arr - self.horizon > tol):
-            raise ValueError("tau outside [0, horizon]")
-        tau_arr = np.clip(tau_arr, 0.0, self.horizon)
-        gamma, cap = self.gamma, self.lambda_cap
-        w2 = (gamma - cap) * (gamma + cap)
-        if w2 > 0.0:
-            w = math.sqrt(w2)
-            c, s = np.cos(w * tau_arr), np.sin(w * tau_arr) / w
-        elif w2 < 0.0:
-            w = math.sqrt(-w2)
-            c, s = np.cosh(w * tau_arr), np.sinh(w * tau_arr) / w
-        else:
-            c, s = np.ones_like(tau_arr), tau_arr
-        p0 = 1.0 / self.lam
-        out = (c * p0 - s * (cap * p0 + gamma)) / (c + s * (gamma * p0 + cap))
-        if tau_arr.ndim == 0:
-            return float(out)
-        return out
+        out = phi_values(tau, self.lam, self.gamma, self.lambda_cap, self.horizon)
+        return float(out) if out.ndim == 0 else out
 
     __call__ = evaluate
 

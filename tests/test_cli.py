@@ -546,6 +546,30 @@ def test_delta_too_close_to_one_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run"])
+@pytest.mark.parametrize("stc, message", [
+    ({"delta": 1.5}, "delta must lie strictly in (0, 1)"),
+    ({"delta": 1.0 - 1e-15}, "1 - delta must exceed 2e-15"),
+    ({"eps_ref": -0.01}, "eps_ref must be positive and finite"),
+    ({"m": 0}, "window length m must be at least 1"),
+    ({"eta_init": "ones"}, "unknown eta-init policy 'ones'"),
+])
+def test_bad_stc_block_exits_2_before_synthesis(tmp_path, monkeypatch, capsys, command, stc,
+                                                message):
+    # StcConfig's own checks reject the stc block before any synthesis, so
+    # no family.json is left in --out
+    def build_family(*args, **kwargs):
+        pytest.fail("synthesized for a bad stc block")
+
+    monkeypatch.setattr(cli, "build_family", build_family)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        stc={"delta": 0.999, "eps_ref": 0.01, "m": 5, **stc})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "family.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "run"])
 def test_grid_too_large_to_allocate_exits_5(tmp_path, capsys, command):
     # 10**14 points per axis exceed the address space, so the allocation fails at once
     cfg = _write_config(tmp_path / "cfg.json", synthesis={

@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dynstc.engine import StcConfig, TriggerDecision, t_max_cap, t_min_of
+from dynstc import sim
+from dynstc.engine import REGION_TOL_REL, StcConfig, TriggerDecision, t_max_cap, t_min_of
 from dynstc.sim import (
+    FLOW_RECORD_TARGET,
     FlowRecords,
     HybridTrajectory,
     Sample,
@@ -21,6 +23,7 @@ from dynstc.sim import (
     RegionEscapeError,
     _bound,
     monitor_flow_bound,
+    run_monitors,
     simulate,
     simulate_periodic,
     write_decisions_csv,
@@ -29,7 +32,7 @@ from dynstc.sim import (
 )
 from dynstc.synthesis import ParameterFamily, ParameterSet
 from dynstc.systems import _drift, _quadratic_spec, linear_test, van_der_pol
-from dynstc.timing import t_max
+from dynstc.timing import phi_solve, solve_lambda_for_horizon, t_max
 
 
 def _family(*triples):
@@ -434,6 +437,133 @@ def test_writers_hold_one_segment_not_one_run(tmp_path, write):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 32 * 1024, peaks
+
+
+def _per_segment(traj, spec, dt_flow):
+    """traj's flow records, one FlowRecords per segment, as each segment computed them.
+
+    Each hold interval is integrated again from its sample, and U and the
+    stride are the expressions each segment evaluated on its own before
+    records were computed in blocks (phi by its solution's ``evaluate``,
+    which has the bits of that code's closed form:
+    ``tests/test_timing.py::test_phi_values_has_the_bits_of_evaluate``).
+    """
+    segs = []
+    for k, smp in enumerate(traj.samples[:-1]):
+        dec = traj.decisions[k] if traj.decisions else None
+        h = traj.period if dec is None else dec.h
+        xs, taus = _rk4_segment(spec, smp.x, h, dt_flow)
+        vs = np.asarray(spec.v(xs), dtype=float)
+        if dec is None:
+            us = np.full(len(taus), math.nan)
+        else:
+            gamma, cap = dec.params.gamma, dec.lambda_cap_used
+            w = np.linalg.norm(smp.x - xs, axis=-1)
+            sol = phi_solve(solve_lambda_for_horizon(h, gamma, cap), gamma, cap)
+            us = vs + gamma * sol.evaluate(taus) * w * w
+        stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
+        idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
+        segs.append(FlowRecords(smp.t + taus[idx], np.full(len(idx), smp.j), xs[idx], vs[idx],
+                                us[idx]))
+    return segs
+
+
+def _segment_monitors(segs, traj, c):
+    """The flow-bound and region records of each segment by its own expressions.
+
+    Slacks as bytes, so a zero keeps its sign.
+    """
+    monitors = []
+    lim = c * (1.0 + REGION_TOL_REL)
+    for k, seg in enumerate(segs):
+        smp = traj.samples[k]
+        if traj.decisions:
+            slack, passed = _head_flow(seg, traj.decisions[k], smp.v, smp.t)
+            monitors.append(("flow-bound", smp.j, _bits(slack), passed))
+        vmax = seg.v.max()
+        monitors.append(("region", smp.j, _bits(lim - vmax), bool(vmax <= lim)))
+    return monitors
+
+
+def _joined(segs):
+    return FlowRecords(*(np.concatenate([getattr(seg, f) for seg in segs])
+                         for f in ("t", "j", "x", "v", "u")))
+
+
+def _monitor_key(records):
+    return [(r.monitor, r.j, _bits(r.slack), r.passed) for r in records]
+
+
+@pytest.mark.parametrize("block", [None, 1, 40, 97, 300])
+@pytest.mark.parametrize("case", ["vdp", "linear", "vdp periodic", "strided periodic"])
+def test_blocks_keep_the_per_segment_bits(monkeypatch, block, case):
+    # every record column and every flow-bound and region record of a run
+    # of several blocks has the bits of the per-segment computation; block
+    # sizes from 1 record (a segment per block) up put block edges after
+    # every segment of these runs, and segments at every place in a block
+    cfg, spec = _linear_cfg() if case == "linear" else _vdp_cfg()
+    x0 = [0.9] if case == "linear" else [-0.3, 1.7]
+    if block is not None:
+        monkeypatch.setattr(sim, "BLOCK_RECORDS", block)
+    if case == "strided periodic":  # 500 steps a hold: every 7th node is kept
+        dt_flow = 0.002
+        traj = simulate_periodic(x0, spec, period=1.0, t_end=6.0, dt_flow=dt_flow)
+    elif case == "vdp periodic":
+        dt_flow = t_min_of(cfg) / 32.0
+        traj = simulate_periodic(x0, spec, period=t_min_of(cfg), t_end=4.0)
+    else:
+        dt_flow = t_min_of(cfg) / 20.0
+        traj = simulate(x0, cfg, spec, t_end=40.0 if case == "linear" else 8.0, dt_flow=dt_flow)
+        assert {d.set_index for d in traj.decisions} != {0}
+    fp = traj.flow_points
+    assert len(fp) > 2 * sim.BLOCK_RECORDS or case in ("linear", "strided periodic")
+    segs = _per_segment(traj, spec, dt_flow)
+    want = _joined(segs)
+    got = [fp.t, fp.j, fp.x, fp.v, fp.u]
+    cols = [want.t, want.j, want.x, want.v, want.u]
+    assert [col.dtype for col in got] == [col.dtype for col in cols]
+    assert [col.tobytes() for col in got] == [col.tobytes() for col in cols]
+    monitors = _segment_monitors(segs, traj, cfg.c if traj.decisions else spec.region_c)
+    assert _monitor_key(traj.monitors[:len(monitors)]) == monitors
+    assert all(type(r.slack) is float and type(r.passed) is bool and type(r.j) is int
+               for r in traj.monitors)
+    assert len(traj.monitors) == len(monitors) + (4 * len(traj.samples) - 2 if traj.decisions
+                                                  else 0)
+    if traj.decisions:
+        # a flow bound that binds: with U = V = V(t_j+)*(1 + 2*tau) the
+        # slacks are negative and differ with each segment's set and sample,
+        # so a record checked against another segment's decision differs
+        bent = [FlowRecords(seg.t, seg.j, seg.x, v, v) for seg, smp in zip(segs, traj.samples)
+                for v in [smp.v * (1.0 + 2.0 * (seg.t - smp.t))]]
+        monitors = _segment_monitors(bent, traj, cfg.c)
+        assert len({slack for _, _, slack, passed in monitors if not passed}) > 2
+        rerun = dataclasses.replace(traj, flow_points=_joined(bent))
+        assert _monitor_key(run_monitors(rerun, cfg)[:len(monitors)]) == monitors
+
+
+def test_simulate_holds_one_block_of_temporaries(monkeypatch):
+    # at its peak a 40 s run holds, beyond the trajectory it returns, at
+    # most its records' bytes (its segments' nodes, kept until they fill
+    # the columns) and 16 columns of one block; U and the monitors of the
+    # whole run at once held 3.3 MB more (0.71 against 3.97 MB)
+    cfg, spec = _vdp_cfg()
+
+    def held():
+        simulate([-0.3, 1.7], cfg, spec, t_end=40.0)  # warm: the stepper is compiled
+        tracemalloc.start()
+        try:
+            traj = simulate([-0.3, 1.7], cfg, spec, t_end=40.0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fp = traj.flow_points
+        return peak - current, sum(col.nbytes for col in (fp.t, fp.j, fp.x, fp.v, fp.u))
+
+    extra, records = held()
+    bound = records + 16 * 8 * sim.BLOCK_RECORDS
+    assert records > 1_000_000 and extra <= bound, (extra, records)
+    monkeypatch.setattr(sim, "BLOCK_RECORDS", 10 ** 9)  # the run as one block
+    assert held()[0] > bound + 1_000_000
 
 
 def _csv_bytes(directory, traj):

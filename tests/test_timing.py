@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dynstc.timing import (
+    HORIZON_REL_TOL,
     T_MAX_REL_ERR,
     HorizonError,
     phi_solve,
+    phi_values,
     solve_lambda_for_horizon,
     t_max,
     t_tilde_max,
@@ -267,6 +269,62 @@ def test_phi_rejects_tau_outside_horizon():
         sol.evaluate(-0.1)
     with pytest.raises(ValueError):  # 3.3e-10 beyond, above the 1e-10 tolerance
         sol.evaluate(sol.horizon * (1.0 + 1e-9))
+
+
+def _scalar_phi(sol, taus):
+    """phi as evaluate computed it before phi_values: one solution's floats on an array of taus."""
+    taus = np.clip(taus, 0.0, sol.horizon)
+    gamma, cap = sol.gamma, sol.lambda_cap
+    w2 = (gamma - cap) * (gamma + cap)
+    if w2 > 0.0:
+        w = math.sqrt(w2)
+        c, s = np.cos(w * taus), np.sin(w * taus) / w
+    elif w2 < 0.0:
+        w = math.sqrt(-w2)
+        c, s = np.cosh(w * taus), np.sinh(w * taus) / w
+    else:
+        c, s = np.ones_like(taus), taus
+    p0 = 1.0 / sol.lam
+    return (c * p0 - s * (cap * p0 + gamma)) / (c + s * (gamma * p0 + cap))
+
+
+def test_phi_values_has_the_bits_of_evaluate():
+    # one array call over the three branches, gamma above, below and equal
+    # to the cap, gives each element the bits of its own solution's
+    # evaluate, and both those of the scalar-parameter closed form, at
+    # tau = 0, inside, at the horizon and at the largest tau the tolerance
+    # admits; one tau beyond that raises
+    sols = [phi_solve(0.3, 2.0, 0.5), phi_solve(0.3, 0.5, 2.0), phi_solve(0.3, 1.5, 1.5),
+            phi_solve(7.8e-4, 26.4, 0.055)]
+    assert len({(s.gamma > s.lambda_cap) - (s.gamma < s.lambda_cap) for s in sols}) == 3
+    rows = []  # (solution, tau)
+    for sol in sols:
+        edge = sol.horizon + HORIZON_REL_TOL * max(1.0, sol.horizon)
+        while edge - sol.horizon > HORIZON_REL_TOL * max(1.0, edge):
+            edge = math.nextafter(edge, 0.0)
+        rows += [(sol, tau) for tau in (0.0, 0.37 * sol.horizon, sol.horizon, edge)]
+        with pytest.raises(ValueError):
+            sol.evaluate(math.nextafter(edge, math.inf))
+    taus = np.array([tau for _, tau in rows])
+    params = [np.array([getattr(sol, f) for sol, _ in rows])
+              for f in ("lam", "gamma", "lambda_cap", "horizon")]
+    got = phi_values(taus, *params)
+    want = np.array([sol.evaluate(tau) for sol, tau in rows])
+    assert got.tobytes() == want.tobytes()
+    assert all(type(sol.evaluate(tau)) is float for sol, tau in rows)
+    for sol in sols:  # an array of taus is the same elementwise call
+        mine = taus[[s is sol for s, _ in rows]]
+        assert sol.evaluate(mine).tobytes() == np.array([sol.evaluate(t) for t in mine]).tobytes()
+        assert sol.evaluate(mine).tobytes() == _scalar_phi(sol, mine).tobytes()
+    assert got[::4].tobytes() == (1.0 / params[0][::4]).tobytes()  # phi(0) = 1/lam
+    for k in (0, 3):  # one tau outside its own horizon, the others inside
+        bad = taus.copy()
+        bad[4 * k + 3] = math.nextafter(bad[4 * k + 3], math.inf)
+        with pytest.raises(ValueError):
+            phi_values(bad, *params)
+        bad[4 * k + 3] = -0.1
+        with pytest.raises(ValueError):
+            phi_values(bad, *params)
 
 
 def test_certified_horizon_is_evaluable():
