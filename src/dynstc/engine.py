@@ -81,6 +81,16 @@ class DynamicVariable:
             raise ValueError("eta entries must be finite and non-negative")
         object.__setattr__(self, "eta", eta)
 
+    def _shifted(self, v: float) -> DynamicVariable:
+        """This register without its oldest entry and with v appended, v already checked.
+
+        The kept entries were checked when this register was made, so
+        ``__post_init__`` is not run on them again.
+        """
+        dyn = object.__new__(DynamicVariable)
+        object.__setattr__(dyn, "eta", self.eta[1:] + (v,))
+        return dyn
+
 
 def eta_initial(m: int, v0: float, policy: str = "v0") -> DynamicVariable:
     """Initial register: m-1 copies of V(x0) ("v0") or zeros ("zero").
@@ -101,12 +111,13 @@ def eta_initial(m: int, v0: float, policy: str = "v0") -> DynamicVariable:
 
 
 def update_eta(dyn: DynamicVariable, v_now: float) -> DynamicVariable:
-    """Shift register: drop the oldest entry, append v_now."""
-    if v_now < 0.0:
-        raise ValueError("energy must be non-negative")
+    """Shift register: drop the oldest entry, append v_now (finite and non-negative)."""
+    v = float(v_now)
+    if not 0.0 <= v < math.inf:
+        raise ValueError("energy must be finite and non-negative")
     if len(dyn.eta) == 0:
         return dyn
-    return DynamicVariable(eta=dyn.eta[1:] + (float(v_now),))
+    return dyn._shifted(v)
 
 
 def window_average_c(v_now: float, dyn: DynamicVariable, c: float, m: int) -> float:
@@ -146,6 +157,12 @@ class StcConfig:
         """delta * t_max of each set at its rate cap, computed once per config."""
         return tuple(self.delta * t_max(ps.gamma, set_lambda_cap(self, i))
                      for i, ps in enumerate(self.family.sets))
+
+    @cached_property
+    def _window_sets(self) -> tuple:
+        """(i, eps_ref - eps_i, cap) of each window set i = 1..n-1, computed once per config."""
+        return tuple((i, self.eps_ref - ps.epsilon, self._interval_caps[i])
+                     for i, ps in enumerate(self.family.sets) if i > 0)
 
 
 @dataclass(frozen=True)
@@ -215,6 +232,29 @@ def interval_for_set(v_now: float, c_val: float, cfg: StcConfig, i: int) -> floa
     return dt if dt > t_bar else 0.0
 
 
+def _best_interval(v: float, c_val: float, cfg: StcConfig) -> tuple:
+    """(h, i): the fall-back's t_min, or the best window set's interval_for_set.
+
+    The case split of :func:`interval_for_set` for a window average
+    c_val >= 0, with log(c_val/v) taken once for all sets: at v = 0 every
+    set certifies its cap, and below the window with c_val = 0 none
+    certifies any interval.
+    """
+    h_fb = t_min_of(cfg)
+    best_h, best_i = h_fb, 0
+    above = c_val >= v
+    if above or c_val > 0.0:
+        log_cv = math.inf if v == 0.0 else math.log(c_val / v)
+        for i, a, cap in cfg._window_sets:
+            if above:
+                h_i = min(cap, log_cv / a) if a > 0.0 else cap
+            else:
+                h_i = cap if a < 0.0 and cap > log_cv / a else 0.0
+            if h_i >= h_fb and (best_i == 0 or h_i > best_h):
+                best_h, best_i = h_i, i
+    return best_h, best_i
+
+
 def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecision:
     """Next-interval computation: fall-back floor, then the best candidate.
 
@@ -229,12 +269,7 @@ def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecis
             f"V(x) = {v:.6g} exceeds the region level c = {cfg.c:.6g}",
             x=np.array(x, dtype=float), v=v)
     c_val = window_average_c(v, dyn, cfg.c, cfg.m)
-    h_fb = t_min_of(cfg)
-    best_h, best_i = h_fb, 0
-    for i in range(1, len(cfg.family.sets)):
-        h_i = interval_for_set(v, c_val, cfg, i)
-        if h_i >= h_fb and (best_i == 0 or h_i > best_h):
-            best_h, best_i = h_i, i
+    best_h, best_i = _best_interval(v, c_val, cfg)
     return TriggerDecision(
         h=best_h,
         set_index=best_i,

@@ -29,7 +29,8 @@ exactly on the next sample; sampling instants are known in advance, so
 no event detection is needed.  Each hold interval is integrated on
 Python floats by one straight-line stepper per state dimension n,
 generated and compiled once per n: every component of every stage is a
-scalar local, so a step builds no list.  It calls a built-in drift's
+scalar local, and the nodes go into one flat list of floats, which
+becomes one array per segment.  It calls a built-in drift's
 per-component ``f.rhs``; any other ``spec.f`` is called on 1-D arrays
 through the adapter ``systems.component_rhs`` (so a ``perfbench
 --trace 1`` run, whose ``spec.f`` wrapper has no ``rhs``, integrates
@@ -53,13 +54,21 @@ with the operations a segment alone would take, so every record keeps
 its bits whatever the block size.  On the ``long`` benchmark workload
 (646 segments, 21963 records, 2 vCPU) this took ``simulate`` from 0.164
 to 0.114 s and ``run_monitors`` from 0.037 to 0.015 s (medians of 20
-alternating calls in one process); the RK4 stepper and the trigger are
-most of what is left.
+alternating calls in one process).
+
+Per sample, the trigger takes log(C/V) once for all its sets and the
+register shift checks only the V it appends; per segment, the offsets
+are summed in step order and a segment of stride 1 keeps its nodes
+without a copy; the sample monitors are columns over the samples.  That
+took the same ``simulate`` about 28% lower again (0.123 to 0.089 s,
+medians of 20 alternating calls).  Of what is left, the RK4 stepper
+takes about 43%, the rest of the flow glue (V, the escape checks, the
+array) 17%, the trigger 13%, ``run_monitors`` 9%, ``_columns`` 7% and
+the decisions' ``solve_lambda_for_horizon``/``phi_solve`` 5%.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -163,7 +172,8 @@ def _stepper(n):
     """RK4 over a list of steps for state dimension n, one scalar local per component.
 
     ``stepper(rhs, xh, steps)`` starts from the hold state xh (a list of
-    n floats) and returns the node states, xh first.  The source is
+    n floats) and returns the node states as one flat list of floats, n
+    per node, xh first.  The source is
     generated once per n: each stage's error xh_i - y_i, stage state
     x_i + hs*k_i and update x_i + s6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i)
     is one expression on floats, in the order numpy would evaluate the
@@ -182,7 +192,7 @@ def _stepper(n):
         "def stepper(rhs, xh, steps):\n"
         f"    {seq('h{i}')}, = xh\n"
         f"    {seq('x{i}')}, = xh\n"
-        "    rows = [xh]\n"
+        "    rows = list(xh)\n"
         "    for st in steps:\n"
         "        hs = 0.5 * st\n"
         + stage("a", "x") + assign("y", "x{i} + hs * a{i}")
@@ -191,7 +201,7 @@ def _stepper(n):
         + stage("d", "y")
         + "        s6 = st / 6.0\n"
         + assign("x", "x{i} + s6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})")
-        + f"        rows.append(({seq('x{i}')},))\n"
+        + f"        rows += {seq('x{i}')},\n"
         "    return rows\n"
     )
     scope = {}
@@ -213,33 +223,38 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
         steps[-1] += rem
     else:
         steps = [h]
-    rows = _stepper(len(x_hold))(component_rhs(spec), x_hold.tolist(), steps)
-    taus = np.concatenate([[0.0], np.cumsum(steps)])
+    n = len(x_hold)
+    rows = _stepper(n)(component_rhs(spec), x_hold.tolist(), steps)
+    # the offsets summed in step order, as np.cumsum would
+    taus = np.fromiter(itertools.accumulate(steps, initial=0.0), float, len(steps) + 1)
     taus[-1] = h
-    return np.array(rows), taus
+    return np.array(rows).reshape(-1, n), taus
 
 
 def _flow(spec, x_hold, h, dt_flow, c, t_start):
     """Flow one hold interval from x_hold; returns (end state, offsets, states, V).
 
     Raises on a non-finite node or on V above c + tolerance.  Of the
-    nodes it keeps every stride-th plus the last one, their offsets tau
-    from t_start, states and V; :func:`_columns` makes them flow records.
+    nodes it keeps every stride-th plus the last one (at stride 1 all of
+    them, as integrated, with no copy), their offsets tau from t_start,
+    states and V; :func:`_columns` makes them flow records.
     """
     xs, taus = _rk4_segment(spec, x_hold, h, dt_flow)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         bad = int(np.nonzero(~np.all(np.isfinite(xs), axis=-1))[0][0])
         raise IntegrationBlowupError(
             f"non-finite state at t = {t_start + taus[bad]:.6g}")
     vs = np.asarray(spec.v(xs), dtype=float)
     lim = c * (1.0 + REGION_TOL_REL)
-    if np.any(vs > lim):
+    if (vs > lim).any():
         bad = int(np.nonzero(vs > lim)[0][0])
         raise RegionEscapeError(
             f"V = {vs[bad]:.6g} left the region level c = {c:.6g} "
             f"at t = {t_start + taus[bad]:.6g}",
             t=float(t_start + taus[bad]), x=xs[bad].copy(), v=float(vs[bad]))
     stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
+    if stride == 1:
+        return xs[-1], taus, xs, vs
     idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
     return xs[-1], taus[idx], xs[idx], vs[idx]
 
@@ -389,17 +404,17 @@ def _segment_blocks(traj: HybridTrajectory):
         yield traj.flow_points.rows(edges[k0], edges[k1]), edges[k0:k1] - edges[k0], k0, k1
 
 
-def _segment_records(monitor, recs, starts, slack, passed):
-    """One record per segment of a block: its j, slack and verdict, as Python objects."""
+def _records(monitor, js, slack, passed):
+    """One record per row of the columns js, slack and passed, as Python objects."""
     return [MonitorRecord(monitor, j, s, p) for j, s, p in
-            zip(recs.j[starts].tolist(), slack.tolist(), passed.tolist())]
+            zip(js.tolist(), slack.tolist(), passed.tolist())]
 
 
 def _regions(recs: FlowRecords, starts, c):
     """Region record of each segment: c + tolerance minus its largest recorded V."""
     lim = c * (1.0 + REGION_TOL_REL)
     vmax = np.maximum.reduceat(recs.v, starts)
-    return _segment_records("region", recs, starts, lim - vmax, vmax <= lim)
+    return _records("region", recs.j[starts], lim - vmax, vmax <= lim)
 
 
 def _within(value, bound):
@@ -407,9 +422,9 @@ def _within(value, bound):
     return value <= bound + MON_TOL * (1.0 + abs(bound))
 
 
-def _bound(monitor, j, value, bound):
-    """The one bound rule on floats, :func:`_within`, with slack bound - value."""
-    return MonitorRecord(monitor, j, float(bound - value), bool(_within(value, bound)))
+def _bounds(monitor, js, value, bound):
+    """The one bound rule, :func:`_within`, on columns: one record per row, slack bound - value."""
+    return _records(monitor, js, bound - value, _within(value, bound))
 
 
 def _flow_bounds(recs: FlowRecords, starts, decs, v_plus, t_start):
@@ -426,7 +441,7 @@ def _flow_bounds(recs: FlowRecords, starts, decs, v_plus, t_start):
     slack_vu = np.minimum.reduceat(recs.u - recs.v, starts)
     slack = np.where(slack_vu < slack_env, slack_vu, slack_env)
     ok = _within(recs.u, env) & _within(recs.v, recs.u)
-    return _segment_records("flow-bound", recs, starts, slack, np.logical_and.reduceat(ok, starts))
+    return _records("flow-bound", recs.j[starts], slack, np.logical_and.reduceat(ok, starts))
 
 
 def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
@@ -449,30 +464,33 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
     envelope contracting once per full window of m samples.  Under either
     initial register those are the maxima of V_k with the register the
     trigger held and of V(t_0) with its first: a "v0" pad repeats V(t_0),
-    a "zero" pad lies below every V.
+    a "zero" pad lies below every V.  The bounds are columns over the
+    samples, each exponential a ``math.exp`` (``np.exp`` differs from it
+    in the last bit on some arguments).
     """
-    records = []
     if not traj.samples:
-        return records
+        return []
     tmin = t_min_of(cfg)
     eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
-    vs = [s.v for s in traj.samples]
-    for k in range(len(vs) - 1):
-        dec = traj.decisions[k]
-        v_next = vs[k + 1]
-        if dec.used_fallback:
-            bound = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
-        else:
-            bound = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
-        records.append(_bound("sample-decrease", k + 1, v_next, bound))
-        comb = math.exp(-eps_tilde * tmin) * max(vs[max(0, k - cfg.m + 1):k + 1])
-        records.append(_bound("combined-decrease", k + 1, v_next, comb))
-    for k, smp in enumerate(traj.samples):
-        records.append(_bound("running-cap", smp.j, smp.v, vs[0]))
-        depth = max(0, k - cfg.m) / cfg.m
-        env = math.exp(-eps_tilde * tmin * depth) * vs[0]
-        records.append(_bound("window-envelope", smp.j, smp.v, env))
-    return records
+    vs = np.array([s.v for s in traj.samples], dtype=float)
+    decs = traj.decisions[:len(vs) - 1]
+    own = np.array([math.exp(-d.params.epsilon * d.h) * d.v_now if d.used_fallback
+                    else math.exp(-cfg.eps_ref * d.h) * d.c_val for d in decs], dtype=float)
+    # max{V_(k-m+1), .., V_k}, folded from V_k back: an older V wins a tie, as in
+    # max() (np.maximum leaves the sign of tied zeros to the hardware)
+    vmax = vs[:-1].copy()
+    for d in range(1, min(cfg.m, len(vmax))):
+        older = vs[:-1 - d]
+        np.copyto(vmax[d:], older, where=older >= vmax[d:])
+    pairs = np.arange(1, len(vs))
+    sample = zip(_bounds("sample-decrease", pairs, vs[1:], own),
+                 _bounds("combined-decrease", pairs, vs[1:], math.exp(-eps_tilde * tmin) * vmax))
+    env = np.array([math.exp(-eps_tilde * tmin * (max(0, k - cfg.m) / cfg.m))
+                    for k in range(len(vs))]) * vs[0]
+    js = np.array([s.j for s in traj.samples])
+    running = zip(_bounds("running-cap", js, vs, vs[0]),
+                  _bounds("window-envelope", js, vs, env))
+    return list(itertools.chain.from_iterable(itertools.chain(sample, running)))
 
 
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
@@ -487,41 +505,26 @@ def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
     return records
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
-    """One row per flow record, the same bytes as :func:`_write_rows`, one segment at a time.
+    """One row per flow record, written one flow segment at a time.
 
     Each segment's columns become Python floats only while it is written,
     so the memory held beyond the records is one segment's, not one run's.
     Records of a row range (``FlowRecords.rows``) write that range's rows.
+    Floats are written as ``repr(float(v))`` and booleans as 1 or 0, here
+    and in the other writers.
     """
     fp = traj.flow_points
     n = fp.x.shape[1]
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
     if traj.kind == "periodic":
-        tails = itertools.repeat((traj.period, -1, False))
+        tails = itertools.repeat(f"{float(traj.period)!r},-1,0")
     else:
-        tails = ((d.h, d.set_index, d.used_fallback) for d in traj.decisions)
+        tails = (f"{float(d.h)!r},{d.set_index},{int(d.used_fallback)}" for d in traj.decisions)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for j, (seg, tail) in enumerate(zip(_segments(traj), tails), start=1):
-            tail = ",".join(_fmt(v) for v in tail)
             for t, x, v, u in zip(seg.t.tolist(), seg.x.tolist(), seg.v.tolist(),
                                   seg.u.tolist()):
                 xs = ",".join(map(repr, x))
@@ -529,11 +532,16 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:
-    header = ["j", "t", "h", "set_index", "epsilon", "used_fallback", "V", "C"]
-    _write_rows(path, header, ([s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
-                                d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("j,t,h,set_index,epsilon,used_fallback,V,C\n")
+        for s, d in zip(traj.samples, traj.decisions):
+            fh.write(f"{s.j},{float(s.t)!r},{float(d.h)!r},{d.set_index},"
+                     f"{float(d.params.epsilon)!r},{int(d.used_fallback)},"
+                     f"{float(d.v_now)!r},{float(d.c_val)!r}\n")
 
 
 def write_monitors_csv(path, traj: HybridTrajectory) -> None:
-    header = ["monitor", "j", "slack", "passed"]
-    _write_rows(path, header, ([r.monitor, r.j, r.slack, r.passed] for r in traj.monitors))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("monitor,j,slack,passed\n")
+        for r in traj.monitors:
+            fh.write(f"{r.monitor},{r.j},{float(r.slack)!r},{int(r.passed)}\n")

@@ -78,6 +78,30 @@ def test_update_eta():
         update_eta(DynamicVariable(eta=(1.0,)), -1.0)
 
 
+@pytest.mark.parametrize("size", [0, 1, 29])
+def test_update_eta_checks_the_appended_energy(size):
+    # only the appended V is new: it must be finite and non-negative, for
+    # every register length; the shifted register is eta[1:] + (float(v),)
+    rng = np.random.default_rng(size)
+    dyn = DynamicVariable(eta=tuple(rng.uniform(0.0, 5.0, size)))
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ValueError):
+            update_eta(dyn, bad)
+    for v in (0.0, -0.0, 3.5, np.float64(2.25), 7, 1e308):
+        shifted = update_eta(dyn, v)
+        assert type(shifted) is DynamicVariable
+        want = dyn.eta[1:] + (float(v),) if size else ()
+        assert shifted.eta == want and all(type(e) is float for e in shifted.eta)
+        assert [math.copysign(1.0, e) for e in shifted.eta] == \
+            [math.copysign(1.0, e) for e in want]
+        assert shifted == DynamicVariable(eta=want)
+    # a register made directly still checks, and converts, every entry
+    assert DynamicVariable(eta=[np.float64(1.5), 2]).eta == (1.5, 2.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            DynamicVariable(eta=(1.0, bad, 2.0))
+
+
 def test_window_average_c():
     assert window_average_c(1.0, DynamicVariable(eta=(1.0, 1.0)), 10.0, 3) == 1.0
     assert window_average_c(30.0, DynamicVariable(eta=(30.0, 30.0)), 10.0, 3) == 10.0
@@ -367,6 +391,63 @@ def test_trigger_agrees_bitwise_with_interval_for_set():
             assert dec.used_fallback == (dec.set_index == 0)
             assert dec.bound_type == (FALLBACK_DECREASE if dec.set_index == 0
                                       else WINDOW_BOUND)
+
+
+def _loop_over_sets(v, c_val, cfg):
+    """The trigger's pass as a loop over interval_for_set, the one-set rule."""
+    best_h, best_i = t_min_of(cfg), 0
+    for i in range(1, len(cfg.family.sets)):
+        h = interval_for_set(v, c_val, cfg, i)
+        if h >= t_min_of(cfg) and (best_i == 0 or h > best_h):
+            best_h, best_i = h, i
+    return best_h, best_i
+
+
+def test_trigger_pass_matches_the_loop_over_interval_for_set():
+    # seeded (V, C) draws: the origin V = 0, C = 0, C = V, C below V (where
+    # a set with eps_ref - eps_i >= 0 certifies nothing) and above it, on
+    # random families and on families whose window sets tie with the
+    # fall-back's cap and with each other; same h bits and the same set
+    rng = np.random.default_rng(41)
+    seen = set()
+    for _ in range(400):
+        fam = _random_family(rng)
+        if rng.random() < 0.3:  # copies of the fall-back as window sets: ties at t_min
+            fb = fam.sets[0]
+            fam = ParameterFamily(sets=fam.sets + (fb, ParameterSet(-1.0, fb.gamma, fb.l_const),
+                                                   fam.sets[-1]))
+        for delta in (0.999, 0.9):
+            cfg = StcConfig(family=fam, c=10.0, m=3, delta=delta,
+                            eps_ref=float(10.0 ** rng.uniform(-3, 0)))
+            v = float(rng.uniform(0.0, 10.0))
+            for v_now, c_val in ((0.0, 0.0), (0.0, v), (v, 0.0), (v, v),
+                                 (v, v * rng.uniform(0.0, 1.0)),
+                                 (v, float(np.nextafter(v, 0.0))),
+                                 (v, v * rng.uniform(1.0, 1e3)), (v, float(rng.uniform(0, 10)))):
+                h, i = engine._best_interval(v_now, c_val, cfg)
+                want_h, want_i = _loop_over_sets(v_now, c_val, cfg)
+                assert (np.float64(h).tobytes(), i) == (np.float64(want_h).tobytes(), want_i)
+                slow = any(cfg.eps_ref - ps.epsilon >= 0.0 for ps in fam.sets[1:])
+                seen.add(("fall-back" if i == 0 else "window",
+                          "V = 0" if v_now == 0.0 else "C = 0" if c_val == 0.0
+                          else "C < V, a >= 0" if c_val < v_now and slow
+                          else "C < V" if c_val < v_now else "C >= V",
+                          h == t_min_of(cfg)))
+    assert {("window", "V = 0", False), ("fall-back", "C = 0", True),
+            ("fall-back", "C < V, a >= 0", True), ("window", "C < V, a >= 0", True),
+            ("window", "C < V", False), ("window", "C >= V", True),
+            ("window", "C >= V", False), ("fall-back", "C >= V", True)} <= seen
+    # "C < V, a >= 0": some window set has eps_ref - eps_i >= 0; here the only one
+    cfg = StcConfig(family=_family(FB, (0.005, 1.0, 0.05)), c=10.0, m=3, eps_ref=0.01)
+    assert engine._best_interval(2.0, 1.0, cfg) == _loop_over_sets(2.0, 1.0, cfg) == \
+        (t_min_of(cfg), 0)
+    # below the window, a cap exactly at the root t_bar is not certified (dt > t_bar)
+    cfg = StcConfig(family=_family(FB, (0.0892045037822068, 1.0, 0.01)), c=10.0, m=3,
+                    delta=0.9)
+    assert math.log(1.8 / 2.0) / (cfg.eps_ref - cfg.family.sets[1].epsilon) == \
+        cfg._interval_caps[1] > t_min_of(cfg)
+    assert engine._best_interval(2.0, 1.8, cfg) == _loop_over_sets(2.0, 1.8, cfg) == \
+        (t_min_of(cfg), 0)
 
 
 def test_fallback_interval_is_t_min():

@@ -1,5 +1,6 @@
 """Tests for the hybrid simulator, monitors and CSV artifacts."""
 
+import csv
 import dataclasses
 import itertools
 import math
@@ -16,12 +17,11 @@ from dynstc.sim import (
     HybridTrajectory,
     Sample,
     _rk4_segment,
-    _write_rows,
     IntegrationBlowupError,
     MON_TOL,
     MonitorRecord,
     RegionEscapeError,
-    _bound,
+    _bounds,
     monitor_flow_bound,
     run_monitors,
     simulate,
@@ -155,12 +155,12 @@ def test_flow_bound_checks_beyond_horizon():
 
 
 def _head_record(value, bound):
-    """A sample monitor's slack and verdict by the inline expression it used before _bound."""
+    """A sample monitor's slack and verdict by the inline expression it used before _bounds."""
     return float(bound - value), bool(value <= bound + MON_TOL * (1.0 + bound))
 
 
 def _head_flow(seg, dec, v_plus, t_start):
-    """The flow bound's slack and verdict by its inline expressions before _bound."""
+    """The flow bound's slack and verdict by its inline expressions before _bounds."""
     ps = dec.params
     rate = max(-ps.epsilon, 2.0 * (ps.l_const - dec.lambda_cap_used))
     us, vs = seg.u, seg.v
@@ -186,16 +186,19 @@ def test_bound_rule_matches_each_monitor_expression():
         values = [bound, edge, float(np.nextafter(edge, math.inf)),
                   float(np.nextafter(edge, -math.inf)), 0.0,
                   bound * rng.uniform(0.5, 1.5), bound + rng.normal(0.0, 1e-7)]
-        for value in values:
-            slack, passed = _head_record(value, bound)
-            for kind in ("sample-decrease", "combined-decrease", "running-cap",
-                         "window-envelope"):
-                rec = _bound(kind, 3, value, bound)
-                assert (rec.monitor, rec.j, rec.passed) == (kind, 3, passed)
-                assert _bits(rec.slack) == _bits(slack)
-                assert type(rec.slack) is float and type(rec.passed) is bool
-    assert _bound("running-cap", 1, edge, bound).passed
-    assert not _bound("running-cap", 1, float(np.nextafter(edge, math.inf)), bound).passed
+        # the monitors pass their bounds as a column, or (running cap) as one float
+        for kind in ("sample-decrease", "combined-decrease", "running-cap",
+                     "window-envelope"):
+            for col in (np.full(len(values), bound), np.float64(bound)):
+                recs = _bounds(kind, np.full(len(values), 3), np.array(values), col)
+                for value, rec in zip(values, recs, strict=True):
+                    slack, passed = _head_record(value, bound)
+                    assert (rec.monitor, rec.j, rec.passed) == (kind, 3, passed)
+                    assert _bits(rec.slack) == _bits(slack)
+                    assert type(rec.slack) is float and type(rec.passed) is bool
+    over = float(np.nextafter(edge, math.inf))
+    assert [r.passed for r in _bounds("running-cap", np.ones(2, dtype=int),
+                                      np.array([edge, over]), bound)] == [True, False]
 
     # the flow bound on seeded segments of 1 to 65 records: U below, at,
     # and one ulp either side of its edge env + MON_TOL*(1 + |env|); V tied
@@ -642,6 +645,23 @@ def _reference_trajectory_csv(path, traj):
     _write_rows(path, header, rows)
 
 
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_rows(path, header, rows):
+    """The csv-module writer every CSV was written by before the f-string writers."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
 @pytest.mark.parametrize("kind", ["dynamic", "periodic"])
 def test_trajectory_csv_matches_row_writer(tmp_path, kind):
     cfg, spec = _vdp_cfg()
@@ -655,6 +675,93 @@ def test_trajectory_csv_matches_row_writer(tmp_path, kind):
     data = (tmp_path / "stream.csv").read_bytes()
     assert data == (tmp_path / "rows.csv").read_bytes()
     assert data.count(b"\n") == 1 + len(traj.flow_points)
+
+
+def test_decisions_and_monitors_csv_match_row_writer(tmp_path):
+    # the f-string writers have the bytes of the csv-module writer, also for
+    # np.float64 fields, failed records and signed-zero or infinite slacks
+    cfg, spec = _vdp_cfg()
+    np_cfg = dataclasses.replace(cfg, delta=np.float64(cfg.delta))
+    plain = simulate([-0.3, 1.2], cfg, spec, t_end=1.0)
+    f64 = np.float64
+    numpy = dataclasses.replace(  # every float field an np.float64
+        plain, samples=tuple(dataclasses.replace(s, t=f64(s.t)) for s in plain.samples),
+        decisions=tuple(dataclasses.replace(
+            d, h=f64(d.h), v_now=f64(d.v_now), c_val=f64(d.c_val),
+            params=dataclasses.replace(d.params, epsilon=f64(d.params.epsilon)))
+            for d in plain.decisions))
+    for traj in (plain, simulate([-0.3, 1.2], np_cfg, spec, t_end=1.0), numpy):
+        extra = tuple(MonitorRecord("flow-bound", 7, s, bool(s > 0.0))
+                      for s in (-0.0, 0.0, -1e-300, math.inf, np.float64(2.5)))
+        traj = dataclasses.replace(traj, monitors=traj.monitors + extra)
+        assert {d.used_fallback for d in traj.decisions} == {False, True}
+        write_decisions_csv(tmp_path / "d.csv", traj)
+        _write_rows(tmp_path / "d_rows.csv", ["j", "t", "h", "set_index", "epsilon",
+                                              "used_fallback", "V", "C"],
+                    ([s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
+                      d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)))
+        assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d_rows.csv").read_bytes()
+        write_monitors_csv(tmp_path / "m.csv", traj)
+        _write_rows(tmp_path / "m_rows.csv", ["monitor", "j", "slack", "passed"],
+                    ([r.monitor, r.j, r.slack, r.passed] for r in traj.monitors))
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m_rows.csv").read_bytes()
+
+
+def _reference_sample_decrease(traj, cfg):
+    """The per-sample monitor loop that the column form replaced, slacks as bytes."""
+    def bound(monitor, j, value, b):
+        return (monitor, j, _bits(float(b - value)),
+                bool(value <= b + MON_TOL * (1.0 + abs(b))))
+
+    records = []
+    tmin = t_min_of(cfg)
+    eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
+    vs = [s.v for s in traj.samples]
+    for k in range(len(vs) - 1):
+        dec = traj.decisions[k]
+        if dec.used_fallback:
+            b = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
+        else:
+            b = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
+        records.append(bound("sample-decrease", k + 1, vs[k + 1], b))
+        comb = math.exp(-eps_tilde * tmin) * max(vs[max(0, k - cfg.m + 1):k + 1])
+        records.append(bound("combined-decrease", k + 1, vs[k + 1], comb))
+    for k, smp in enumerate(traj.samples):
+        records.append(bound("running-cap", smp.j, smp.v, vs[0]))
+        env = math.exp(-eps_tilde * tmin * (max(0, k - cfg.m) / cfg.m)) * vs[0]
+        records.append(bound("window-envelope", smp.j, smp.v, env))
+    return records
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 30, 200])
+def test_sample_monitors_keep_the_per_sample_bits(m):
+    # the column form of monitor_sample_decrease has the records of the
+    # per-sample loop: runs at window lengths below, at and above their
+    # sample count, and a fabricated V history of ties, signed zeros and
+    # failing bounds, where max() keeps the oldest of equal V's
+    cfg, spec = _vdp_cfg()
+    cfg = dataclasses.replace(cfg, m=m)
+    runs = [simulate([-0.3, 1.2], cfg, spec, t_end=3.0),
+            simulate([0.4, -0.2], dataclasses.replace(cfg, eta_init="zero"), spec, t_end=1.0),
+            simulate([-0.3, 1.2], cfg, spec, t_end=0.0)]
+    rng = np.random.default_rng(m)
+    vs = np.concatenate([rng.choice([0.0, -0.0], size=40),
+                         rng.choice([0.0, -0.0, 1.0, 2.0, 2.0 + 1e-7, 3.0], size=40)])
+    vs[0] = -0.0
+    decs = [TriggerDecision(h=float(h), set_index=int(i), params=cfg.family.sets[i],
+                            lambda_cap_used=1.0, v_now=float(v), c_val=float(c))
+            for h, i, v, c in zip(rng.uniform(0.0, 0.1, 80), rng.integers(0, 3, 80),
+                                  vs, rng.choice([0.0, -0.0, 1.0, 2.5], size=80))]
+    runs.append(HybridTrajectory(
+        samples=tuple(Sample(t=0.1 * k, j=k + 1, x=np.zeros(2), v=float(v))
+                      for k, v in enumerate(vs)),
+        decisions=tuple(decs), flow_points=runs[0].flow_points))
+    for traj in runs:
+        records = sim.monitor_sample_decrease(traj, cfg)
+        assert all(type(r.slack) is float and type(r.passed) is bool and type(r.j) is int
+                   for r in records)
+        assert _monitor_key(records) == _reference_sample_decrease(traj, cfg)
+    assert not all(r.passed for r in sim.monitor_sample_decrease(runs[-1], cfg))
 
 
 def _reference_rk4_segment(spec, x_hold, h, dt_flow):
