@@ -42,8 +42,10 @@ a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
 the renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid or unreadable config, an --out that
-cannot be made a directory (both found before any synthesis, the stc
-block by ``StcConfig``'s own checks), or a missing or malformed
+cannot be made a directory, an output path taken by a directory (all
+found before any synthesis or simulation, the stc block by
+``StcConfig``'s own checks; a command checks every artifact it reads or
+writes, and leaves --out as it was), or a missing or malformed
 artifact, 3 synthesis or verification failure, 4 monitor violation,
 5 numerical failure or out of memory.
 """
@@ -183,6 +185,18 @@ def _load_config(path):
     return doc, spec_from_config(doc["system"])
 
 
+def _check_paths(paths):
+    """A ConfigError naming the first of the artifact `paths` taken by a directory.
+
+    Each command checks every artifact it reads or writes before any other
+    work, so a directory in the way costs no synthesis or simulation and
+    leaves every file in --out as it was.
+    """
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"artifact path {path} is taken by a directory")
+
+
 def _stc_config(doc, spec, out, reuse):
     """The trigger config.  Its family is the manifest in `out` if `reuse` finds one,
     else synthesized and written there; the stc and synthesis blocks are checked
@@ -234,12 +248,14 @@ def _run_params(doc, spec, cfg):
     tmin = t_min_of(cfg)
     if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
         raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
-    return starts, t_end, dt_flow, block["baselines"]
+    return t_end, dt_flow
 
 
 def cmd_synthesize(args) -> int:
     doc, spec = _load_config(args.config)
-    cfg = _stc_config(doc, spec, Path(args.out), reuse=False)
+    out = Path(args.out)
+    _check_paths([out / MANIFEST_NAME])
+    cfg = _stc_config(doc, spec, out, reuse=False)
     print(f"t_min = {t_min_of(cfg):.6g}")
     print(f"{'set':>4} {'epsilon':>12} {'gamma':>12} {'L':>8} {'delta*t_max':>12}")
     for i, ps in enumerate(cfg.family.sets):
@@ -282,11 +298,16 @@ def _join_parts(paths):
 def cmd_run(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
-    cfg = _stc_config(doc, spec, out, reuse=True)
-    starts, t_end, dt_flow, baselines = _run_params(doc, spec, cfg)
-    mechanisms = ["dynamic"] + (["static", "periodic"] if baselines else [])
-    jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(starts)
+    block = doc["run"] or {"x0": None, "baselines": False}  # _run_params reports its absence
+    mechanisms = ["dynamic"] + (["static", "periodic"] if block["baselines"] else [])
+    jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(block["x0"] or [])
             for mech in mechanisms]
+    files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
+             for stem, _, _ in jobs]
+    _check_paths([out / MANIFEST_NAME, *(path for paths in files for path in paths),
+                  out / SUMMARY_NAME])
+    cfg = _stc_config(doc, spec, out, reuse=True)
+    t_end, dt_flow = _run_params(doc, spec, cfg)
     trajs = [None] * len(jobs)
     # with fewer jobs than CPUs, a job is `parts` items: item p writes the
     # p-th row range of its trajectory CSV to a temporary name of its own
@@ -299,8 +320,6 @@ def cmd_run(args) -> int:
     def temp(path, part=0):
         return path.with_name(f"{path.name}.{pid}{f'.{part}' if part else ''}.tmp")
 
-    files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
-             for stem, _, _ in jobs]
     # per job: its trajectory parts 0..parts-1, then its monitors and decisions
     temps = [[temp(paths[0], part) for part in range(parts)] + [temp(path) for path in paths[1:]]
              for paths in files]
@@ -371,6 +390,7 @@ def cmd_verify(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
     manifest = out / MANIFEST_NAME
+    _check_paths([manifest])
     if not manifest.exists():
         raise ConfigError(f"no manifest at {manifest}; run synthesize first")
     family, density = read_manifest(manifest)
@@ -445,6 +465,7 @@ plot '{traj}' using 1:3 with lines title 'x1', \\
 def cmd_compare(args) -> int:
     out = Path(args.out)
     summary_path = out / SUMMARY_NAME
+    _check_paths([summary_path, out / "compare.txt", out / "plots.gp"])
     if not summary_path.exists():
         raise ConfigError(f"no run summary at {summary_path}; run 'run' first")
     with open(summary_path, "r", encoding="utf-8") as fh:

@@ -27,11 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .synthesis import ParameterFamily, ParameterSet
 from .timing import T_MAX_REL_ERR, t_max
+
+if TYPE_CHECKING:  # annotations only: the trigger needs no synthesis code
+    from .synthesis import ParameterFamily, ParameterSet
 
 __all__ = [
     "WINDOW_BOUND",

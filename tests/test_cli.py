@@ -511,6 +511,54 @@ def test_unusable_paths_exit_2(tmp_path, monkeypatch, capsys, command, config, o
     assert (tmp_path / "a file").read_text() == "older\n"
 
 
+@pytest.fixture(scope="module")
+def older_run(tmp_path_factory):
+    """A config and an --out that holds its manifest, run and comparison."""
+    root = tmp_path_factory.mktemp("older")
+    cfg = _write_config(root / "cfg.json")
+    for argv in (["run", "--config", cfg], ["compare"]):
+        assert cli.main([*argv, "--out", str(root / "out")]) == 0
+    return cfg, root / "out"
+
+
+def _tree(out):
+    """Each path under `out` with its bytes, None for a directory."""
+    return {p.relative_to(out): None if p.is_dir() else p.read_bytes()
+            for p in out.rglob("*")}
+
+
+@pytest.mark.parametrize("command, taken", [
+    ("synthesize", "family.json"), ("verify", "family.json"), ("run", "family.json"),
+    ("run", "summary.json"), ("run", "run0_dynamic_monitors.csv"),
+    ("run", "run0_periodic_trajectory.csv"), ("compare", "summary.json"),
+    ("compare", "compare.txt"), ("compare", "plots.gp")])
+@pytest.mark.parametrize("older", [True, False], ids=["older run", "empty out"])
+def test_artifact_path_taken_by_a_directory_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, older_run, command, taken, older):
+    # a directory where a command reads or writes an artifact ends in one
+    # config error line naming it, before any synthesis or simulation, and
+    # every byte of --out stays as it was
+    def work(*args, **kwargs):
+        pytest.fail("worked past a directory in --out")
+
+    for name in ("build_family", "verify_family", "simulate", "simulate_periodic"):
+        monkeypatch.setattr(cli, name, work)
+    cfg, template = older_run
+    out = tmp_path / "out"
+    if older:
+        shutil.copytree(template, out)
+        (out / taken).unlink()
+    (out / taken).mkdir(parents=True)
+    (out / taken / "inside.txt").write_text("kept\n")
+    before = _tree(out)
+    capsys.readouterr()
+    argv = [command, "--out", str(out)] + ([] if command == "compare" else ["--config", cfg])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: artifact path {out / taken} "
+                                       "is taken by a directory\n")
+    assert _tree(out) == before
+
+
 def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -91,12 +92,64 @@ def test_tracer_wrappers_install_and_restore():
         assert all(vars(mod)[attr] is value for attr, value in before[name].items())
 
 
+def _fresh(code):
+    """Standard output of `code` run in a new interpreter that imports dynstc from src."""
+    src = str(Path(dynstc.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _loaded(code):
+    """numpy and the dynstc submodules that a new interpreter holds after `code`."""
+    return json.loads(_fresh(
+        f"{code}; import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'numpy' or m.startswith('dynstc.'))))"))
+
+
 def test_cli_import_loads_no_process_pool():
     # every command pays its imports at start-up; the grid pass forks with os
     # alone and loads mmap (and signal, to kill a child) only when it runs
     code = ("import sys, dynstc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
             "in ('multiprocessing', 'concurrent', 'mmap', 'signal')))")
-    src = str(Path(dynstc.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    assert _fresh(code) == "[]\n"
+
+
+def test_package_import_loads_no_submodule():
+    assert _loaded("import dynstc") == []
+
+
+def test_a_name_loads_only_its_home_and_what_that_imports():
+    assert _loaded("from dynstc import t_max") == ["dynstc.timing", "numpy"]
+    # the trigger's annotations name synthesis types, but it runs without them
+    assert _loaded("from dynstc import StcConfig, stc_step") == \
+        ["dynstc.engine", "dynstc.timing", "numpy"]
+
+
+def test_lazy_names_are_their_home_modules_objects():
+    # one home per name, and the table is __all__
+    assert len(dynstc._HOME) == sum(map(len, dynstc._HOMES.values()))
+    assert dynstc.__all__ == sorted(dynstc._HOME)
+    for name, module in dynstc._HOME.items():
+        home = importlib.import_module(f"dynstc.{module}")
+        assert name in home.__all__
+        assert getattr(dynstc, name) is getattr(home, name) is vars(dynstc)[name]
+    assert set(dynstc.__all__) <= set(dir(dynstc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(dynstc, "no_such_name")
+    # an unknown name is an AttributeError, so `from dynstc import cli` still
+    # falls back to the submodule, and in a new interpreter nothing but the
+    # names asked for is bound until then
+    code = ("import dynstc; print(hasattr(dynstc, 'cli'), 't_max' in vars(dynstc)); "
+            "from dynstc import t_max, cli; print(cli.__name__, 't_max' in vars(dynstc), "
+            "sorted(set(dynstc.__all__) - set(dir(dynstc))))")
+    assert _fresh(code) == "False False\ndynstc.cli True []\n"
+
+
+def test_cli_import_loads_every_layer():
+    # perfbench/tracer.py times `import dynstc.cli` as its cli.import span and
+    # then wraps names the CLI holds from each layer (cli.simulate,
+    # cli.build_family, engine.t_max, sim.phi_solve, ...): the CLI imports
+    # them all at its top, numpy included, and so none inside a command
+    assert _loaded("import dynstc.cli") == [
+        "dynstc.cli", "dynstc.engine", "dynstc.parallel", "dynstc.sim",
+        "dynstc.synthesis", "dynstc.systems", "dynstc.timing", "numpy"]
