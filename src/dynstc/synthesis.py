@@ -33,12 +33,15 @@ blocks of rows into one contiguous range per CPU the process may use
 blocks x levels doubles in a shared mmap (1.85 MB at density 80, 4.7 MB
 at 96; a table of every x row would take 30 and 75 MB).  Each set searches
 block by block, in decreasing order of an upper bound per block from
-those maxima, until no remaining bound reaches its best value; a block
-it reads is filled again by the pass's own function, once per pass (11
-of 305 blocks at density 80, about 4% more f work).  On 2 vCPUs
-``dynstc verify`` peaks at 37 MB RSS at density 80 (52 MB with that
-table) and 44 MB at 96 (80 MB).  ``build_family`` serves both the
-ratios and the check of the inflated gammas from one pass.
+those maxima, until no remaining bound reaches its best value.  It takes
+the bounds _BLOCK blocks at a time, in the one block of scratch where it
+reads each block, so its scratch does not grow with the table.  A block
+it reads is filled again one x row at a time by the pass's own fill,
+through a single row of scratch, once per pass (11 of 305 blocks at
+density 80, about 4% more f work).  On 2 vCPUs ``dynstc verify`` peaks
+at 35 MB RSS at density 80, 39 MB at 96 and 56 MB at 128 (52 and 80 MB
+at 80 and 96 with that table).  ``build_family`` serves both the ratios
+and the check of the inflated gammas from one pass.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
@@ -173,7 +176,8 @@ class _LevelTables:
     table holds, per level in ascending W^2, the maximum of
     base = <grad V, f> + H^2 over that level's error points.  Only its
     column maxima per block of _BLOCK rows (base_cols) are kept; rows(b)
-    recomputes block b.  Those maxima also bound any prefix of a block.
+    recomputes block b, one row at a time, and keeps it.  Those maxima
+    also bound any prefix of a block.
     """
 
     density: int
@@ -193,10 +197,12 @@ class _LevelTables:
     back: np.ndarray
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def fill(self, b, base, out):
-        """Block b's rows of the level table into out (returned), with base as scratch."""
-        lo = b * _BLOCK
-        xs, gs = self.xg[lo:lo + _BLOCK].tolist(), self.gx[lo:lo + _BLOCK].tolist()
+    def fill(self, lo, base, out):
+        """Rows lo, lo + 1, ... of the level table into out (returned), len(base) at most.
+
+        base is the scratch of their row terms, one row per x row.
+        """
+        xs, gs = self.xg[lo:lo + len(base)].tolist(), self.gx[lo:lo + len(base)].tolist()
         for k, (x, g) in enumerate(zip(xs, gs)):
             _row_terms(self.rhs, x, g, self.ec, base[k])
         terms = base[:len(xs)]
@@ -207,11 +213,19 @@ class _LevelTables:
         return out[:len(xs)]
 
     def rows(self, b):
-        """Block b's rows of the level table: the pass's fill run again, once per block."""
+        """Block b's rows of the level table, filled again one x row at a time, once per block.
+
+        Each row goes through the pass's fill with a single row of scratch,
+        so the rows are the pass's bits and the refill holds n_e doubles
+        besides the rows it keeps.
+        """
         if b not in self._rows:
-            n = len(self.xg[b * _BLOCK:(b + 1) * _BLOCK])
-            self._rows[b] = self.fill(b, np.empty((n, self.ec.shape[1])),
-                                      np.empty((n, len(self.lev))))
+            lo = b * _BLOCK
+            rows = np.empty((len(self.xg[lo:lo + _BLOCK]), len(self.lev)))
+            base = np.empty((1, self.ec.shape[1]))
+            for k in range(len(rows)):
+                self.fill(lo + k, base, rows[k:k + 1])
+            self._rows[b] = rows
         return self._rows[b]
 
 
@@ -300,7 +314,7 @@ def _level_tables(spec, grid_density):
     base, out = np.empty((_BLOCK, len(cols))), np.empty((_BLOCK, n_lev))
 
     def fill(b):
-        np.max(t.fill(b, base, out), axis=0, out=t.base_cols[b])
+        np.max(t.fill(b * _BLOCK, base, out), axis=0, out=t.base_cols[b])
 
     _fill_in_parallel(fill, n_blocks)
     return t
@@ -321,11 +335,16 @@ def _table_max(rows_of, cols, a, combine, buf):
     the best value so far; equal values keep the smallest row, as a sweep
     in grid order would.
 
-    buf (_bound_buffer) takes the bounds, then each searched block, so the
-    search itself allocates nothing of the table's width.
+    buf (_bound_buffer) takes the bounds _BLOCK blocks at a time, then each
+    searched block: the search's scratch is one block of levels, however
+    many blocks the table has.
     """
     a_max = np.maximum.reduceat(a, np.arange(0, len(a), _BLOCK))
-    bounds = combine(np.add(cols, a_max[:, None], out=buf[:len(cols)])).max(axis=1)
+    bounds = np.empty(len(cols))
+    for lo in range(0, len(cols), _BLOCK):
+        chunk = cols[lo:lo + _BLOCK]
+        s = combine(np.add(chunk, a_max[lo:lo + _BLOCK, None], out=buf[:len(chunk)]))
+        np.max(s, axis=1, out=bounds[lo:lo + _BLOCK])
     best, row = -np.inf, -1
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] < best:
@@ -348,8 +367,8 @@ def _row_base(t, r, errors):
 
 
 def _bound_buffer(cols):
-    """The scratch of _table_max for the column maxima cols: a row per block, at least _BLOCK."""
-    return np.empty((max(cols.shape[0], _BLOCK), cols.shape[1]))
+    """The scratch of _table_max for the column maxima cols: one block, _BLOCK rows of levels."""
+    return np.empty((_BLOCK, cols.shape[1]))
 
 
 def _ratios(t, epsilons):

@@ -7,6 +7,7 @@ import math
 import mmap
 import os
 import signal
+import tracemalloc
 import types
 from collections import Counter
 from dataclasses import fields, replace
@@ -30,7 +31,7 @@ from dynstc.synthesis import (
     verify_family,
     write_manifest,
 )
-from dynstc import parallel
+from dynstc import parallel, synthesis
 from dynstc.synthesis import (
     _BLOCK,
     _bound_buffer,
@@ -39,9 +40,11 @@ from dynstc.synthesis import (
     _rank_major,
     _rank_max,
     _ratios,
+    _row_terms,
     _table_max,
+    _verify_tables,
 )
-from dynstc.systems import linear_test, spec_from_config, van_der_pol
+from dynstc.systems import component_rhs, linear_test, spec_from_config, van_der_pol
 
 
 # Reference: the per-grid-point sweeps that the W^2-level tables replaced,
@@ -321,18 +324,26 @@ def test_level_tables_keep_no_row_per_x():
     assert n_blocks * n_lev * 8 < n_bytes <= (n_blocks + 1) * n_lev * 8 + 8 * (n_x + n_e) * 8
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_table_max_matches_argmax(seed):
-    # small integers make many exact ties, within and across row blocks
+@pytest.mark.parametrize("seed, n_blocks", [pytest.param(s, None, id=str(s)) for s in range(20)]
+                         + [pytest.param(20 + k, n, id=f"{n}-blocks") for k, n in enumerate(
+                             (_BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK))])
+def test_table_max_matches_argmax(seed, n_blocks):
+    # small integers make many exact ties, within and across row blocks;
+    # past _BLOCK blocks the bounds are taken _BLOCK blocks at a time, and
+    # the last chunk is whole or of one block
     rng = np.random.default_rng(seed)
     n_rows, n_cols = int(rng.integers(1, 6 * _BLOCK)), int(rng.integers(1, 6))
+    if n_blocks is not None:
+        n_rows = (n_blocks - 1) * _BLOCK + int(rng.integers(1, _BLOCK + 1))
     table = rng.integers(-3, 4, size=(n_rows, n_cols)).astype(float)
     a = rng.integers(-3, 4, size=n_rows).astype(float)
     c = rng.integers(1, 4, size=n_cols).astype(float)
     blocks = np.arange(0, n_rows, _BLOCK)
+    assert n_blocks is None or len(blocks) == n_blocks
     cols = np.maximum.reduceat(table, blocks, axis=0)
     kept = table.copy()
     buf = _bound_buffer(cols)
+    assert buf.shape == (_BLOCK, n_cols)
 
     def rows_of(b):
         return table[b * _BLOCK:(b + 1) * _BLOCK]
@@ -345,6 +356,74 @@ def test_table_max_matches_argmax(seed):
         assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
         # combine works in the buffer, never in the table
         assert _bits(table) == _bits(kept)
+
+
+def test_search_scratch_does_not_grow_with_the_table(monkeypatch):
+    # beyond the rows a search caches, its scratch is one block of levels
+    # and a few vectors of the grids; a buffer of a row per block, with the
+    # bounds of every block at once, held 0.87 MB more at density 64
+    spec = van_der_pol()
+    epsilons = [0.01, -1.0, -10.0, -40.0]
+    family = build_family(spec, epsilons, grid_density=24)
+    tables = _level_tables(spec, 64)
+    n_x, n_e, n_lev = tables.xg.shape[0], tables.eg.shape[0], len(tables.lev)
+    bound = 8 * (2 * _BLOCK * n_lev + 4 * (n_x + n_e))
+
+    def held(search):
+        search(replace(tables, _rows={}))  # warm
+        t = replace(tables, _rows={})
+        tracemalloc.start()
+        try:
+            search(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(rows.nbytes for rows in t._rows.values())
+
+    searches = (lambda t: _verify_tables(t, family), lambda t: _ratios(t, epsilons))
+    assert tables.base_cols.shape[0] > 8 * _BLOCK
+    for search in searches:
+        extra = held(search)
+        assert extra <= bound, (extra, bound)
+    monkeypatch.setattr(synthesis, "_bound_buffer",  # a row per block, at least _BLOCK
+                        lambda cols: np.empty((max(cols.shape[0], _BLOCK), cols.shape[1])))
+    for search in searches:
+        assert held(search) > bound + tables.base_cols.nbytes // 2
+
+
+def _block_rows_ref(t, b):
+    """Block b's rows of the level table t, its row terms made and reduced as one block."""
+    lo = b * _BLOCK
+    xs, gs = t.xg[lo:lo + _BLOCK], t.gx[lo:lo + _BLOCK]
+    base = np.empty((len(xs), t.ec.shape[1]))
+    for k in range(len(xs)):
+        _row_terms(t.rhs, xs[k].tolist(), gs[k].tolist(), t.ec, base[k])
+    out = np.empty((len(xs), len(t.lev)))
+    _rank_max(base, t.widths, t.back, out)
+    return out
+
+
+@pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("van_der_pol", 25),
+                                             ("linear_test", 200)])
+def test_refill_row_by_row_is_the_pass(system, density):
+    # van_der_pol at 25 has W = 0 points and a zero maximum, at 24 neither;
+    # linear_test at 200 spans 13 blocks
+    spec = spec_from_config({"name": system})
+    t = _level_tables(spec, density)
+    n_blocks = t.base_cols.shape[0]
+    assert n_blocks > 1 and (t.n_zero > 0) == bool(density % 2)
+    for b in range(n_blocks):
+        ref = _block_rows_ref(t, b)
+        assert _bits(t.rows(b)) == _bits(ref)
+        assert np.array_equal(np.signbit(t.rows(b)), np.signbit(ref))
+    # f gives NaN only at a row that a refill reads, past the block's first row
+    b = n_blocks // 2
+    bad = _failing_spec(spec, t.xg[b * _BLOCK + 1:][:1], "nan")
+    refill = replace(t, rhs=component_rhs(bad), _rows={})
+    refill.rows(b - 1)
+    with pytest.raises(ValueError, match=r"^non-finite certificate evaluation on the grid$"):
+        refill.rows(b)
+    assert b not in refill._rows
 
 
 @pytest.mark.parametrize("seed", range(20))
