@@ -20,34 +20,34 @@ manifest, per-run CSVs (trajectory, decisions, monitors), a summary.json,
 and on `compare` a plain-text report plus a gnuplot script.  Nothing is
 random, so outputs are byte deterministic for a fixed config.  `run`
 makes one job per initial state and mechanism, run{k}_{mechanism} in
-that order.  It simulates the jobs in turn in its own process, so a
+that order.  It simulates every job in turn in its own process, so a
 profiler that wraps `cli.simulate` there (perfbench/tracer.py) sees every
-simulation; meanwhile forked children write the CSVs of the jobs already
-simulated to temporary names in --out, and the CSVs left once the last
-job is simulated are split over the free CPUs, the last range written by
-the process itself (`_fill_in_parallel` of :mod:`dynstc.parallel`, the
-grid pass's helper, given the simulation as its make).  With fewer jobs
-than the k CPUs the process may use, each job's trajectory CSV is written
-in P = ceil(k / jobs) row ranges, each an item of its own, so one long
-job is written on every CPU; the last range's item also writes the job's
-monitors and decisions CSVs.
-Once every job is simulated and written, each job's ranges are joined in
-order, the CSVs are renamed into place in job order, then summary.json
-and stdout are written.  A Python exception or an interrupt before the
-renames removes the temporary files, so a numerical failure leaves no
-partial run artifacts, older files in --out keep their bytes, and the
-error is the one a serial loop over the jobs raises.  A process killed by
-a signal cleans up nothing: SIGTERM or SIGKILL can leave `*.tmp` files in
---out (its children stop before their next item), and an interrupt during
-the renames leaves some of the new CSVs beside the old summary.json.
+simulation.  Then it writes the jobs' CSVs to temporary names in --out on
+every CPU it may use (`_fill_in_parallel` of :mod:`dynstc.parallel`, the
+grid pass's helper): the writes are split into one contiguous range per
+CPU, forked children write every range but the last, and the process
+itself the last.  With fewer jobs than the k CPUs, each job's trajectory
+CSV is written in P = ceil(k / jobs) row ranges, each an item of its
+own, so one long job is written on every CPU; the last range's item also
+writes the job's monitors and decisions CSVs.  Once every item is
+written, each job's ranges are joined in order, the CSVs are renamed
+into place in job order, then summary.json and stdout are written.  A
+Python exception or an interrupt before the renames removes the
+temporary files, so a numerical failure leaves no partial run artifacts,
+older files in --out keep their bytes, and the error is the one a serial
+loop over the jobs raises.  A process killed by a signal cleans up
+nothing: SIGTERM or SIGKILL can leave `*.tmp` files in --out (its
+children stop before their next item), and an interrupt during the
+renames leaves some of the new CSVs beside the old summary.json.
 
 Exit codes: 0 success, 2 invalid or unreadable config, an --out that
 cannot be made a directory, an output path taken by a directory (all
 found before any synthesis or simulation, the stc block by
-``StcConfig``'s own checks; a command checks every artifact it reads or
-writes, and leaves --out as it was), or a missing or malformed
-artifact, 3 synthesis or verification failure, 4 monitor violation,
-5 numerical failure or out of memory.
+``StcConfig``'s own checks, but for the bound run.dt_flow <= t_min/16,
+which needs the family and is checked after synthesis; a command checks
+every artifact it reads or writes, and leaves --out as it was), or a
+missing or malformed artifact, 3 synthesis or verification failure,
+4 monitor violation, 5 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -231,24 +231,23 @@ def _stc_config(doc, spec, out, reuse):
     return replace(cfg, family=family)
 
 
-def _run_params(doc, spec, cfg):
+def _run_block(doc, spec):
+    """The run block, through every check that needs no family: all before any synthesis."""
     block = doc["run"]
     if block is None:
         raise ConfigError("config requires a 'run' block for this command")
-    starts, t_end, dt_flow = block["x0"], block["t_end"], block["dt_flow"]
-    if not starts:
+    if not block["x0"]:
         raise ConfigError("'run.x0' must be a non-empty list of state vectors")
-    for k, vec in enumerate(starts):
+    for k, vec in enumerate(block["x0"]):
         if len(vec) != spec.n_x:
             raise ConfigError(f"run.x0[{k}] is not a finite vector of length {spec.n_x}")
-        if float(spec.v(vec)) > cfg.c:
+        if float(spec.v(vec)) > spec.region_c:
             raise ConfigError(f"run.x0[{k}] starts outside the region V <= c")
-    if not t_end > 0.0:
+    if not block["t_end"] > 0.0:
         raise ConfigError("'run.t_end' must be positive and finite")
-    tmin = t_min_of(cfg)
-    if dt_flow is not None and not (0.0 < dt_flow <= tmin / 16.0):
-        raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
-    return t_end, dt_flow
+    if block["dt_flow"] is not None and not block["dt_flow"] > 0.0:
+        raise ConfigError("'run.dt_flow' must be positive")
+    return block
 
 
 def cmd_synthesize(args) -> int:
@@ -298,22 +297,25 @@ def _join_parts(paths):
 def cmd_run(args) -> int:
     doc, spec = _load_config(args.config)
     out = Path(args.out)
-    block = doc["run"] or {"x0": None, "baselines": False}  # _run_params reports its absence
+    block = _run_block(doc, spec)
+    t_end, dt_flow = block["t_end"], block["dt_flow"]
     mechanisms = ["dynamic"] + (["static", "periodic"] if block["baselines"] else [])
-    jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(block["x0"] or [])
+    jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(block["x0"])
             for mech in mechanisms]
     files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
              for stem, _, _ in jobs]
     _check_paths([out / MANIFEST_NAME, *(path for paths in files for path in paths),
                   out / SUMMARY_NAME])
     cfg = _stc_config(doc, spec, out, reuse=True)
-    t_end, dt_flow = _run_params(doc, spec, cfg)
-    trajs = [None] * len(jobs)
+    tmin = t_min_of(cfg)
+    if dt_flow is not None and dt_flow > tmin / 16.0:  # the one check that needs the family
+        raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
+    trajs = [_simulate(mech, x0, cfg, spec, t_end, dt_flow) for _, x0, mech in jobs]
     # with fewer jobs than CPUs, a job is `parts` items: item p writes the
     # p-th row range of its trajectory CSV to a temporary name of its own
     # (<name>.<pid>.tmp for p = 0, <name>.<pid>.<p>.tmp after), and the last
-    # item also the job's other CSVs.  Once every job is simulated and
-    # written, the parts are joined and the CSVs renamed into place.
+    # item also the job's other CSVs.  Once every item is written, the parts
+    # are joined and the CSVs renamed into place.
     parts = -(-parallel._cpus() // len(jobs))
     pid = os.getpid()
 
@@ -323,12 +325,6 @@ def cmd_run(args) -> int:
     # per job: its trajectory parts 0..parts-1, then its monitors and decisions
     temps = [[temp(paths[0], part) for part in range(parts)] + [temp(path) for path in paths[1:]]
              for paths in files]
-
-    def simulate_job(item):
-        i, part = divmod(item, parts)
-        if part == 0:
-            _, x0, mech = jobs[i]
-            trajs[i] = _simulate(mech, x0, cfg, spec, t_end, dt_flow)
 
     def write(item):
         i, part = divmod(item, parts)
@@ -341,7 +337,7 @@ def cmd_run(args) -> int:
                 write_decisions_csv(decisions, traj)
 
     try:
-        parallel._fill_in_parallel(write, len(jobs) * parts, make=simulate_job)
+        parallel._fill_in_parallel(write, len(jobs) * parts)
         for temp_paths in temps:
             _join_parts(temp_paths[:parts])
         for traj, paths, temp_paths in zip(trajs, files, temps):
@@ -352,7 +348,7 @@ def cmd_run(args) -> int:
         for temp_paths in temps:
             for temp in temp_paths:
                 temp.unlink(missing_ok=True)
-    summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
+    summary = {"t_min": tmin, "t_max_cap": t_max_cap(cfg),
                "t_end": t_end, "runs": []}
     violations = 0
     for (_, x0, mech), traj in zip(jobs, trajs):

@@ -1,23 +1,18 @@
 """Independent work items on every CPU, in forked children, with serial errors.
 
-One helper, ``_fill_in_parallel(fill, n, make=None)``, calls ``fill(i)``
-for each of the items 0..n-1, over contiguous ranges of them, on k CPUs,
-k being the number the process may use.  Given ``make``, the calling
-process makes each item in turn and forked children fill the items
-already made meanwhile; the items left once every item is made (all of
-them without ``make``) are split into one range per free CPU, children
-fill every range but the last, and the calling process the last.  The
-synthesis grid pass passes no ``make``: its items are blocks of x rows.
-``dynstc run`` passes one: an item is a run, simulated by make and
-written to its CSVs by fill; with fewer runs than CPUs it is one of a
-run's write parts, a row range of its trajectory CSV, and make simulates
-the run at its first part only.  A child reports nothing but its exit
-status; what it computes goes into a table in an anonymous shared
-mapping (``_shared_table``), made before the fork, or into files.  A
-range whose child fails is filled again by the parent, so every error is
-raised in the parent as a serial loop over the items raises it.  A child
-whose parent was killed stops before its next item (``_fork``).
-Only ``os`` and ``mmap`` are used: ``multiprocessing`` and
+One helper, ``_fill_in_parallel(fill, n)``, calls ``fill(i)`` for each
+of the items 0..n-1, split into one contiguous range per CPU the process
+may use (at most n): forked children fill every range but the last, and
+the calling process the last.  The synthesis grid pass's items are
+blocks of x rows.  ``dynstc run``'s are the CSV writes of its jobs, all
+simulated before the fork; with fewer jobs than CPUs, a job's trajectory
+CSV is written in several row ranges, an item each.  A child reports
+nothing but its exit status; what it computes goes into a table in an
+anonymous shared mapping (``_shared_table``), made before the fork, or
+into files.  A range whose child fails is filled again by the parent, so
+every error is raised in the parent as a serial loop over the items
+raises it.  A child whose parent was killed stops before its next item
+(``_fork``).  Only ``os`` and ``mmap`` are used: ``multiprocessing`` and
 ``concurrent.futures`` would cost every command 12-13 ms of imports.
 """
 
@@ -93,66 +88,35 @@ def _kill_and_reap(pids):
             os.waitpid(pid, 0)
 
 
-def _fill_in_parallel(fill, n, make=None):
+def _fill_in_parallel(fill, n):
     """fill(i) for each of the items 0..n-1 on k CPUs (_cpus, at most n), with serial errors.
 
-    With `make`, this process calls make(i) for each item in turn, and
-    after each make but the last, if fewer than k - 1 children run, forks
-    a child to fill every item made and not yet handed out.  So children
-    fill the earlier items while this process makes the later ones.  Once
-    every item is made (at once without make), the items left are split
-    into one contiguous range per free CPU; children fill every range but
-    the last, and this process the last.  It then waits for the children
-    in range order, fills again each range whose child did not exit 0 or
-    could not be forked, and raises the error of its own range last.  So
-    an error of make is raised at once, and one of fill after every make,
-    at the first failing item, as a loop over make and then one over fill
-    raise them; children are killed and reaped on every way out.
+    The items are split into k contiguous ranges; forked children fill
+    every range but the last, and this process the last.  It then waits
+    for the children in range order, fills again each range whose child
+    did not exit 0 or could not be forked, and raises the error of its own
+    range last.  So the error raised is the first failing item's, as a
+    serial loop raises it; children are killed and reaped on every way out.
     """
     k = min(_cpus(), n)
-    handed, failed, pids = [], set(), {}  # ranges in item order; lo of those failed; lo -> pid
-
-    def hand_out(lo, hi):
-        handed.append((lo, hi))
-        pid = _fork(fill, lo, hi)
-        if pid is None:
-            failed.add(lo)
-        else:
-            pids[lo] = pid
-
-    def reap(lo, flags=0):
-        done, status = os.waitpid(pids[lo], flags)
-        if done:
-            del pids[lo]
-            if status != 0:
-                failed.add(lo)
-
+    ranges = [(n * j // k, n * (j + 1) // k) for j in range(k)]
+    pids = {}  # lo -> pid of each child not yet reaped
     try:
-        taken = 0  # the items before it are handed out
-        for i in range(n if make else 0):
-            make(i)
-            for lo in list(pids):
-                reap(lo, os.WNOHANG)
-            if i < n - 1 and len(pids) < k - 1:
-                hand_out(taken, i + 1)
-                taken = i + 1
-        free = max(1, min(k - len(pids), n - taken))
-        edges = [taken + (n - taken) * j // free for j in range(free + 1)]
-        for lo, hi in zip(edges[:-2], edges[1:-1]):
-            hand_out(lo, hi)
+        for lo, hi in ranges[:-1]:
+            pids[lo] = _fork(fill, lo, hi)
         error = None
         try:
-            for i in range(edges[-2], edges[-1]):
+            for i in range(*ranges[-1]):
                 fill(i)
         except Exception as exc:  # raised after those of the earlier ranges
             error = exc
-        for lo, hi in handed:
-            if lo in pids:
-                reap(lo)
-            if lo in failed:
+        for lo, hi in ranges[:-1]:
+            status = 1 if pids[lo] is None else os.waitpid(pids[lo], 0)[1]
+            del pids[lo]  # reaped
+            if status != 0:
                 for i in range(lo, hi):
                     fill(i)
         if error is not None:
             raise error
     finally:
-        _kill_and_reap(list(pids.values()))
+        _kill_and_reap([pid for pid in pids.values() if pid is not None])

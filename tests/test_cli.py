@@ -617,6 +617,40 @@ def test_bad_stc_block_exits_2_before_synthesis(tmp_path, monkeypatch, capsys, c
     assert not (tmp_path / "out" / "family.json").exists()
 
 
+@pytest.mark.parametrize("run, message", [
+    (None, "config requires a 'run' block for this command"),
+    ({"x0": []}, "'run.x0' must be a non-empty list of state vectors"),
+    ({"x0": [[0.5, 0.5]]}, "run.x0[0] is not a finite vector of length 1"),
+    ({"x0": [[0.5], [5.0]]}, "run.x0[1] starts outside the region V <= c"),
+    ({"t_end": 0}, "'run.t_end' must be positive and finite"),
+    ({"t_end": -1}, "'run.t_end' must be positive and finite"),
+    ({"dt_flow": 0}, "'run.dt_flow' must be positive"),
+], ids=["no run block", "no x0", "wrong length", "outside", "t_end 0", "t_end -1",
+        "dt_flow 0"])
+def test_bad_run_block_exits_2_before_synthesis(tmp_path, monkeypatch, capsys, run, message):
+    # with no family.json in --out, a run block that is bad without any
+    # family is rejected before synthesis, and --out keeps its bytes
+    def build_family(*args, **kwargs):
+        pytest.fail("synthesized for a bad run block")
+
+    monkeypatch.setattr(cli, "build_family", build_family)
+    path = tmp_path / "cfg.json"
+    doc = json.loads(Path(_write_config(path)).read_text())
+    if run is None:
+        del doc["run"]
+    else:
+        doc["run"].update(run)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summary.json").write_text("older summary\n")
+    before = _digests(out)
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
+    assert _digests(out) == before
+
+
 @pytest.mark.parametrize("command", ["synthesize", "run"])
 def test_grid_too_large_to_allocate_exits_5(tmp_path, capsys, command):
     # 10**14 points per axis exceed the address space, so the allocation fails at once
@@ -722,7 +756,7 @@ def _digests(out):
 
 
 # 2 x0 x 3 mechanisms: 6 jobs, simulated in the test process; at k > 1
-# forked children write the CSVs of the jobs simulated so far
+# forked children then write the CSVs of every range of jobs but the last
 _FAILING_RUN = {"x0": [[0.5], [-0.25]], "t_end": 3.0, "baselines": True}
 # one job: at k > 1 its trajectory CSV is written in k parts, parts 0..k-2
 # by forked children once it is simulated
@@ -749,10 +783,6 @@ def _failing_run(monkeypatch, capsys, template, out, failure, k):
         def simulate(*args, **kwargs):
             simulated.append(None)
             if len(simulated) == n_jobs:  # the last job
-                # at k > 1, a child has begun to write an earlier job first
-                deadline = time.monotonic() + 10
-                while n_jobs > 1 and k > 1 and not log.exists() and time.monotonic() < deadline:
-                    time.sleep(0.001)
                 if failure.endswith("blowup in the last job"):
                     raise IntegrationBlowupError("flow diverged in the last job")
                 if failure == "interrupt in the last job":
@@ -825,10 +855,15 @@ def test_run_fails_as_the_serial_loop_and_leaves_out_as_it_was(
     results = {}
     for k in (1, 2, 3):
         out = tmp_path / f"out{k}"
-        *results[k], children, _ = _failing_run(monkeypatch, capsys, template, out, failure, k)
+        *results[k], children, forks = _failing_run(monkeypatch, capsys, template, out,
+                                                    failure, k)
         results[k].append(_digests(out))
-        # children write at k > 1 only, before the failure of the last job too
-        assert (children > 0) == (k > 1)
+        # children write at k > 1 only, and only once every job is simulated:
+        # a failed simulation forks none
+        if "blowup" in failure or "interrupt" in failure:
+            assert (children, forks) == (0, 0)
+        else:
+            assert (children > 0) == (forks > 0) == (k > 1)
     code, stdout, stderr, digests = results[1]
     assert results[2] == results[1] and results[3] == results[1]
     if failure == "child killed":  # no child at k = 1; at 2 and 3 the parent refills
@@ -891,12 +926,7 @@ from dynstc import cli, parallel
 
 config, out, log = sys.argv[1:]
 parallel._cpus = lambda: 2
-real_simulate, real_write = cli.simulate, cli.write_trajectory_csv
-
-
-def simulate(*args, **kwargs):
-    time.sleep(0.2)
-    return real_simulate(*args, **kwargs)
+real_write = cli.write_trajectory_csv
 
 
 def write_trajectory_csv(path, traj):
@@ -906,7 +936,7 @@ def write_trajectory_csv(path, traj):
     real_write(path, traj)
 
 
-cli.simulate, cli.write_trajectory_csv = simulate, write_trajectory_csv
+cli.write_trajectory_csv = write_trajectory_csv
 sys.exit(cli.main(["run", "--config", config, "--out", out]))
 """
 
@@ -922,9 +952,9 @@ def _gone(pid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_children_of_a_killed_run_stop_before_their_next_job(tmp_path):
-    # a SIGTERM kills `run` without cleanup; its writer children are
-    # re-parented and each stops before its next job instead of finishing
-    # its range
+    # a SIGTERM kills `run` without cleanup; its writer child is
+    # re-parented and stops before its next job instead of finishing its
+    # range
     out = tmp_path / "out"
     out.mkdir()
     x0 = [[0.5], [-0.25], [0.75], [-0.5], [0.25], [-0.75]]
@@ -935,17 +965,18 @@ def test_children_of_a_killed_run_stop_before_their_next_job(tmp_path):
     proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT, cfg, str(out), str(log)],
                             env=env)
     try:
-        # simulating takes 0.2 s a job and writing 0.5 s: the first child
-        # writes job 0, the second jobs 1-3 once the first has exited
+        # writing takes 0.5 s a job: at k = 2 the one child writes jobs
+        # 0-2 and the parent jobs 3-5; kill the parent once the child is
+        # on its first job
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             pids = [line.split()[0] for line in
                     (log.read_text().splitlines() if log.exists() else [])]
-            if len(set(pids) - {str(proc.pid)}) == 2:
+            if set(pids) - {str(proc.pid)}:
                 break
             time.sleep(0.01)
         else:
-            pytest.fail(f"no second writer child: {pids}")
+            pytest.fail(f"no writer child: {pids}")
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == -signal.SIGTERM
         killed = time.time()
@@ -957,10 +988,11 @@ def test_children_of_a_killed_run_stop_before_their_next_job(tmp_path):
     while not all(_gone(pid) for pid in children) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert all(_gone(pid) for pid in children)
-    # no child began a job after its parent had been killed
-    late = [line for line in log.read_text().splitlines()
-            if int(line.split()[0]) in children and float(line.split()[1]) > killed]
-    assert late == []
+    # the child began no job after its parent had been killed, so not all 3
+    lines = [line.split() for line in log.read_text().splitlines()]
+    assert len(children) == 1
+    assert [t for pid, t in lines if int(pid) in children and float(t) > killed] == []
+    assert 1 <= sum(int(pid) in children for pid, _ in lines) < 3
 
 
 # SHA-256 of every artifact and of the stdout of `synthesize`, `run`,
@@ -1186,6 +1218,40 @@ def test_run_simulates_every_job_in_the_cli_process(tmp_path, monkeypatch, run, 
     assert log.read_text().splitlines() == [f"{name} {os.getpid()}" for name in calls]
 
 
+@pytest.mark.parametrize("run", [_FAILING_RUN, _ONE_JOB_RUN], ids=["6 jobs", "one job"])
+def test_run_forks_only_after_its_last_simulation(tmp_path, monkeypatch, run):
+    # every job is simulated before the first fork, and min(k, items) - 1
+    # children then write every range of write items but the parent's
+    cfg = _write_config(tmp_path / "cfg.json", run=run)
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    n_jobs = len(run["x0"]) * (3 if run["baselines"] else 1)
+    events = []
+
+    def logged(real):
+        def call(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            events.append("simulated")
+            return traj
+        return call
+
+    real_fork = parallel._fork
+
+    def fork(fill, lo, hi):
+        events.append("fork")
+        return real_fork(fill, lo, hi)
+
+    monkeypatch.setattr(parallel, "_fork", fork)
+    for name in ("simulate", "simulate_periodic"):
+        monkeypatch.setattr(cli, name, logged(getattr(cli, name)))
+    for k in (1, 2, 3, 4):
+        monkeypatch.setattr(parallel, "_cpus", lambda: k)
+        events.clear()
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        items = n_jobs * -(-k // n_jobs)
+        assert events == ["simulated"] * n_jobs + ["fork"] * (min(k, items) - 1)
+
+
 @pytest.mark.parametrize("n_x0, baselines, k, items", [
     (2, True, 2, 6), (1, True, 3, 3), (4, True, 2, 12),  # jobs >= k: one item a job
     (1, True, 4, 6), (1, True, 6, 6), (1, False, 2, 2), (1, False, 5, 5), (2, False, 3, 4)])
@@ -1198,9 +1264,9 @@ def test_run_splits_its_jobs_only_below_the_cpu_count(
     counts, written = [], []
     real_fill, real_trajectory = parallel._fill_in_parallel, cli.write_trajectory_csv
 
-    def fill_in_parallel(fill, n, make=None):
+    def fill_in_parallel(fill, n):
         counts.append(n)
-        real_fill(fill, n, make)
+        real_fill(fill, n)
 
     def write_trajectory_csv(path, traj):
         written.append(path.name)

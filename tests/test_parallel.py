@@ -21,70 +21,6 @@ def _counting_forks(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
-def test_fill_behind_fills_each_made_item_once(monkeypatch, k, n):
-    monkeypatch.setattr(parallel, "_cpus", lambda: k)
-    forks = _counting_forks(monkeypatch)
-    made = [False] * n
-    table = parallel._shared_table(n, 2, "test table")
-
-    def make(i):
-        time.sleep(0.002)
-        made[i] = True
-
-    def fill(i):
-        table[i, 0] += 1
-        table[i, 1] = made[i]  # the copy a child got at its fork
-
-    parallel._fill_in_parallel(fill, n, make)
-    assert table.tolist() == [[1.0, 1.0]] * n
-    # ranges handed to children are contiguous, in item order
-    assert [lo for lo, _ in forks] == [0, *(hi for _, hi in forks)][:len(forks)]
-    assert (len(forks) > 0) == (min(k, n) > 1)
-
-
-@pytest.mark.parametrize("bad", [{8}, {2, 8}, {4, 5}, {0, 1, 2, 3, 4, 5, 6, 7, 8}])
-def test_fill_behind_raises_the_first_failing_item(monkeypatch, bad):
-    # whichever process fills an item, the parent raises the error of the
-    # first failing one, after every make
-    made = []
-
-    def make(i):
-        time.sleep(0.002)
-        made.append(i)
-
-    def fill(i):
-        if i in bad:
-            raise ValueError(f"item {i}")
-
-    for k in (1, 2, 3):
-        monkeypatch.setattr(parallel, "_cpus", lambda: k)
-        made.clear()
-        with pytest.raises(ValueError, match=f"^item {min(bad)}$"):
-            parallel._fill_in_parallel(fill, 9, make)
-        assert made == list(range(9))
-
-
-def test_fill_behind_raises_an_error_of_make_at_once(monkeypatch):
-    monkeypatch.setattr(parallel, "_cpus", lambda: 3)
-    filled = parallel._shared_table(9, 1, "test table")
-
-    def make(i):
-        time.sleep(0.002)
-        if i == 6:
-            raise KeyboardInterrupt
-
-    def fill(i):
-        time.sleep(0.01)
-        filled[i] = 1.0
-
-    with pytest.raises(KeyboardInterrupt):
-        parallel._fill_in_parallel(fill, 9, make)
-    # no item from 6 on is filled, and the children are reaped (conftest)
-    assert not filled[6:].any()
-
-
 def test_fill_behind_fills_what_it_could_not_hand_off(monkeypatch):
     monkeypatch.setattr(parallel, "_cpus", lambda: 2)
 
@@ -93,16 +29,16 @@ def test_fill_behind_fills_what_it_could_not_hand_off(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     seen = []
-    parallel._fill_in_parallel(seen.append, 4, lambda i: None)
-    # the parent fills every item, once
-    assert sorted(seen) == [0, 1, 2, 3]
+    parallel._fill_in_parallel(seen.append, 4)
+    # the parent fills every item, once: its own range, then the one no child took
+    assert seen == [2, 3, 0, 1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_static_split_hands_every_range_but_the_last_to_children(monkeypatch, k, n):
-    # without make: one contiguous range per CPU, children fill the first
-    # min(k, n) - 1 and the parent the last
+    # one contiguous range per CPU, children fill the first min(k, n) - 1
+    # and the parent the last
     monkeypatch.setattr(parallel, "_cpus", lambda: k)
     forks = _counting_forks(monkeypatch)
     parent = os.getpid()
@@ -146,7 +82,6 @@ def test_static_split_raises_the_first_failing_item(monkeypatch, k, n):
     with pytest.raises(ValueError, match=f"^item {last}$"):
         parallel._fill_in_parallel(fill_last, n)
     assert seen[:last + 1].all()
-
 
 
 def test_a_child_whose_parent_is_killed_stops_before_its_next_item(tmp_path):
