@@ -8,12 +8,12 @@ m-1 previous sampled energies.  The window average
 
 relaxes the trigger: a candidate set (epsilon_i, gamma_i, L_i) may
 certify a long interval h whenever exp(-epsilon_i h) V stays below
-exp(-eps_ref h) C, which has the closed-form case split implemented in
-:func:`interval_for_set`.  The fall-back, set 0 of the family, has a
-positive rate and guarantees the strictly positive floor
-t_min = delta * t_max(gamma_1, L_1 + eps_1/2) independently of the
-window, so every decision certifies one of two inequalities for the
-next sample:
+exp(-eps_ref h) C, which has the closed-form case split written once in
+:func:`_intervals`, for :func:`interval_for_set` and the trigger alike.
+The fall-back, set 0 of the family, has a positive rate and guarantees
+the strictly positive floor t_min = delta * t_max(gamma_1, L_1 + eps_1/2)
+independently of the window, so every decision certifies one of two
+inequalities for the next sample:
 
 * ``window-bound``:      V(t_{j+1}) <= exp(-eps_ref h) C(t_j)
 * ``fallback-decrease``: V(t_{j+1}) <= exp(-eps_1 t_min) V(t_j)
@@ -163,9 +163,9 @@ class StcConfig:
 
     @cached_property
     def _window_sets(self) -> tuple:
-        """(i, eps_ref - eps_i, cap) of each window set i = 1..n-1, computed once per config."""
-        return tuple((i, self.eps_ref - ps.epsilon, self._interval_caps[i])
-                     for i, ps in enumerate(self.family.sets) if i > 0)
+        """(eps_ref - eps_i, cap) of each window set i = 1..n-1, computed once per config."""
+        return tuple((self.eps_ref - ps.epsilon, cap)
+                     for ps, cap in zip(self.family.sets[1:], self._interval_caps[1:]))
 
 
 @dataclass(frozen=True)
@@ -204,58 +204,53 @@ def t_max_cap(cfg: StcConfig) -> float:
     return max(cfg._interval_caps)
 
 
+def _intervals(v: float, c_val: float, sets) -> list:
+    """Longest h <= cap with a * h <= log(c_val / v), of each (a, cap) in sets; 0 when none.
+
+    a = eps_ref - eps_i.  log(c_val / v) is taken once for all sets, as
+    +inf at the origin v = 0, where any interval is admissible, and as -inf
+    for c_val = 0 < v, where no set certifies any interval.  At or above
+    the window (c_val >= v) a set certifies its cap, or the root
+    log(c_val / v) / a if that is shorter; below it only a set with a < 0
+    does, and only when its cap passes the root.
+    """
+    log_cv = (math.inf if v == 0.0 else -math.inf if c_val == 0.0
+              else math.log(c_val / v))
+    if c_val >= v:
+        return [min(cap, log_cv / a) if a > 0.0 else cap for a, cap in sets]
+    return [cap if a < 0.0 and cap > log_cv / a else 0.0 for a, cap in sets]
+
+
 def interval_for_set(v_now: float, c_val: float, cfg: StcConfig, i: int) -> float:
     """Longest h <= delta*t_max certifiable by set i; 0 when infeasible.
 
     The certified inequality is (eps_ref - eps_i) * h <= log(c_val / v_now),
-    split into four sign cases.  v_now = 0 is the origin, where any
-    interval is admissible, so the cap is returned.  The cap is the set's
-    delta*t_max at its rate cap, :func:`set_lambda_cap`.  The float
-    log(c_val/v_now)/a can round above the exact root of the inequality:
-    in about half the seeded draws on a density-48 family, by less than
-    4u(1 + log(c_val/v_now)) in it (u the unit roundoff).  The
-    sample-decrease monitor passes such an h by its MON_TOL, not by the
-    inequality.
+    split into its sign cases by :func:`_intervals`, the rule the trigger
+    applies to every window set.  A negative v_now or c_val is a
+    ``ValueError``.  The cap is the set's delta*t_max at its rate cap,
+    :func:`set_lambda_cap`.  The float log(c_val/v_now)/a can round above
+    the exact root of the inequality: in about half the seeded draws on a
+    density-48 family, by less than 4u(1 + log(c_val/v_now)) in it (u the
+    unit roundoff).  The sample-decrease monitor passes such an h by its
+    MON_TOL, not by the inequality.
     """
-    if v_now < 0.0:
-        raise ValueError("energy must be non-negative")
-    dt = cfg._interval_caps[i]
-    if v_now == 0.0:
-        return dt
+    if v_now < 0.0 or c_val < 0.0:
+        raise ValueError("energy and window average must be non-negative")
     a = cfg.eps_ref - cfg.family.sets[i].epsilon
-    if c_val >= v_now:
-        if a > 0.0:
-            return min(dt, math.log(c_val / v_now) / a)
-        return dt
-    if a >= 0.0:
-        return 0.0
-    if c_val == 0.0:
-        return 0.0
-    t_bar = math.log(c_val / v_now) / a
-    return dt if dt > t_bar else 0.0
+    return _intervals(v_now, c_val, ((a, cfg._interval_caps[i]),))[0]
 
 
 def _best_interval(v: float, c_val: float, cfg: StcConfig) -> tuple:
-    """(h, i): the fall-back's t_min, or the best window set's interval_for_set.
+    """(h, i): the first longest window-set interval if it reaches t_min, else (t_min, 0).
 
-    The case split of :func:`interval_for_set` for a window average
-    c_val >= 0, with log(c_val/v) taken once for all sets: at v = 0 every
-    set certifies its cap, and below the window with c_val = 0 none
-    certifies any interval.
+    Each window set's h is its :func:`interval_for_set`, from one call of
+    :func:`_intervals` over ``StcConfig._window_sets``.
     """
-    h_fb = t_min_of(cfg)
-    best_h, best_i = h_fb, 0
-    above = c_val >= v
-    if above or c_val > 0.0:
-        log_cv = math.inf if v == 0.0 else math.log(c_val / v)
-        for i, a, cap in cfg._window_sets:
-            if above:
-                h_i = min(cap, log_cv / a) if a > 0.0 else cap
-            else:
-                h_i = cap if a < 0.0 and cap > log_cv / a else 0.0
-            if h_i >= h_fb and (best_i == 0 or h_i > best_h):
-                best_h, best_i = h_i, i
-    return best_h, best_i
+    hs = _intervals(v, c_val, cfg._window_sets)
+    best = max(hs, default=-math.inf)
+    if best >= t_min_of(cfg):
+        return best, hs.index(best) + 1
+    return t_min_of(cfg), 0
 
 
 def gamma_trigger(x, dyn: DynamicVariable, cfg: StcConfig, spec) -> TriggerDecision:

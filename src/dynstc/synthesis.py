@@ -138,7 +138,6 @@ class VerificationReport:
     max_violation: float
     worst_x: tuple
     worst_e: tuple
-    grid_density: int
     n_points: int
 
     @property
@@ -161,7 +160,7 @@ def _grids(spec, grid_density):
     if grid_density < 8:
         raise ValueError("grid_density must be at least 8 per dimension")
     xg = ball_grid(spec.x_radius, spec.n_x, grid_density)
-    eg = ball_grid(spec.e_radius, spec.n_e, grid_density)
+    eg = ball_grid(spec.e_radius, spec.n_x, grid_density)
     if xg.shape[0] == 0 or eg.shape[0] == 0:
         raise ValueError("working-set grid is empty")
     return xg, eg
@@ -171,7 +170,7 @@ def _grids(spec, grid_density):
 class _LevelTables:
     """One f pass over the X x E grid, reduced to the distinct W^2 levels.
 
-    The error grid is sorted once, stably, by W^2 into eg_s, so each level
+    The error grid is sorted once, stably, by W^2 into eg[perm], so each level
     of exactly equal W^2 is a contiguous run of points.  Row x of the level
     table holds, per level in ascending W^2, the maximum of
     base = <grad V, f> + H^2 over that level's error points.  Only its
@@ -180,19 +179,17 @@ class _LevelTables:
     also bound any prefix of a block.
     """
 
-    density: int
     xg: np.ndarray       # state grid, in grid order
     eg: np.ndarray       # error grid, in grid order
-    perm: np.ndarray     # eg_s = eg[perm]
-    eg_s: np.ndarray
-    we2_s: np.ndarray    # W^2 of eg_s, ascending
+    perm: np.ndarray     # the error grid sorted by W^2 is eg[perm]
+    we2_s: np.ndarray    # W^2 of eg[perm], ascending
     lev: np.ndarray      # the distinct W^2 levels, ascending
-    n_zero: int          # points of eg_s with W = 0, the lowest level
+    n_zero: int          # points of eg[perm] with W = 0, the lowest level
     vx: np.ndarray
     gx: np.ndarray
     base_cols: np.ndarray
     rhs: object          # f in component form (systems.component_rhs)
-    ec: np.ndarray       # eg_s in rank-major order, by component (_rank_major)
+    ec: np.ndarray       # eg[perm] in rank-major order, by component (_rank_major)
     widths: list
     back: np.ndarray
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
@@ -305,7 +302,7 @@ def _level_tables(spec, grid_density):
     n_zero = int(np.searchsorted(we2_s, 0.0, side="right"))
     n_blocks = -(-n_x // _BLOCK)
     t = _LevelTables(
-        density=int(grid_density), xg=xg, eg=eg, perm=perm, eg_s=eg_s, we2_s=we2_s,
+        xg=xg, eg=eg, perm=perm, we2_s=we2_s,
         lev=we2_s[starts], n_zero=n_zero, vx=np.asarray(spec.v(xg), dtype=float),
         gx=np.asarray(spec.grad_v(xg), dtype=float),
         base_cols=_shared_table(n_blocks, n_lev, "level table"), rhs=component_rhs(spec),
@@ -389,7 +386,7 @@ def _ratios(t, epsilons):
             num, bi = _table_max(lambda b: t.rows(b)[:, :1], t.base_cols[:, :1], a,
                                  lambda m: m, buf[:, :1])
             if num > 0.0:
-                base = _row_base(t, bi, t.eg_s[:t.n_zero])
+                base = _row_base(t, bi, t.eg[t.perm[:t.n_zero]])
                 x_off = tuple(t.xg[bi])
                 e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num].min()])
                 raise SynthesisError(
@@ -418,11 +415,11 @@ def _verify_tables(t, family):
         a = ps.epsilon * t.vx
         best, r = _table_max(t.rows, t.base_cols, a,
                              lambda m: np.subtract(m, g2lev, out=m), buf)
-        base = _row_base(t, r, t.eg_s)
+        base = _row_base(t, r, t.eg[t.perm])
         worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
         reports.append(VerificationReport(
             max_violation=float(best), worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
-            grid_density=t.density, n_points=t.xg.shape[0] * t.eg.shape[0]))
+            n_points=t.xg.shape[0] * t.eg.shape[0]))
     return reports
 
 

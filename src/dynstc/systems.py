@@ -51,11 +51,13 @@ VDP_P_DEFAULT = ((4.68, 1.10), (1.10, 3.56))
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Immutable description of one closed-loop system."""
+    """Immutable description of one closed-loop system.
+
+    The hold error e = x(t_j) - x(t) has the state's n_x components.
+    """
 
     name: str
     n_x: int
-    n_e: int
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     v: Callable[[np.ndarray], np.ndarray]
     grad_v: Callable[[np.ndarray], np.ndarray]
@@ -64,8 +66,8 @@ class SystemSpec:
     e_radius: float
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_e < 1:
-            raise ValueError("dimensions must be at least 1")
+        if self.n_x < 1:
+            raise ValueError("state dimension must be at least 1")
         if not (self.region_c > 0.0):
             raise ValueError("region level c must be positive")
         if not (self.x_radius > 0.0 and self.e_radius > 0.0):
@@ -134,7 +136,6 @@ def _quadratic_spec(name, n, p, c, f):
     return SystemSpec(
         name=name,
         n_x=n,
-        n_e=n,
         f=f,
         v=v,
         grad_v=grad_v,

@@ -182,6 +182,39 @@ def test_interval_conventions():
         interval_for_set(-1.0, 1.0, _candidate(ps), 1)
 
 
+def test_interval_rejects_a_negative_window_average():
+    # every set raises, whatever the sign of its eps_ref - eps_i, as for a negative energy
+    cfg = StcConfig(family=_family((0.5, 2.0, 0.05), (0.01, 1.0, 0.05), (-1.0, 1.5, 0.05)),
+                    c=10.0, eps_ref=0.01)
+    for i in range(3):
+        with pytest.raises(ValueError, match="window average must be non-negative"):
+            interval_for_set(1.0, -0.5, cfg, i)
+
+
+def test_interval_of_a_set_at_the_reference_rate():
+    # eps_i = eps_ref (a = 0): the set certifies its cap at or above the
+    # window and nothing below it, in interval_for_set and in the trigger
+    cfg = StcConfig(family=_family(FB, (0.01, 1.0, 0.05)), c=10.0, m=3, eps_ref=0.01)
+    cap = cfg._interval_caps[1]
+    assert cfg.eps_ref - cfg.family.sets[1].epsilon == 0.0 and cap > t_min_of(cfg)
+    for c_val in (2.0, 3.0):
+        assert interval_for_set(2.0, c_val, cfg, 1) == cap
+        assert engine._best_interval(2.0, c_val, cfg) == (cap, 1)
+    assert interval_for_set(2.0, 1.0, cfg, 1) == 0.0
+    assert engine._best_interval(2.0, 1.0, cfg) == (t_min_of(cfg), 0)
+
+
+def test_trigger_without_window_sets_issues_t_min():
+    # a family of the fall-back alone: every decision is (t_min, 0), also
+    # below the window, where the fall-back (a = 0) certifies no window bound
+    cfg = StcConfig(family=_family(FB), c=10.0, m=3, eps_ref=0.01)
+    for v_now, c_val in ((0.0, 0.0), (0.0, 1.0), (2.0, 0.0), (2.0, 1.0), (2.0, 2.0),
+                         (2.0, 3.0)):
+        assert engine._best_interval(v_now, c_val, cfg) == (t_min_of(cfg), 0)
+        assert interval_for_set(v_now, c_val, cfg, 0) == \
+            (0.0 if c_val < v_now else t_min_of(cfg))
+
+
 def test_log_interval_rounds_past_its_root():
     # the float h = log(C/V)/a of the log branch lies above the exact root
     # of (eps_ref - eps_i)*h = log(C/V) in about half the draws; the excess

@@ -131,7 +131,7 @@ def test_record_fields():
     assert [f.name for f in fields(ParameterSet)] == \
         ["epsilon", "gamma", "l_const"]
     assert [f.name for f in fields(VerificationReport)] == \
-        ["max_violation", "worst_x", "worst_e", "grid_density", "n_points"]
+        ["max_violation", "worst_x", "worst_e", "n_points"]
     # certified is read from max_violation, so the two cannot disagree
     assert isinstance(VerificationReport.certified, property)
 

@@ -22,7 +22,7 @@ def vdp():
 
 
 def test_vdp_metadata(vdp):
-    assert vdp.n_x == vdp.n_e == 2
+    assert vdp.n_x == 2
     assert vdp.region_c == 10.0
     # radius of the smallest ball containing {V <= c}
     assert vdp.x_radius == pytest.approx(1.8616, abs=1e-3)
@@ -99,7 +99,7 @@ def test_component_rhs_without_rhs_on_a_grid_row(make):
     assert not hasattr(plain.f, "rhs")
     rng = np.random.default_rng(5)
     x = _mixed_values(rng, (spec.n_x,)).tolist()
-    e = _mixed_values(rng, (spec.n_e, 7))
+    e = _mixed_values(rng, (spec.n_x, 7))
     e[:, 0] = 0.0
     e[:, 1] = -0.0
     want = [np.broadcast_to(c, (7,)) for c in spec.f.rhs(*x, *e)]
@@ -136,7 +136,7 @@ def test_default_w_h():
     # W = ||e|| and H = ||f|| are the one weight model, computed by the
     # synthesis grid pass and the simulator; a spec carries no weights
     assert [f.name for f in dataclasses.fields(SystemSpec)] == \
-        ["name", "n_x", "n_e", "f", "v", "grad_v", "region_c", "x_radius", "e_radius"]
+        ["name", "n_x", "f", "v", "grad_v", "region_c", "x_radius", "e_radius"]
 
 
 def test_default_w_growth_inequality(vdp):
@@ -187,7 +187,7 @@ def test_energy_rejects_wrong_state_length(make, x):
 
 def test_linear_test_system():
     spec = linear_test()
-    assert spec.n_x == spec.n_e == 1
+    assert spec.n_x == 1
     assert spec.region_c == 1.0
     assert spec.x_radius == pytest.approx(1.0)
     np.testing.assert_allclose(spec.f([1.0], [2.0]), [-3.0])
@@ -236,5 +236,5 @@ def test_spec_from_json(tmp_path):
 def test_spec_validation():
     good = linear_test()
     with pytest.raises(ValueError):
-        SystemSpec(name="bad", n_x=0, n_e=1, f=good.f, v=good.v,
+        SystemSpec(name="bad", n_x=0, f=good.f, v=good.v,
                    grad_v=good.grad_v, region_c=1.0, x_radius=1.0, e_radius=2.0)
