@@ -209,13 +209,14 @@ def _intervals(v: float, c_val: float, sets) -> list:
 
     a = eps_ref - eps_i.  log(c_val / v) is taken once for all sets, as
     +inf at the origin v = 0, where any interval is admissible, and as -inf
-    for c_val = 0 < v, where no set certifies any interval.  At or above
-    the window (c_val >= v) a set certifies its cap, or the root
-    log(c_val / v) / a if that is shorter; below it only a set with a < 0
-    does, and only when its cap passes the root.
+    where the quotient c_val / v is 0 (c_val = 0 < v, or a c_val so far
+    below v that the quotient underflows), where no set certifies any
+    interval.  At or above the window (c_val >= v) a set certifies its
+    cap, or the root log(c_val / v) / a if that is shorter; below it only a
+    set with a < 0 does, and only when its cap passes the root.
     """
-    log_cv = (math.inf if v == 0.0 else -math.inf if c_val == 0.0
-              else math.log(c_val / v))
+    q = math.inf if v == 0.0 else c_val / v
+    log_cv = math.log(q) if q > 0.0 else -math.inf
     if c_val >= v:
         return [min(cap, log_cv / a) if a > 0.0 else cap for a, cap in sets]
     return [cap if a < 0.0 and cap > log_cv / a else 0.0 for a, cap in sets]

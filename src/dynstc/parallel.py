@@ -32,22 +32,25 @@ def _cpus():
 
 
 def _shared_table(n_rows, n_cols, name):
-    """A zeroed (n_rows, n_cols) float table `name` in one anonymous shared mapping.
+    """A zeroed (n_rows, n_cols) float32 table `name` in one anonymous shared mapping.
 
-    A forked child's writes to it are seen by the parent.  mmap reports a
-    failed allocation as OSError(ENOMEM); it is raised as the MemoryError
-    that numpy raises for an array too large to allocate.
+    float32, 4 bytes an entry: the one table it holds, of the synthesis
+    pass's block maxima, takes each rounded up to a float32 (half the
+    mapping of doubles).  A forked child's writes to it are seen by the
+    parent.  mmap reports a failed allocation as OSError(ENOMEM); it is
+    raised as the MemoryError that numpy raises for an array too large to
+    allocate.
     """
     import mmap  # here, so that commands which fork nothing do not load it
 
-    n_bytes = n_rows * n_cols * 8
+    n_bytes = n_rows * n_cols * 4
     try:
         buf = mmap.mmap(-1, n_bytes)
     except OSError as exc:
         if exc.errno != errno.ENOMEM:
             raise
         raise MemoryError(f"cannot map a {name} of {n_bytes} bytes") from exc
-    return np.frombuffer(buf, dtype=float).reshape(n_rows, n_cols)
+    return np.frombuffer(buf, dtype=np.float32).reshape(n_rows, n_cols)
 
 
 def _fork(fill, lo, hi):

@@ -51,20 +51,12 @@ region records, are computed once per block of whole segments of at
 most ``BLOCK_RECORDS`` records (a longer segment is a block of its own):
 elementwise numpy over the block and ``reduceat`` at its segment edges,
 with the operations a segment alone would take, so every record keeps
-its bits whatever the block size.  On the ``long`` benchmark workload
-(646 segments, 21963 records, 2 vCPU) this took ``simulate`` from 0.164
-to 0.114 s and ``run_monitors`` from 0.037 to 0.015 s (medians of 20
-alternating calls in one process).
+its bits whatever the block size.
 
 Per sample, the trigger takes log(C/V) once for all its sets and the
 register shift checks only the V it appends; per segment, the offsets
 are summed in step order and a segment of stride 1 keeps its nodes
-without a copy; the sample monitors are columns over the samples.  That
-took the same ``simulate`` about 28% lower again (0.123 to 0.089 s,
-medians of 20 alternating calls).  Of what is left, the RK4 stepper
-takes about 43%, the rest of the flow glue (V, the escape checks, the
-array) 17%, the trigger 13%, ``run_monitors`` 9%, ``_columns`` 7% and
-the decisions' ``solve_lambda_for_horizon``/``phi_solve`` 5%.
+without a copy; the sample monitors are columns over the samples.
 """
 
 from __future__ import annotations

@@ -21,41 +21,41 @@ Cost.  Every checked quantity has the form
 base(x, e) + eps*V(x) - gamma^2*W(e)^2 with base = <grad V, f> + H^2,
 so it depends on e only through W(e)^2.  One f pass over the grid, one
 x row per call of f, reduces base to its maximum over each distinct W^2
-level (265, 445, 758 and 1322 levels for van_der_pol at densities 40,
-48, 80 and 96, against 1184, 1716, 4872 and 7080 error points).  The
-pass reads f by component and lays the error points out rank-major:
-levels ranked by point count, column block j holds the j-th point of
-every level with more than j points, so a block's maxima are one
-contiguous np.maximum per rank (26 ranks at density 80) and one gather
-back to W^2 order.  The x rows are independent, so the pass splits its
-blocks of rows into one contiguous range per CPU the process may use
-(:mod:`dynstc.parallel`).  It keeps only each block's column maxima,
-blocks x levels doubles in a shared mmap (1.85 MB at density 80, 4.7 MB
-at 96; a table of every x row would take 30 and 75 MB).  Each set searches
-block by block, in decreasing order of an upper bound per block from
-those maxima, until no remaining bound reaches its best value.  It takes
-the bounds _BLOCK blocks at a time, in the one block of scratch where it
-reads each block, so its scratch does not grow with the table.  A block
-it reads is filled again one x row at a time by the pass's own fill,
-through a single row of scratch, once per pass (11 of 305 blocks at
-density 80, about 4% more f work).  On 2 vCPUs ``dynstc verify`` peaks
-at 35 MB RSS at density 80, 39 MB at 96 and 56 MB at 128 (52 and 80 MB
-at 80 and 96 with that table).  ``build_family`` serves both the ratios
-and the check of the inflated gammas from one pass.
+level, far fewer than the error points.  The pass reads f by component
+and lays the error points out rank-major: levels ranked by point count,
+column block j holds the j-th point of every level with more than j
+points, so a block's maxima are one contiguous np.maximum per rank and
+one gather back to W^2 order.  The x rows are independent, so the pass
+splits its blocks of rows into one contiguous range per CPU the process
+may use (:mod:`dynstc.parallel`).  It keeps only each block's column
+maxima, rounded up to float32, blocks x levels x 4 bytes in a shared
+mmap, never a row per x, and its one block of scratch.  Each search
+serves every target of a call at once: each epsilon's ratio and W = 0
+numerator, or each set of a check.  It visits blocks in decreasing
+order of their largest bound still open, fills each visited block once,
+through the pass's own fill and scratch, and scores every target whose
+bound reaches that target's best, so its own scratch is the bounds and
+one block of levels.
+``build_family`` serves both the ratios and the check of the inflated
+gammas from one pass.  Measured peaks and times are in the BENCH_*.json
+files at the root of the repository.
 
 Exactness.  IEEE addition, subtraction and division by a positive
 constant are monotone under rounding.  So the maximum commutes with each
 set's map, and the results equal those of a sweep over every grid point
-bit for bit; and a block's bound, the same operations applied to the
-block's column maxima and its largest row term, is no smaller than any
-entry of the block, so the search skips no maximum.
+bit for bit.  A stored maximum is the smallest float32 not below the
+float64 one, and a block's bound is the same operations applied to those
+maxima and the block's largest row term, so it is no smaller than any
+entry of the block, and no search skips a maximum.  Every reported value
+comes from the float64 rows, and ties keep the smallest row whatever the
+order of the visits.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -174,9 +174,9 @@ class _LevelTables:
     of exactly equal W^2 is a contiguous run of points.  Row x of the level
     table holds, per level in ascending W^2, the maximum of
     base = <grad V, f> + H^2 over that level's error points.  Only its
-    column maxima per block of _BLOCK rows (base_cols) are kept; rows(b)
-    recomputes block b, one row at a time, and keeps it.  Those maxima
-    also bound any prefix of a block.
+    column maxima per block of _BLOCK rows are kept, in base_cols, each
+    rounded up to a float32 (_round_up); fill(b) makes block b again.
+    Those maxima also bound any prefix of a block.
     """
 
     xg: np.ndarray       # state grid, in grid order
@@ -192,38 +192,26 @@ class _LevelTables:
     ec: np.ndarray       # eg[perm] in rank-major order, by component (_rank_major)
     widths: list
     back: np.ndarray
-    _rows: dict = field(default_factory=dict, repr=False, compare=False)
+    base: np.ndarray     # scratch of fill: (_BLOCK, n_e) row terms
+    out: np.ndarray      # scratch of fill: (_BLOCK, levels) rows
 
-    def fill(self, lo, base, out):
-        """Rows lo, lo + 1, ... of the level table into out (returned), len(base) at most.
+    def fill(self, b):
+        """Block b's rows of the level table, in the scratch `out` (a view of it is returned).
 
-        base is the scratch of their row terms, one row per x row.
+        Their row terms go into the scratch `base`, one row per x row, so
+        the pass and the searches make every block through the same IEEE
+        operations and in the same two buffers.
         """
-        xs, gs = self.xg[lo:lo + len(base)].tolist(), self.gx[lo:lo + len(base)].tolist()
+        lo = b * _BLOCK
+        xs, gs = self.xg[lo:lo + _BLOCK].tolist(), self.gx[lo:lo + _BLOCK].tolist()
         for k, (x, g) in enumerate(zip(xs, gs)):
-            _row_terms(self.rhs, x, g, self.ec, base[k])
-        terms = base[:len(xs)]
+            _row_terms(self.rhs, x, g, self.ec, self.base[k])
+        terms = self.base[:len(xs)]
         # min and max carry a NaN through, and show an infinity of either sign
         if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
             raise ValueError("non-finite certificate evaluation on the grid")
-        _rank_max(terms, self.widths, self.back, out[:len(xs)])
-        return out[:len(xs)]
-
-    def rows(self, b):
-        """Block b's rows of the level table, filled again one x row at a time, once per block.
-
-        Each row goes through the pass's fill with a single row of scratch,
-        so the rows are the pass's bits and the refill holds n_e doubles
-        besides the rows it keeps.
-        """
-        if b not in self._rows:
-            lo = b * _BLOCK
-            rows = np.empty((len(self.xg[lo:lo + _BLOCK]), len(self.lev)))
-            base = np.empty((1, self.ec.shape[1]))
-            for k in range(len(rows)):
-                self.fill(lo + k, base, rows[k:k + 1])
-            self._rows[b] = rows
-        return self._rows[b]
+        _rank_max(terms, self.widths, self.back, self.out[:len(xs)])
+        return self.out[:len(xs)]
 
 
 def _row_terms(rhs, x, g, ec, base):
@@ -277,6 +265,19 @@ def _rank_max(terms, widths, back, out):
     np.take(acc, back, axis=1, out=out, mode="clip")  # "clip" writes out unbuffered
 
 
+def _round_up(x, out):
+    """The smallest float32 not below each double of x, into the float32 array out.
+
+    The cast rounds to nearest; where that fell below x, the next float32
+    up is taken.  Past the float32 range the cast gives an infinity, so
+    1e300 goes to +inf and -1e300 to -3.4e38, the largest float32 in
+    magnitude; that overflow is the rule, not an error, and is not warned of.
+    """
+    with np.errstate(over="ignore"):
+        np.copyto(out, x, casting="same_kind")
+        np.nextafter(out, np.float32(np.inf), out=out, where=out < x)
+
+
 def _level_tables(spec, grid_density):
     """The column maxima of one f pass, one x row per call of f, on every CPU.
 
@@ -284,11 +285,11 @@ def _level_tables(spec, grid_density):
     CPU (_fill_in_parallel: children fill every range but the last, which
     this process fills).  _LevelTables.fill runs each block through the
     same IEEE operations in whichever process, into (_BLOCK, n_e) and
-    (_BLOCK, levels) buffers made once per pass, before the split; only
-    the block's column maxima go into the shared mapping (_shared_table).
-    Every array a call of f makes holds n_e doubles, below the 64 KB at
-    which a free makes glibc trim the heap, up to 8192 error points
-    (density about 100).
+    (_BLOCK, levels) buffers made once, before the split, and kept for the
+    searches; only the block's column maxima, rounded up to float32, go
+    into the shared mapping (_shared_table).  Every array a call of f makes
+    holds n_e doubles, below the 64 KB at which a free makes glibc trim the
+    heap, up to 8192 error points (density about 100).
     """
     xg, eg = _grids(spec, grid_density)
     we2 = np.square(np.linalg.norm(eg, axis=-1))
@@ -306,54 +307,68 @@ def _level_tables(spec, grid_density):
         lev=we2_s[starts], n_zero=n_zero, vx=np.asarray(spec.v(xg), dtype=float),
         gx=np.asarray(spec.grad_v(xg), dtype=float),
         base_cols=_shared_table(n_blocks, n_lev, "level table"), rhs=component_rhs(spec),
-        ec=np.ascontiguousarray(eg_s[cols].T), widths=widths, back=back)
-
-    base, out = np.empty((_BLOCK, len(cols))), np.empty((_BLOCK, n_lev))
+        ec=np.ascontiguousarray(eg_s[cols].T), widths=widths, back=back,
+        base=np.empty((_BLOCK, len(cols))), out=np.empty((_BLOCK, n_lev)))
+    top = np.empty(n_lev)
 
     def fill(b):
-        np.max(t.fill(b * _BLOCK, base, out), axis=0, out=t.base_cols[b])
+        _round_up(np.max(t.fill(b), axis=0, out=top), t.base_cols[b])
 
     _fill_in_parallel(fill, n_blocks)
     return t
 
 
-def _table_max(rows_of, cols, a, combine, buf):
-    """The maximum of combine(table + a[:, None]) and the first row attaining it.
+def _search(t, targets):
+    """Per target (eps, cols, combine), the maximum of combine(rows[:, cols] + eps*V) and its row.
 
-    rows_of(b) gives the rows of block b of the table, cols its column maxima.
+    rows is the level table of t, V its vx; the first row attaining the
+    maximum is returned with it, as a list of (best, row) in target order.
 
     combine must be nondecreasing in each entry: it adds or subtracts a
     per-level constant, or divides by a positive one, in place, and
-    returns its argument.  A block's bound is combine(cols + max a), from
-    the block's column maxima and its largest row term: the same IEEE
-    operations on inputs no smaller than any of the block's, and rounding
-    is monotone, so no entry of the block exceeds its bound.  Blocks are
-    visited in decreasing order of bound until no remaining bound reaches
-    the best value so far; equal values keep the smallest row, as a sweep
-    in grid order would.
+    returns its argument.  A target's bound on a block is
+    combine(cols + max eps*V), from the block's stored column maxima and
+    its largest row term: the same IEEE operations on inputs no smaller
+    than any of the block's (a stored maximum is rounded up), and rounding
+    is monotone, so no entry of the block exceeds its bound.  A bound is
+    open while it reaches its target's best value so far.  Blocks are
+    visited in decreasing order of their largest open bound until none is
+    open; each is filled once, by the pass's fill into its kept scratch,
+    and scored for every target whose bound there is open.  Equal values
+    keep the smallest row, as a sweep in grid order would, whatever the
+    order of the visits.
 
-    buf (_bound_buffer) takes the bounds _BLOCK blocks at a time, then each
-    searched block: the search's scratch is one block of levels, however
-    many blocks the table has.
+    Its scratch is the bounds, one per target and block, and one block of
+    levels, which takes the bounds _BLOCK blocks at a time and then each
+    score.
     """
-    a_max = np.maximum.reduceat(a, np.arange(0, len(a), _BLOCK))
-    bounds = np.empty(len(cols))
-    for lo in range(0, len(cols), _BLOCK):
-        chunk = cols[lo:lo + _BLOCK]
-        s = combine(np.add(chunk, a_max[lo:lo + _BLOCK, None], out=buf[:len(chunk)]))
-        np.max(s, axis=1, out=bounds[lo:lo + _BLOCK])
-    best, row = -np.inf, -1
-    for b in np.argsort(-bounds, kind="stable"):
-        if bounds[b] < best:
-            break
-        lo = int(b) * _BLOCK
-        rows = rows_of(int(b))
-        s = combine(np.add(rows, a[lo:lo + _BLOCK, None], out=buf[:len(rows)]))
-        j = int(np.argmax(s))
-        r = lo + j // s.shape[1]
-        if s.flat[j] > best or (s.flat[j] == best and r < row):
-            best, row = s.flat[j], r
-    return best, row
+    buf = np.empty((_BLOCK, t.base_cols.shape[1]))
+
+    def score(k, m, a):  # target k on the rows m, with the row terms a, in buf
+        _, cols, combine = targets[k]
+        m = m[:, cols]
+        return combine(np.add(m, a[:, None], out=buf[:len(m), :m.shape[1]]))
+
+    bounds = np.empty((len(targets), t.base_cols.shape[0]))
+    for k, (eps, _, _) in enumerate(targets):
+        a_max = np.maximum.reduceat(eps * t.vx, np.arange(0, len(t.vx), _BLOCK))
+        for lo in range(0, bounds.shape[1], _BLOCK):
+            s = score(k, t.base_cols[lo:lo + _BLOCK], a_max[lo:lo + _BLOCK])
+            np.max(s, axis=1, out=bounds[k, lo:lo + _BLOCK])
+    best, row = np.full(len(targets), -np.inf), [-1] * len(targets)
+    while True:
+        bounds[~(bounds >= best[:, None])] = -np.inf  # no longer open
+        b = int(np.argmax(bounds.max(axis=0)))
+        if bounds[:, b].max() == -np.inf:
+            return list(zip(best.tolist(), row))
+        rows, lo = t.fill(b), b * _BLOCK
+        for k in np.flatnonzero(bounds[:, b] > -np.inf):
+            s = score(k, rows, targets[k][0] * t.vx[lo:lo + len(rows)])
+            j = int(np.argmax(s))
+            r = lo + j // s.shape[1]
+            if s.flat[j] > best[k] or (s.flat[j] == best[k] and r < row[k]):
+                best[k], row[k] = s.flat[j], r
+        bounds[:, b] = -np.inf
 
 
 def _row_base(t, r, errors):
@@ -363,39 +378,28 @@ def _row_base(t, r, errors):
     return base
 
 
-def _bound_buffer(cols):
-    """The scratch of _table_max for the column maxima cols: one block, _BLOCK rows of levels."""
-    return np.empty((_BLOCK, cols.shape[1]))
-
-
 def _ratios(t, epsilons):
     """Per epsilon, the grid maximum over W > 0 of (base + eps*V)/W^2.
 
     A W = 0 grid point with a positive numerator is raised as a
     SynthesisError (no finite gamma can help there): the first such
-    epsilon, at its largest W = 0 numerator (_table_max on level column 0),
-    first in grid order on ties.
+    epsilon, at its largest W = 0 numerator (a target on level column 0),
+    first in grid order on ties.  One search serves both kinds of target.
     """
     w_pos = slice(1 if t.n_zero else 0, None)  # the levels with W > 0
-    cols, lev = t.base_cols[:, w_pos], t.lev[w_pos]
-    buf = _bound_buffer(cols)
-    ratios = np.empty(len(epsilons))
-    for k, eps in enumerate(epsilons):
-        a = eps * t.vx
-        if t.n_zero:
-            num, bi = _table_max(lambda b: t.rows(b)[:, :1], t.base_cols[:, :1], a,
-                                 lambda m: m, buf[:, :1])
-            if num > 0.0:
-                base = _row_base(t, bi, t.eg[t.perm[:t.n_zero]])
-                x_off = tuple(t.xg[bi])
-                e_off = tuple(t.eg[t.perm[:t.n_zero][base + a[bi] == num].min()])
-                raise SynthesisError(
-                    f"epsilon={eps}: positive certificate numerator "
-                    f"{num:.3e} at a W=0 grid point x={x_off}, e={e_off}",
-                    epsilon=eps, point=(x_off, e_off))
-        ratios[k] = _table_max(lambda b: t.rows(b)[:, w_pos], cols, a,
-                               lambda m: np.divide(m, lev, out=m), buf)[0]
-    return ratios
+    found = _search(t, [(eps, w_pos, lambda m: np.divide(m, t.lev[w_pos], out=m))
+                        for eps in epsilons]
+                    + [(eps, slice(0, 1), lambda m: m) for eps in epsilons if t.n_zero])
+    for eps, (num, bi) in zip(epsilons, found[len(epsilons):]):
+        if num > 0.0:
+            base = _row_base(t, bi, t.eg[t.perm[:t.n_zero]])
+            x_off = tuple(t.xg[bi])
+            e_off = tuple(t.eg[t.perm[:t.n_zero][base + eps * t.vx[bi] == num].min()])
+            raise SynthesisError(
+                f"epsilon={eps}: positive certificate numerator "
+                f"{num:.3e} at a W=0 grid point x={x_off}, e={e_off}",
+                epsilon=eps, point=(x_off, e_off))
+    return [ratio for ratio, _ in found[:len(epsilons)]]
 
 
 def _verify_tables(t, family):
@@ -403,22 +407,21 @@ def _verify_tables(t, family):
 
     A set's maximum of s = base + eps*V - gamma^2*W^2 over the grid is the
     maximum over the level table of its rows + eps*V - gamma^2*lev, bit for
-    bit: the maximum commutes with each set's monotone map.  The worst
-    (x, e) is recovered from the one maximizing row, recomputed over every
-    error point; ties go to the first point in grid order over x, then e.
+    bit: the maximum commutes with each set's monotone map.  One search
+    serves every set.  The worst (x, e) is recovered from the one
+    maximizing row, recomputed over every error point; ties go to the
+    first point in grid order over x, then e.
     """
-    buf = _bound_buffer(t.base_cols)
+    targets = [(ps.epsilon, slice(None),
+                lambda m, g2=ps.gamma * ps.gamma: np.subtract(m, g2 * t.lev, out=m))
+               for ps in family.sets]
     reports = []
-    for ps in family.sets:
-        g2 = ps.gamma * ps.gamma
-        g2lev = g2 * t.lev
-        a = ps.epsilon * t.vx
-        best, r = _table_max(t.rows, t.base_cols, a,
-                             lambda m: np.subtract(m, g2lev, out=m), buf)
+    for ps, (best, r) in zip(family.sets, _search(t, targets)):
         base = _row_base(t, r, t.eg[t.perm])
-        worst_e = t.eg[t.perm[base + a[r] - g2 * t.we2_s == best].min()]
+        s = base + ps.epsilon * t.vx[r] - ps.gamma * ps.gamma * t.we2_s
+        worst_e = t.eg[t.perm[s == best].min()]
         reports.append(VerificationReport(
-            max_violation=float(best), worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
+            max_violation=best, worst_x=tuple(t.xg[r]), worst_e=tuple(worst_e),
             n_points=t.xg.shape[0] * t.eg.shape[0]))
     return reports
 

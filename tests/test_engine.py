@@ -191,6 +191,19 @@ def test_interval_rejects_a_negative_window_average():
             interval_for_set(1.0, -0.5, cfg, i)
 
 
+def test_interval_of_a_window_average_whose_quotient_underflows():
+    # 5e-324 / 2.0 rounds to 0.0, so it certifies nothing, as C = 0 does:
+    # for a set with a < 0, a = 0 and a > 0, in interval_for_set and in the
+    # trigger; 1e-300 / 2.0 is a normal float, and the log branch gives 0.0
+    cfg = StcConfig(family=_family((0.5, 2.0, 0.05), (0.01, 1.0, 0.05), (-1.0, 1.5, 0.05)),
+                    c=10.0, m=3, eps_ref=0.01)
+    assert 5e-324 / 2.0 == 0.0 < 1e-300 / 2.0
+    for c_val in (5e-324, 1e-300):
+        for i in range(3):
+            assert interval_for_set(2.0, c_val, cfg, i) == 0.0
+        assert engine._best_interval(2.0, c_val, cfg) == (t_min_of(cfg), 0)
+
+
 def test_interval_of_a_set_at_the_reference_rate():
     # eps_i = eps_ref (a = 0): the set certifies its cap at or above the
     # window and nothing below it, in interval_for_set and in the trigger

@@ -9,6 +9,7 @@ import os
 import signal
 import tracemalloc
 import types
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -34,14 +35,14 @@ from dynstc.synthesis import (
 from dynstc import parallel, synthesis
 from dynstc.synthesis import (
     _BLOCK,
-    _bound_buffer,
     _grids,
     _level_tables,
     _rank_major,
     _rank_max,
     _ratios,
+    _round_up,
     _row_terms,
-    _table_max,
+    _search,
     _verify_tables,
 )
 from dynstc.systems import component_rhs, linear_test, spec_from_config, van_der_pol
@@ -120,6 +121,20 @@ def _ref_synth_ratios(spec, epsilons, grid_density):
 def _bits(values):
     """Exact bytes of float values, so that 0.0 and -0.0 differ."""
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_rounded_up(stored, x):
+    """stored is, bit for bit, the smallest float32 not below each double of x.
+
+    It is not below x, the next float32 down is, and it has the sign of x
+    (a zero keeps its sign through the cast): that leaves one bit pattern.
+    """
+    stored, x = np.asarray(stored), np.asarray(x, dtype=float)
+    assert stored.dtype == np.float32 and stored.shape == x.shape
+    assert np.all(stored >= x)
+    with np.errstate(over="ignore"):  # numpy flags the step down from +inf
+        assert np.all(np.nextafter(stored, np.float32(-np.inf)) < x)
+    assert np.array_equal(np.signbit(stored), np.signbit(x))
 
 
 def _verify_one(spec, ps, grid_density):
@@ -273,21 +288,37 @@ def test_build_family_makes_one_f_pass(monkeypatch):
                       math.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(e)[:-1]))))
         return spec.f(x, e)
 
+    # the blocks filled, in order: the pass's, then None and the blocks
+    # of each search, the ratios' and then the check's
+    fills, real_fill, real_search = [], synthesis._LevelTables.fill, synthesis._search
+    monkeypatch.setattr(synthesis._LevelTables, "fill",
+                        lambda t, b: fills.append(b) or real_fill(t, b))
+    monkeypatch.setattr(synthesis, "_search",
+                        lambda t, targets: fills.append(None) or real_search(t, targets))
+
     epsilons = [0.01, -1.0, -40.0]
     fam = build_family(replace(spec, f=f), epsilons, grid_density=24)
-    assert fam == build_family(spec, epsilons, grid_density=24)
     xg, eg = _grids(spec, 24)
+    n_blocks = -(-len(xg) // _BLOCK)
+    i, j = [k for k, b in enumerate(fills) if b is None]
+    assert fills[:i] == list(range(n_blocks))
+    searched = [fills[i + 1:j], fills[j + 1:]]
+    monkeypatch.undo()
+    assert fam == build_family(spec, epsilons, grid_density=24)
     assert {n for _, n in calls} == {eg.shape[0]}
-    # every x row once in the pass, then once more if a search reads its
-    # block, each such block whole and at most once; then one worst-point
-    # row per set, whose block a search has read
+    # every x row once in the pass, then once more for each search that
+    # fills its block, each search filling a block whole and at most once;
+    # then one worst-point row per set, whose block the check has filled
     counts = Counter(row for row, _ in calls)
     assert set(counts) == set(map(tuple, xg))
-    again = [counts[tuple(x)] > 1 for x in xg]
-    blocks = [again[lo:lo + _BLOCK] for lo in range(0, len(xg), _BLOCK)]
-    assert all(all(blk) or not any(blk) for blk in blocks)
-    assert sum(counts.values()) == len(xg) + sum(again) + len(epsilons)
-    assert 0 < sum(map(any, blocks)) < len(blocks) // 2
+    for blocks in searched:
+        assert len(set(blocks)) == len(blocks)
+        assert 0 < len(blocks) < n_blocks // 2
+    again = Counter(tuple(x) for blocks in searched for b in blocks
+                    for x in xg[b * _BLOCK:(b + 1) * _BLOCK])
+    worst = Counter(rep.worst_x for rep in verify_family(spec, fam, 24))
+    assert counts == Counter(map(tuple, xg)) + again + worst
+    assert set(worst) <= {tuple(x) for b in searched[1] for x in xg[b * _BLOCK:(b + 1) * _BLOCK]}
 
 
 def _kept_arrays(obj):
@@ -311,17 +342,21 @@ def _kept_arrays(obj):
 
 
 def test_level_tables_keep_no_row_per_x():
-    # the searches recompute the rows they read, so the tables hold a row
-    # per block of _BLOCK x rows and vectors of the grids, not a table of
-    # n_x rows by levels (75 MB at density 96)
+    # the searches recompute the blocks they read, so the tables hold a
+    # float32 row per block of _BLOCK x rows, the one block of scratch of
+    # the pass, and vectors of the grids, not a table of n_x rows by
+    # levels (75 MB at density 96)
     spec = van_der_pol()
     t = _level_tables(spec, 96)
     n_x, n_e, n_lev = t.xg.shape[0], t.eg.shape[0], len(t.lev)
     n_blocks = -(-n_x // _BLOCK)
     arrays, n_bytes = _kept_arrays(t)
-    assert any(a is t.base_cols for a in arrays)
+    assert any(a is t.base_cols for a in arrays) and t.base_cols.dtype == np.float32
+    assert (t.base.shape, t.out.shape) == ((_BLOCK, n_e), (_BLOCK, n_lev))
     assert not [a.shape for a in arrays if a.ndim == 2 and n_x in a.shape and n_lev in a.shape]
-    assert n_blocks * n_lev * 8 < n_bytes <= (n_blocks + 1) * n_lev * 8 + 8 * (n_x + n_e) * 8
+    scratch = _BLOCK * (n_e + n_lev) * 8
+    assert n_blocks * n_lev * 4 + scratch < n_bytes
+    assert n_bytes <= n_blocks * n_lev * 4 + scratch + 8 * (n_x + n_e) * 8
 
 
 @pytest.mark.parametrize("seed, n_blocks", [pytest.param(s, None, id=str(s)) for s in range(20)]
@@ -330,65 +365,83 @@ def test_level_tables_keep_no_row_per_x():
 def test_table_max_matches_argmax(seed, n_blocks):
     # small integers make many exact ties, within and across row blocks;
     # past _BLOCK blocks the bounds are taken _BLOCK blocks at a time, and
-    # the last chunk is whole or of one block
+    # the last chunk is whole or of one block.  One search takes every
+    # target at once: three maps, on every column, the first and the rest,
+    # at three rates
     rng = np.random.default_rng(seed)
     n_rows, n_cols = int(rng.integers(1, 6 * _BLOCK)), int(rng.integers(1, 6))
     if n_blocks is not None:
         n_rows = (n_blocks - 1) * _BLOCK + int(rng.integers(1, _BLOCK + 1))
     table = rng.integers(-3, 4, size=(n_rows, n_cols)).astype(float)
-    a = rng.integers(-3, 4, size=n_rows).astype(float)
+    vx = rng.integers(-3, 4, size=n_rows).astype(float)
     c = rng.integers(1, 4, size=n_cols).astype(float)
     blocks = np.arange(0, n_rows, _BLOCK)
     assert n_blocks is None or len(blocks) == n_blocks
-    cols = np.maximum.reduceat(table, blocks, axis=0)
-    kept = table.copy()
-    buf = _bound_buffer(cols)
-    assert buf.shape == (_BLOCK, n_cols)
+    cols = np.empty((len(blocks), n_cols), dtype=np.float32)
+    _round_up(np.maximum.reduceat(table, blocks, axis=0), cols)
+    kept, filled = table.copy(), []
 
-    def rows_of(b):
+    def fill(b):
+        filled.append(b)
         return table[b * _BLOCK:(b + 1) * _BLOCK]
 
-    for combine in (lambda m: np.subtract(m, c, out=m), lambda m: np.add(m, c, out=m),
-                    lambda m: np.divide(m, c, out=m)):
-        s = combine(table + a[:, None])
+    targets = []
+    for part in (slice(None), slice(0, 1), slice(1, None))[:2 if n_cols == 1 else 3]:
+        for combine in (lambda m, c=c[part]: np.subtract(m, c, out=m),
+                        lambda m, c=c[part]: np.add(m, c, out=m),
+                        lambda m, c=c[part]: np.divide(m, c, out=m)):
+            targets += [(eps, part, combine) for eps in (1.0, -1.0, 0.5)]
+    found = _search(types.SimpleNamespace(base_cols=cols, vx=vx, fill=fill), targets)
+    assert len(found) == len(targets)
+    for (eps, part, combine), (best, row) in zip(targets, found):
+        s = combine(table[:, part] + eps * vx[:, None])
         flat = int(np.argmax(s))
-        best, row = _table_max(rows_of, cols, a, combine, buf)
-        assert (_bits(best), row) == (_bits(s.flat[flat]), flat // n_cols)
-        # combine works in the buffer, never in the table
-        assert _bits(table) == _bits(kept)
+        assert (_bits(best), row) == (_bits(s.flat[flat]), flat // s.shape[1])
+    # each block is filled at most once; combine works in the buffer, never in the table
+    assert len(set(filled)) == len(filled)
+    assert _bits(table) == _bits(kept)
 
 
 def test_search_scratch_does_not_grow_with_the_table(monkeypatch):
-    # beyond the rows a search caches, its scratch is one block of levels
-    # and a few vectors of the grids; a buffer of a row per block, with the
-    # bounds of every block at once, held 0.87 MB more at density 64
+    # beyond what the calls of f for one block make, a search holds its
+    # bounds, one per target and block, one block of levels and a vector
+    # of the x grid: it fills each block it reads in the pass's kept
+    # scratch and keeps none of them.  A search that keeps a copy of each
+    # block it fills exceeds that bound
     spec = van_der_pol()
     epsilons = [0.01, -1.0, -10.0, -40.0]
     family = build_family(spec, epsilons, grid_density=24)
     tables = _level_tables(spec, 64)
-    n_x, n_e, n_lev = tables.xg.shape[0], tables.eg.shape[0], len(tables.lev)
-    bound = 8 * (2 * _BLOCK * n_lev + 4 * (n_x + n_e))
+    n_x, n_lev, n_blocks = tables.xg.shape[0], len(tables.lev), tables.base_cols.shape[0]
+    assert n_blocks > 8 * _BLOCK and tables.n_zero == 0  # a target per epsilon
+    real_search, peaks = synthesis._search, []
 
-    def held(search):
-        search(replace(tables, _rows={}))  # warm
-        t = replace(tables, _rows={})
+    def held(call, *args):  # call(*args), its tracemalloc peak appended to peaks
         tracemalloc.start()
         try:
-            search(t)
-            peak = tracemalloc.get_traced_memory()[1]
+            found = call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        return peak - sum(rows.nbytes for rows in t._rows.values())
+        return found
 
-    searches = (lambda t: _verify_tables(t, family), lambda t: _ratios(t, epsilons))
-    assert tables.base_cols.shape[0] > 8 * _BLOCK
+    held(tables.fill, n_blocks // 2)  # what the calls of f for one block make
+    bound = 8 * (len(epsilons) * n_blocks + _BLOCK * n_lev + 2 * n_x) + peaks[0]
+    monkeypatch.setattr(synthesis, "_search", lambda t, targets: held(real_search, t, targets))
+    searches = (lambda: _verify_tables(tables, family), lambda: _ratios(tables, epsilons))
     for search in searches:
-        extra = held(search)
-        assert extra <= bound, (extra, bound)
-    monkeypatch.setattr(synthesis, "_bound_buffer",  # a row per block, at least _BLOCK
-                        lambda cols: np.empty((max(cols.shape[0], _BLOCK), cols.shape[1])))
+        search()  # warm
+        peaks.clear()
+        search()
+        assert len(peaks) == 1 and peaks[0] <= bound, (peaks, bound)
+    real_fill = synthesis._LevelTables.fill
+    monkeypatch.setattr(synthesis._LevelTables, "fill",
+                        lambda t, b: kept.append(real_fill(t, b).copy()) or kept[-1])
     for search in searches:
-        assert held(search) > bound + tables.base_cols.nbytes // 2
+        peaks.clear()
+        kept = []
+        search()
+        assert peaks[0] > bound
 
 
 def _block_rows_ref(t, b):
@@ -405,25 +458,36 @@ def _block_rows_ref(t, b):
 
 @pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("van_der_pol", 25),
                                              ("linear_test", 200)])
-def test_refill_row_by_row_is_the_pass(system, density):
+def test_search_fills_the_pass_rows(monkeypatch, system, density):
     # van_der_pol at 25 has W = 0 points and a zero maximum, at 24 neither;
-    # linear_test at 200 spans 13 blocks
+    # linear_test at 200 spans 13 blocks.  Each block the searches fill is
+    # the rows the pass made, made again as one block by reference
     spec = spec_from_config({"name": system})
+    epsilons = _LADDERS[system]
     t = _level_tables(spec, density)
-    n_blocks = t.base_cols.shape[0]
-    assert n_blocks > 1 and (t.n_zero > 0) == bool(density % 2)
-    for b in range(n_blocks):
+    assert t.base_cols.shape[0] > 1 and (t.n_zero > 0) == bool(density % 2)
+    filled, real_fill = {}, synthesis._LevelTables.fill
+
+    def fill(tables, b):
+        rows = real_fill(tables, b)
+        assert b not in filled
+        filled[b] = rows.copy()
+        return rows
+
+    family = build_family(spec, epsilons, grid_density=density)
+    with monkeypatch.context() as m:
+        m.setattr(synthesis._LevelTables, "fill", fill)
+        _verify_tables(t, family)
+    assert filled
+    for b, rows in filled.items():
         ref = _block_rows_ref(t, b)
-        assert _bits(t.rows(b)) == _bits(ref)
-        assert np.array_equal(np.signbit(t.rows(b)), np.signbit(ref))
-    # f gives NaN only at a row that a refill reads, past the block's first row
-    b = n_blocks // 2
+        assert _bits(rows) == _bits(ref)
+        assert np.array_equal(np.signbit(rows), np.signbit(ref))
+    # f gives NaN only at a row of a block the search fills, past its first row
+    b = max(filled)
     bad = _failing_spec(spec, t.xg[b * _BLOCK + 1:][:1], "nan")
-    refill = replace(t, rhs=component_rhs(bad), _rows={})
-    refill.rows(b - 1)
     with pytest.raises(ValueError, match=r"^non-finite certificate evaluation on the grid$"):
-        refill.rows(b)
-    assert b not in refill._rows
+        _verify_tables(replace(t, rhs=component_rhs(bad)), family)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -446,13 +510,29 @@ def test_rank_max_matches_reduceat(seed):
     assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
+def test_round_up_is_the_next_float32_up():
+    # past the float32 range both ways, at the subnormals, at zeros of
+    # either sign, between two float32 and at the largest one, with no
+    # warning for the casts that overflow
+    top = float(np.finfo(np.float32).max)
+    x = np.array([1e300, -1e300, 1e-300, -1e-300, -0.0, 0.0, 1.0 + 2.0 ** -30, top, -top])
+    expected = np.array([np.inf, -top, 2.0 ** -149, -0.0, -0.0, 0.0, 1.0 + 2.0 ** -23, top, -top],
+                        dtype=np.float32)
+    out = np.full(len(x), np.nan, dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _round_up(x, out)
+    assert out.tobytes() == expected.tobytes()
+    _assert_rounded_up(out, x)
+
+
 def _tables_bits(t):
     """The bytes (so the signs of zeros) of the column maxima kept and of every block's rows.
 
     Where W = 0 is a level, column 0 of the rows holds its maxima.
     """
     n_blocks = t.base_cols.shape[0]
-    return [_bits(t.base_cols)] + [_bits(t.rows(b)) for b in range(n_blocks)]
+    return [_bits(t.base_cols)] + [_bits(t.fill(b)) for b in range(n_blocks)]
 
 
 @pytest.mark.parametrize("system, density", [("van_der_pol", 24), ("linear_test", 129)])
@@ -493,13 +573,14 @@ def test_parallel_pass_keeps_its_bits(monkeypatch, system, density):
     assert forks == 0
     assert serial.base_cols.shape == (n_blocks, len(serial.lev))
     assert (serial.n_zero > 0) == (serial.lev[0] == 0.0) == bool(density % 2)
-    for k in (2, 3):
+    for k in (1, 2, 3):
         t, forks = _forced_tables(monkeypatch, spec, density, k)
         assert forks == min(k, n_blocks) - 1
         assert _tables_bits(t) == _tables_bits(serial)
-        # the rows recomputed here have the maxima the pass's processes stored
+        # the pass's processes stored the float32 round-up of the maxima of
+        # the rows made here
         for b in range(n_blocks):
-            assert _bits(t.rows(b).max(axis=0)) == _bits(t.base_cols[b])
+            _assert_rounded_up(t.base_cols[b], t.fill(b).max(axis=0))
 
 
 class _Boom(Exception):
