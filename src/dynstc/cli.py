@@ -280,10 +280,9 @@ def _interval_stats(traj):
 
 
 def _row_part(traj, part, parts):
-    """traj with the part-th of `parts` equal row ranges of its flow records, as views."""
+    """traj with the part-th of `parts` equal row ranges of its flow records, as a view."""
     n = len(traj.flow_points)
-    return replace(traj, flow_points=traj.flow_points.rows(n * part // parts,
-                                                          n * (part + 1) // parts))
+    return replace(traj, flow_points=traj.flow_points[n * part // parts:n * (part + 1) // parts])
 
 
 def _join_parts(paths):

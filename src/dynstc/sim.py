@@ -38,10 +38,15 @@ through it, and its L2 self times understate the stepper's saving).
 Each stage computes x_i + hs*k_i, xh_i - y_i and
 x_i + s6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i), the same IEEE operations
 in the same order as numpy arithmetic on the state vectors, so every
-node state has the same bits.  A trajectory keeps its
-flow records as columns (:class:`FlowRecords`), one row per record.  The
-CSV writers convert one flow segment's records (trajectory) or one row
-(monitors, decisions) to Python objects at a time, never a whole run's.
+node state has the same bits.
+
+A run is three record arrays (``np.recarray``), each built once: its
+samples (t, j, x, V), flow records (t, j, x, V, U) and monitor records
+(monitor, j, slack, passed), with one array per field
+(``traj.monitors.slack``) and one record per row (``traj.samples[k].t``).
+The CSV writers read each field once and convert one flow segment
+(trajectory, decisions) or ``BLOCK_RECORDS`` rows (monitors) to Python
+objects at a time, never a whole run's.
 
 Per segment the loop does only what the next jump and the escape rule
 need: the RK4 nodes, the non-finite and V <= c*(1 + tolerance) checks,
@@ -81,9 +86,6 @@ from .timing import phi_solve, phi_values, solve_lambda_for_horizon
 
 __all__ = [
     "IntegrationBlowupError",
-    "Sample",
-    "FlowRecords",
-    "MonitorRecord",
     "HybridTrajectory",
     "simulate",
     "simulate_periodic",
@@ -100,6 +102,8 @@ FLOW_RECORD_TARGET = 64  # dense records per segment before striding
 # flow records whose U and flow and region monitors are evaluated at once; a
 # block's temporaries grow the heap, and 4096 raised fleet's peak RSS by 0.3 MB
 BLOCK_RECORDS = 1024
+# the fields of a monitor record; "combined-decrease" is the longest name
+_MONITOR = [("monitor", "U17"), ("j", int), ("slack", float), ("passed", bool)]
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -107,56 +111,28 @@ class IntegrationBlowupError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    t: float
-    j: int
-    x: np.ndarray
-    v: float
-
-
-@dataclass(frozen=True)
-class FlowRecords:
-    """Flow records as columns: times t, jump counters j, states x (N x n), V and U."""
-    t: np.ndarray
-    j: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-
-    def __len__(self):
-        return len(self.t)
-
-    def rows(self, lo, hi):
-        """Records lo..hi - 1, as views of these columns."""
-        return FlowRecords(self.t[lo:hi], self.j[lo:hi], self.x[lo:hi], self.v[lo:hi],
-                           self.u[lo:hi])
-
-
-@dataclass(frozen=True)
-class MonitorRecord:
-    monitor: str
-    j: int
-    slack: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class HybridTrajectory:
-    samples: tuple
+    """A run as record arrays, with the trigger's decisions (none for a periodic run).
+
+    samples has the fields t, j, x (n,) and v; flow_points the same and u;
+    monitors has monitor, j, slack and passed.
+    """
+    samples: np.recarray
     decisions: tuple
-    flow_points: FlowRecords
-    monitors: tuple = ()
+    flow_points: np.recarray
+    monitors: np.recarray | None = None  # set by simulate and simulate_periodic
     kind: str = "dynamic"
     period: float | None = None
 
     def intervals(self):
-        return [s2.t - s1.t for s1, s2 in zip(self.samples, self.samples[1:])]
+        return np.diff(self.samples.t).tolist()
 
     def n_samples_before(self, t_lim: float) -> int:
-        return sum(1 for s in self.samples if s.t < t_lim)
+        return int(np.count_nonzero(self.samples.t < t_lim))
 
     def violations(self):
-        return [r for r in self.monitors if not r.passed]
+        """The monitor records that failed, as a list of rows."""
+        return list(self.monitors[~self.monitors.passed])
 
 
 @functools.cache
@@ -263,7 +239,7 @@ def _blocks(edges):
         k0 = k1
 
 
-def _columns(samples, flows, phis, n_x) -> FlowRecords:
+def _columns(samples, flows, phis) -> np.recarray:
     """The flow records of the segments flows[k] = (offsets, states, V) of samples[k].
 
     U = V + gamma*phi(tau)*W(e)^2 with segment k's comparison function
@@ -272,26 +248,27 @@ def _columns(samples, flows, phis, n_x) -> FlowRecords:
     """
     counts = np.array([len(tau) for tau, _, _ in flows], dtype=int)
     edges = np.concatenate([[0], np.cumsum(counts)])
-    fp = FlowRecords(np.empty(edges[-1]), np.repeat(np.arange(1, len(counts) + 1), counts),
-                     np.empty((edges[-1], n_x)), np.empty(edges[-1]),
-                     np.full(edges[-1], math.nan))
+    fp = np.recarray(edges[-1], samples.dtype.descr + [("u", float)])
+    t, j, x, v, u = (fp[name] for name in fp.dtype.names)
+    j[:] = np.repeat(np.arange(1, len(counts) + 1), counts)
+    u[:] = math.nan
+    t_hold, x_hold = samples.t, samples.x
     for k0, k1 in _blocks(edges):
-        recs, n = fp.rows(edges[k0], edges[k1]), counts[k0:k1]
+        rows, n = slice(edges[k0], edges[k1]), counts[k0:k1]
         taus, xs, vs = zip(*flows[k0:k1])
         tau = np.concatenate(taus)
-        np.add(np.repeat([smp.t for smp in samples[k0:k1]], n), tau, out=recs.t)
-        np.concatenate(xs, out=recs.x)
-        np.concatenate(vs, out=recs.v)
+        np.add(np.repeat(t_hold[k0:k1], n), tau, out=t[rows])
+        np.concatenate(xs, out=x[rows])
+        np.concatenate(vs, out=v[rows])
         # Every segment of a run has a decision or none does (simulate
         # always decides, simulate_periodic never), so phis[k0] speaks for the block.
         if phis[k0] is not None:
             lam, gamma, cap, horizon = (
                 np.repeat([getattr(phi, f) for phi in phis[k0:k1]], n)
                 for f in ("lam", "gamma", "lambda_cap", "horizon"))
-            hold = np.repeat([smp.x for smp in samples[k0:k1]], n, axis=0)
-            w = np.linalg.norm(hold - recs.x, axis=-1)
-            np.add(recs.v, gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
-                   out=recs.u)
+            w = np.linalg.norm(np.repeat(x_hold[k0:k1], n, axis=0) - x[rows], axis=-1)
+            np.add(v[rows], gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
+                   out=u[rows])
     return fp
 
 
@@ -317,11 +294,13 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
         raise RegionEscapeError(f"V(x0) = {v:.6g} exceeds the region level c = {c:.6g}",
                                 t=0.0, x=x.copy(), v=v)
     t = 0.0
-    samples, decisions = [], []
+    ts, xs, vs, decisions = [], [], [], []
     flows, phis = [], []  # per segment: its kept nodes, and phi for its decision
     while True:
         h, dec, v = jump(x)
-        samples.append(Sample(t=t, j=len(samples) + 1, x=x.copy(), v=v))
+        ts.append(t)
+        xs.append(x.copy())  # a view would keep its segment's nodes alive
+        vs.append(v)
         if dec is not None:
             decisions.append(dec)
         if t >= t_end:
@@ -334,8 +313,10 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
             gamma, lam_cap = dec.params.gamma, dec.lambda_cap_used
             phis.append(phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap))
         t += h
-    return HybridTrajectory(samples=tuple(samples), decisions=tuple(decisions),
-                            flow_points=_columns(samples, flows, phis, spec.n_x))
+    samples = np.rec.fromarrays(
+        [ts, np.arange(1, len(ts) + 1), xs, vs],
+        dtype=[("t", float), ("j", int), ("x", float, (spec.n_x,)), ("v", float)])
+    return HybridTrajectory(samples, tuple(decisions), _columns(samples, flows, phis))
 
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float,
@@ -356,7 +337,7 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float,
         return dec.h, dec, dec.v_now
 
     traj = _hybrid(x0, spec, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
-    return replace(traj, monitors=tuple(run_monitors(traj, cfg)))
+    return replace(traj, monitors=run_monitors(traj, cfg))
 
 
 def simulate_periodic(x0, spec, period: float, t_end: float,
@@ -366,23 +347,14 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
         raise ValueError("period must be positive and finite")
     traj = _hybrid(x0, spec, spec.region_c, period, t_end, dt_flow,
                    lambda x: (period, None, float(spec.v(x))))
-    monitors = tuple(rec for recs, starts, _, _ in _segment_blocks(traj)
-                     for rec in _regions(recs, starts, spec.region_c))
+    monitors = _joined(*(_regions(recs, starts, spec.region_c)
+                         for recs, starts, _, _ in _segment_blocks(traj)))
     return replace(traj, monitors=monitors, kind="periodic", period=period)
 
 
 def _edges(traj: HybridTrajectory):
     """Segment j = k + 1 holds records edges[k]..edges[k + 1] - 1 (j is sorted)."""
     return np.searchsorted(traj.flow_points.j, np.arange(1, len(traj.samples) + 1))
-
-
-def _segments(traj: HybridTrajectory):
-    """The records of each flown segment j = 1 .. len(samples) - 1, in order, one at a time.
-
-    Of a row range of the records, a segment holds only its rows in the range.
-    """
-    edges = _edges(traj)
-    return (traj.flow_points.rows(lo, hi) for lo, hi in zip(edges, edges[1:]))
 
 
 def _segment_blocks(traj: HybridTrajectory):
@@ -393,16 +365,22 @@ def _segment_blocks(traj: HybridTrajectory):
     """
     edges = _edges(traj)
     for k0, k1 in _blocks(edges):
-        yield traj.flow_points.rows(edges[k0], edges[k1]), edges[k0:k1] - edges[k0], k0, k1
+        yield traj.flow_points[edges[k0]:edges[k1]], edges[k0:k1] - edges[k0], k0, k1
 
 
 def _records(monitor, js, slack, passed):
-    """One record per row of the columns js, slack and passed, as Python objects."""
-    return [MonitorRecord(monitor, j, s, p) for j, s, p in
-            zip(js.tolist(), slack.tolist(), passed.tolist())]
+    """The monitor records of the columns js, slack and passed, each named monitor."""
+    return np.rec.fromarrays([np.full(len(js), monitor), js, slack, passed], dtype=_MONITOR)
 
 
-def _regions(recs: FlowRecords, starts, c):
+def _joined(*items):
+    """The monitor records of items in CSV order, a pair (a, b) as a[0], b[0], a[1], .. ."""
+    return np.concatenate([np.empty(0, _MONITOR)] + [
+        np.stack(item, axis=-1).ravel() if isinstance(item, tuple) else item
+        for item in items]).view(np.recarray)
+
+
+def _regions(recs, starts, c):
     """Region record of each segment: c + tolerance minus its largest recorded V."""
     lim = c * (1.0 + REGION_TOL_REL)
     vmax = np.maximum.reduceat(recs.v, starts)
@@ -419,7 +397,7 @@ def _bounds(monitor, js, value, bound):
     return _records(monitor, js, bound - value, _within(value, bound))
 
 
-def _flow_bounds(recs: FlowRecords, starts, decs, v_plus, t_start):
+def _flow_bounds(recs, starts, decs, v_plus, t_start):
     """Flow-bound record of each segment k of a block, from its decs[k], v_plus[k] and t_start[k].
 
     Checks U <= exp(rate*tau)*V(t_j+) and V <= U on each record by the
@@ -436,7 +414,7 @@ def _flow_bounds(recs: FlowRecords, starts, decs, v_plus, t_start):
     return _records("flow-bound", recs.j[starts], slack, np.logical_and.reduceat(ok, starts))
 
 
-def monitor_flow_bound(seg: FlowRecords, dec, v_plus, t_start) -> MonitorRecord:
+def monitor_flow_bound(seg, dec, v_plus, t_start):
     """Check V <= U <= exp(rate*tau)*V(t_j+) on one segment's records.
 
     rate = max{-eps_i, 2(L_i - Lambda_i)} from the hybrid Lyapunov bound,
@@ -460,11 +438,11 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
     samples, each exponential a ``math.exp`` (``np.exp`` differs from it
     in the last bit on some arguments).
     """
-    if not traj.samples:
-        return []
+    if not len(traj.samples):
+        return _joined()
     tmin = t_min_of(cfg)
     eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
-    vs = np.array([s.v for s in traj.samples], dtype=float)
+    vs = traj.samples.v
     decs = traj.decisions[:len(vs) - 1]
     own = np.array([math.exp(-d.params.epsilon * d.h) * d.v_now if d.used_fallback
                     else math.exp(-cfg.eps_ref * d.h) * d.c_val for d in decs], dtype=float)
@@ -474,27 +452,22 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
     for d in range(1, min(cfg.m, len(vmax))):
         older = vs[:-1 - d]
         np.copyto(vmax[d:], older, where=older >= vmax[d:])
-    pairs = np.arange(1, len(vs))
-    sample = zip(_bounds("sample-decrease", pairs, vs[1:], own),
-                 _bounds("combined-decrease", pairs, vs[1:], math.exp(-eps_tilde * tmin) * vmax))
+    pairs, js = np.arange(1, len(vs)), traj.samples.j
     env = np.array([math.exp(-eps_tilde * tmin * (max(0, k - cfg.m) / cfg.m))
                     for k in range(len(vs))]) * vs[0]
-    js = np.array([s.j for s in traj.samples])
-    running = zip(_bounds("running-cap", js, vs, vs[0]),
-                  _bounds("window-envelope", js, vs, env))
-    return list(itertools.chain.from_iterable(itertools.chain(sample, running)))
+    return _joined(
+        (_bounds("sample-decrease", pairs, vs[1:], own),
+         _bounds("combined-decrease", pairs, vs[1:], math.exp(-eps_tilde * tmin) * vmax)),
+        (_bounds("running-cap", js, vs, vs[0]), _bounds("window-envelope", js, vs, env)))
 
 
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
     """All monitor records for a dynamic trajectory."""
-    records = []
-    for recs, starts, k0, k1 in _segment_blocks(traj):
-        smps = traj.samples[k0:k1]
-        flow = _flow_bounds(recs, starts, traj.decisions[k0:k1], [smp.v for smp in smps],
-                            [smp.t for smp in smps])
-        records.extend(itertools.chain.from_iterable(zip(flow, _regions(recs, starts, cfg.c))))
-    records.extend(monitor_sample_decrease(traj, cfg))
-    return records
+    t_start, v_plus = traj.samples.t, traj.samples.v
+    return _joined(*((_flow_bounds(recs, starts, traj.decisions[k0:k1], v_plus[k0:k1],
+                                   t_start[k0:k1]), _regions(recs, starts, cfg.c))
+                     for recs, starts, k0, k1 in _segment_blocks(traj)),
+                   monitor_sample_decrease(traj, cfg))
 
 
 def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
@@ -502,12 +475,13 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
 
     Each segment's columns become Python floats only while it is written,
     so the memory held beyond the records is one segment's, not one run's.
-    Records of a row range (``FlowRecords.rows``) write that range's rows.
+    A row range of the records (a slice of ``flow_points``) writes its rows.
     Floats are written as ``repr(float(v))`` and booleans as 1 or 0, here
     and in the other writers.
     """
     fp = traj.flow_points
-    n = fp.x.shape[1]
+    t, x, v, u = fp.t, fp.x, fp.v, fp.u
+    n = x.shape[1]
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
     if traj.kind == "periodic":
@@ -516,24 +490,29 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
         tails = (f"{float(d.h)!r},{d.set_index},{int(d.used_fallback)}" for d in traj.decisions)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for j, (seg, tail) in enumerate(zip(_segments(traj), tails), start=1):
-            for t, x, v, u in zip(seg.t.tolist(), seg.x.tolist(), seg.v.tolist(),
-                                  seg.u.tolist()):
-                xs = ",".join(map(repr, x))
-                fh.write(f"{t!r},{j},{xs},{v!r},{u!r},{tail}\n")
+        edges = _edges(traj)
+        for j, lo, hi, tail in zip(itertools.count(1), edges, edges[1:], tails):
+            for tk, xk, vk, uk in zip(t[lo:hi].tolist(), x[lo:hi].tolist(), v[lo:hi].tolist(),
+                                      u[lo:hi].tolist()):
+                xs = ",".join(map(repr, xk))
+                fh.write(f"{tk!r},{j},{xs},{vk!r},{uk!r},{tail}\n")
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("j,t,h,set_index,epsilon,used_fallback,V,C\n")
-        for s, d in zip(traj.samples, traj.decisions):
-            fh.write(f"{s.j},{float(s.t)!r},{float(d.h)!r},{d.set_index},"
+        for j, t, d in zip(traj.samples.j, traj.samples.t, traj.decisions):
+            fh.write(f"{j},{float(t)!r},{float(d.h)!r},{d.set_index},"
                      f"{float(d.params.epsilon)!r},{int(d.used_fallback)},"
                      f"{float(d.v_now)!r},{float(d.c_val)!r}\n")
 
 
 def write_monitors_csv(path, traj: HybridTrajectory) -> None:
+    mon = traj.monitors
+    cols = mon.monitor, mon.j, mon.slack, mon.passed
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("monitor,j,slack,passed\n")
-        for r in traj.monitors:
-            fh.write(f"{r.monitor},{r.j},{float(r.slack)!r},{int(r.passed)}\n")
+        for lo in range(0, len(mon), BLOCK_RECORDS):
+            for name, j, slack, passed in zip(*(col[lo:lo + BLOCK_RECORDS].tolist()
+                                                for col in cols)):
+                fh.write(f"{name},{j},{slack!r},{int(passed)}\n")

@@ -19,10 +19,8 @@ import pytest
 from dynstc import cli, parallel
 from dynstc.engine import StcConfig, TriggerDecision, set_lambda_cap, t_max_cap, t_min_of
 from dynstc.sim import (
-    FlowRecords,
     HybridTrajectory,
     IntegrationBlowupError,
-    Sample,
     run_monitors,
     simulate,
     simulate_periodic,
@@ -1143,18 +1141,20 @@ def _rebuilt_trajectory(out, stem, cfg):
     decs = _read_csv(out / f"{stem}_decisions.csv")
     n_x = len(rows[0]) - 7  # t, j, x1..xn, V, U, interval, set_index, used_fallback
 
-    def column(key, kind=float):
-        return np.array([kind(row[key]) for row in rows])
+    def column(key, kind=float, table=rows):
+        return np.array([kind(row[key]) for row in table])
 
-    fp = FlowRecords(t=column("t"), j=column("j", int),
-                     x=np.stack([column(f"x{i + 1}") for i in range(n_x)], axis=-1),
-                     v=column("V"), u=column("U"))
+    state = [("t", float), ("j", int), ("x", float, (n_x,)), ("v", float)]
+    fp = np.rec.fromarrays([column("t"), column("j", int),
+                            np.stack([column(f"x{i + 1}") for i in range(n_x)], axis=-1),
+                            column("V"), column("U")], dtype=state + [("u", float)])
     first = {}
     for k, j in enumerate(fp.j.tolist()):
         first.setdefault(j, k)
-    samples = tuple(Sample(t=float(d["t"]), j=int(d["j"]), v=float(d["V"]),
-                           x=fp.x[first[int(d["j"])] if int(d["j"]) < len(decs) else -1])
-                    for d in decs)
+    js = column("j", int, decs)
+    samples = np.rec.fromarrays(
+        [column("t", table=decs), js, fp.x[[first[j] if j < len(decs) else -1 for j in js]],
+         column("V", table=decs)], dtype=state)
     decisions = tuple(TriggerDecision(h=float(d["h"]), set_index=i, params=cfg.family.sets[i],
                                       lambda_cap_used=set_lambda_cap(cfg, i),
                                       v_now=float(d["V"]), c_val=float(d["C"]))
@@ -1186,7 +1186,7 @@ def test_monitors_rebuild_from_the_artifacts(tmp_path, name):
         traj = _rebuilt_trajectory(out, stem, run_cfg)
         assert len(traj.samples) >= cfg.m  # the dynamic runs fill their window
         write_monitors_csv(tmp_path / "monitors.csv",
-                           replace(traj, monitors=tuple(run_monitors(traj, run_cfg))))
+                           replace(traj, monitors=run_monitors(traj, run_cfg)))
         assert (tmp_path / "monitors.csv").read_bytes() == \
             (out / f"{stem}_monitors.csv").read_bytes(), stem
 
@@ -1304,7 +1304,7 @@ def test_row_parts_join_to_the_whole_csv(tmp_path):
     for case, (full, n_rows, sizes) in enumerate((
             (periodic, 3, [0, 1, 0, 1, 1]), (periodic, 0, [0, 0]),
             (periodic, n_per, quarters(n_per)), (dynamic, len(j), quarters(len(j))))):
-        traj = replace(full, flow_points=full.flow_points.rows(0, n_rows))
+        traj = replace(full, flow_points=full.flow_points[:n_rows])
         whole = tmp_path / f"whole{case}.csv"
         write_trajectory_csv(whole, traj)
         parts = len(sizes)

@@ -21,7 +21,7 @@ REMOVED = ["HybridState", "JumpConditionError", "RegionViolationError",
            "FlowPoint", "lambda_cap_for", "_interval", "_reports", "_synthesize",
            "_grid_pass", "_CHUNK", "_check_x0", "_check_t_end", "_flow_records",
            "_check_keys", "_config_values", "_integer", "_epsilons_from",
-           "_synthesis_params"]
+           "_synthesis_params", "Sample", "FlowRecords", "MonitorRecord", "_segments"]
 
 
 @pytest.mark.parametrize("name", MODULES)

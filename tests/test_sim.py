@@ -13,13 +13,10 @@ from dynstc import sim
 from dynstc.engine import REGION_TOL_REL, StcConfig, TriggerDecision, t_max_cap, t_min_of
 from dynstc.sim import (
     FLOW_RECORD_TARGET,
-    FlowRecords,
     HybridTrajectory,
-    Sample,
     _rk4_segment,
     IntegrationBlowupError,
     MON_TOL,
-    MonitorRecord,
     RegionEscapeError,
     _bounds,
     monitor_flow_bound,
@@ -30,7 +27,7 @@ from dynstc.sim import (
     write_monitors_csv,
     write_trajectory_csv,
 )
-from dynstc.synthesis import ParameterFamily, ParameterSet
+from dynstc.synthesis import ParameterFamily, ParameterSet, build_family, default_epsilon_ladder
 from dynstc.systems import _drift, _quadratic_spec, linear_test, van_der_pol
 from dynstc.timing import phi_solve, solve_lambda_for_horizon, t_max
 
@@ -43,6 +40,19 @@ def _family(*triples):
 def _linear_cfg(m=5, c=1.0):
     fam = _family((0.5, 1.05, 0.05), (-1.0, 1.05, 0.05), (-5.0, 1.05, 0.05))
     return StcConfig(family=fam, c=c, m=m), linear_test(c=c)
+
+
+def _state_rows(t, j, x, v, *u):
+    """Samples (t, j, x, v), or flow records with u, as the simulator's record array."""
+    fields = [("t", float), ("j", int), ("x", float, (np.shape(x)[-1],)), ("v", float)]
+    return np.rec.fromarrays([t, j, x, v, *u], dtype=fields + [("u", float)] * len(u))
+
+
+def _monitor_csv(path, monitors):
+    """The bytes write_monitors_csv gives for the monitor records."""
+    write_monitors_csv(path, HybridTrajectory(samples=None, decisions=(), flow_points=None,
+                                              monitors=monitors))
+    return path.read_bytes()
 
 
 def test_initial_jump_and_termination():
@@ -129,6 +139,25 @@ def test_monitor_suite_passes_on_linear():
     assert len(flow) == len(traj.samples) - 1
 
 
+def test_a_run_is_three_record_arrays():
+    cfg, spec = _vdp_cfg()
+    for traj in (simulate([-0.3, 1.2], cfg, spec, t_end=2.0),
+                 simulate_periodic([-0.3, 1.2], spec, t_min_of(cfg), t_end=2.0)):
+        samples, fp, monitors = traj.samples, traj.flow_points, traj.monitors
+        for records, names in ((samples, ("t", "j", "x", "v")), (fp, ("t", "j", "x", "v", "u")),
+                               (monitors, ("monitor", "j", "slack", "passed"))):
+            assert type(records) is np.recarray and records.dtype.names == names
+        assert samples.x.shape == (len(samples), 2) and fp.x.shape == (len(fp), 2)
+        np.testing.assert_array_equal(samples.j, np.arange(1, len(samples) + 1))
+        assert len(fp) > len(samples) and np.all(np.diff(fp.j) >= 0)
+        assert len(monitors) and traj.violations() == []
+        failed = monitors.copy()
+        failed.passed[::3] = False
+        traj = dataclasses.replace(traj, monitors=failed)
+        assert [r.item() for r in traj.violations()] == \
+            [r.item() for r in failed if not r.passed] != []
+
+
 def test_flow_bound_checks_beyond_horizon():
     # a fabricated decision with h >= t_max is checked like any other:
     # rate = max(-0.5, 2*(0.5 - 1.0)) = -0.5
@@ -141,8 +170,7 @@ def test_flow_bound_checks_beyond_horizon():
     env = np.exp(-0.5 * t)
 
     def record(u, v):
-        seg = FlowRecords(t=t, j=np.array([1, 1, 1]), x=np.zeros((3, 1)),
-                          v=np.array(v), u=np.array(u))
+        seg = _state_rows(t, [1, 1, 1], np.zeros((3, 1)), v, u)
         return monitor_flow_bound(seg, dec, v_plus=1.0, t_start=0.0)
 
     rec = record([1.0, 0.9, 0.5], [1.0, 0.8, 0.4])  # U above exp(rate*tau)*V(t_j+)
@@ -151,7 +179,24 @@ def test_flow_bound_checks_beyond_horizon():
     rec = record([1.0, 0.5, 0.3], [1.0, 0.5, 0.35])  # V above U
     assert not rec.passed and rec.slack == 0.3 - 0.35
     rec = record([1.0, 0.5, 0.3], [1.0, 0.4, 0.2])  # consistent
-    assert dataclasses.astuple(rec) == ("flow-bound", 1, 0.0, True)
+    assert rec.item() == ("flow-bound", 1, 0.0, True)
+
+
+def test_only_flow_bounds_need_the_tolerance_by_one_ulp():
+    # the one known use of MON_TOL on the README config: a segment's tau = 0
+    # flow record, whose V from spec.v on the segment's (N, 2) nodes can lie
+    # 1 ulp above the sample's V from the (2,) call; every other record
+    # holds exactly (21-28 such records a dynamic run, 24-27 a static one)
+    spec = van_der_pol()
+    cfg = StcConfig(family=build_family(spec, default_epsilon_ladder(), 0.05, 48), c=10.0,
+                    delta=0.999, eps_ref=0.01, m=30)
+    for x0 in ([-0.3, 1.7], [1.0, -1.0], [0.5, 1.4], [-1.2, -0.5]):
+        for traj in (simulate(x0, cfg, spec, 15.0),
+                     simulate(x0, dataclasses.replace(cfg, m=1), spec, 15.0),
+                     simulate_periodic(x0, spec, t_min_of(cfg), 15.0)):
+            mon = traj.monitors
+            ulp = np.spacing(traj.samples.v[mon.j - 1])  # of V at each record's sample
+            assert np.all((mon.slack >= 0.0) | (mon.monitor == "flow-bound") & (mon.slack >= -ulp))
 
 
 def _head_record(value, bound):
@@ -176,7 +221,7 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def test_bound_rule_matches_each_monitor_expression():
+def test_bound_rule_matches_each_monitor_expression(tmp_path):
     # the four sample monitors' bounds are exp(.)*V >= 0, where |bound| = bound
     rng = np.random.default_rng(29)
     bounds = [0.0, -0.0, 1.0] + list(rng.uniform(0.0, 10.0, 20)) + \
@@ -191,11 +236,14 @@ def test_bound_rule_matches_each_monitor_expression():
                      "window-envelope"):
             for col in (np.full(len(values), bound), np.float64(bound)):
                 recs = _bounds(kind, np.full(len(values), 3), np.array(values), col)
-                for value, rec in zip(values, recs, strict=True):
-                    slack, passed = _head_record(value, bound)
+                heads = [_head_record(value, bound) for value in values]
+                for (slack, passed), rec in zip(heads, recs, strict=True):
                     assert (rec.monitor, rec.j, rec.passed) == (kind, 3, passed)
                     assert _bits(rec.slack) == _bits(slack)
-                    assert type(rec.slack) is float and type(rec.passed) is bool
+                _write_rows(tmp_path / "rows.csv", ["monitor", "j", "slack", "passed"],
+                            ([kind, 3, slack, passed] for slack, passed in heads))
+                assert _monitor_csv(tmp_path / "m.csv", recs) == \
+                    (tmp_path / "rows.csv").read_bytes()
     over = float(np.nextafter(edge, math.inf))
     assert [r.passed for r in _bounds("running-cap", np.ones(2, dtype=int),
                                       np.array([edge, over]), bound)] == [True, False]
@@ -230,12 +278,15 @@ def test_bound_rule_matches_each_monitor_expression():
             (v_plus, -np.zeros(n), np.zeros(n)),
         ]
         for vp, u, v in cases:
-            seg = FlowRecords(t=t, j=np.full(n, 4), x=np.zeros((n, 1)), v=v, u=u)
+            seg = _state_rows(t, np.full(n, 4), np.zeros((n, 1)), v, u)
             slack, passed = _head_flow(seg, dec, vp, t_start)
             rec = monitor_flow_bound(seg, dec, vp, t_start)
             assert (rec.monitor, rec.j, rec.passed) == ("flow-bound", 4, passed)
             assert _bits(rec.slack) == _bits(slack)
-            assert type(rec.slack) is float and type(rec.passed) is bool
+            _write_rows(tmp_path / "rows.csv", ["monitor", "j", "slack", "passed"],
+                        [["flow-bound", 4, slack, passed]])
+            assert _monitor_csv(tmp_path / "m.csv", np.atleast_1d(rec).view(np.recarray)) == \
+                (tmp_path / "rows.csv").read_bytes()
             seen.add((passed, _bits(slack) if slack == 0.0 else slack < 0.0))
     assert seen >= {(True, _bits(0.0)), (True, _bits(-0.0)), (True, True),
                     (True, False), (False, True)}
@@ -411,13 +462,13 @@ def _long_run(n_segments):
     short = simulate([0.9], cfg, spec, t_end=2.0)
     rng = np.random.default_rng(n_segments)
     n = 16 * n_segments
-    fp = FlowRecords(t=np.sort(rng.random(n)), j=np.repeat(np.arange(1, n_segments + 1), 16),
-                     x=rng.random((n, 2)), v=rng.random(n), u=rng.random(n))
-    samples = tuple(Sample(t=float(k), j=k + 1, x=np.zeros(2), v=1.0)
-                    for k in range(n_segments + 1))
+    fp = _state_rows(np.sort(rng.random(n)), np.repeat(np.arange(1, n_segments + 1), 16),
+                     rng.random((n, 2)), rng.random(n), rng.random(n))
+    k = np.arange(n_segments + 1)
+    samples = _state_rows(k, k + 1, np.zeros((n_segments + 1, 2)), np.ones(n_segments + 1))
     decisions = tuple(itertools.islice(itertools.cycle(short.decisions), n_segments + 1))
-    monitors = tuple(MonitorRecord("region", j, float(s), True)
-                     for j, s in enumerate(rng.random(6 * n_segments)))
+    monitors = sim._records("region", np.arange(6 * n_segments), rng.random(6 * n_segments),
+                            np.ones(6 * n_segments, dtype=bool))
     return HybridTrajectory(samples=samples, decisions=decisions, flow_points=fp,
                             monitors=monitors)
 
@@ -443,7 +494,7 @@ def test_writers_hold_one_segment_not_one_run(tmp_path, write):
 
 
 def _per_segment(traj, spec, dt_flow):
-    """traj's flow records, one FlowRecords per segment, as each segment computed them.
+    """traj's flow records, one record array per segment, as each segment computed them.
 
     Each hold interval is integrated again from its sample, and U and the
     stride are the expressions each segment evaluated on its own before
@@ -466,7 +517,7 @@ def _per_segment(traj, spec, dt_flow):
             us = vs + gamma * sol.evaluate(taus) * w * w
         stride = max(1, int((len(taus) - 1) / FLOW_RECORD_TARGET))
         idx = list(range(0, len(taus) - 1, stride)) + [len(taus) - 1]
-        segs.append(FlowRecords(smp.t + taus[idx], np.full(len(idx), smp.j), xs[idx], vs[idx],
+        segs.append(_state_rows(smp.t + taus[idx], np.full(len(idx), smp.j), xs[idx], vs[idx],
                                 us[idx]))
     return segs
 
@@ -489,8 +540,7 @@ def _segment_monitors(segs, traj, c):
 
 
 def _joined(segs):
-    return FlowRecords(*(np.concatenate([getattr(seg, f) for seg in segs])
-                         for f in ("t", "j", "x", "v", "u")))
+    return np.concatenate(segs).view(np.recarray)
 
 
 def _monitor_key(records):
@@ -528,15 +578,13 @@ def test_blocks_keep_the_per_segment_bits(monkeypatch, block, case):
     assert [col.tobytes() for col in got] == [col.tobytes() for col in cols]
     monitors = _segment_monitors(segs, traj, cfg.c if traj.decisions else spec.region_c)
     assert _monitor_key(traj.monitors[:len(monitors)]) == monitors
-    assert all(type(r.slack) is float and type(r.passed) is bool and type(r.j) is int
-               for r in traj.monitors)
     assert len(traj.monitors) == len(monitors) + (4 * len(traj.samples) - 2 if traj.decisions
                                                   else 0)
     if traj.decisions:
         # a flow bound that binds: with U = V = V(t_j+)*(1 + 2*tau) the
         # slacks are negative and differ with each segment's set and sample,
         # so a record checked against another segment's decision differs
-        bent = [FlowRecords(seg.t, seg.j, seg.x, v, v) for seg, smp in zip(segs, traj.samples)
+        bent = [_state_rows(seg.t, seg.j, seg.x, v, v) for seg, smp in zip(segs, traj.samples)
                 for v in [smp.v * (1.0 + 2.0 * (seg.t - smp.t))]]
         monitors = _segment_monitors(bent, traj, cfg.c)
         assert len({slack for _, _, slack, passed in monitors if not passed}) > 2
@@ -605,12 +653,10 @@ def _vdp_cfg():
 
 def _run_key(traj):
     """Every sample, decision, flow record and monitor record, as exact text."""
-    fp = traj.flow_points
     return repr((
-        [(s.t, s.j, s.x.tolist(), s.v) for s in traj.samples],
+        [[records[name].tolist() for name in records.dtype.names]
+         for records in (traj.samples, traj.flow_points, traj.monitors)],
         [dataclasses.astuple(d) for d in traj.decisions],
-        [fp.t.tolist(), fp.j.tolist(), fp.x.tolist(), fp.v.tolist(), fp.u.tolist()],
-        [dataclasses.astuple(r) for r in traj.monitors],
     ))
 
 
@@ -622,7 +668,7 @@ def test_point_drift_matches_array_drift_in_simulation(setup, x0, t_end):
     # route every flow evaluation through the array branch of the same drift
     arrays = dataclasses.replace(spec, f=lambda x, e: spec.f(x[None], e[None])[0])
     plain = simulate(x0, cfg, spec, t_end=t_end)
-    assert len(plain.samples) > 5 and plain.monitors
+    assert len(plain.samples) > 5 and len(plain.monitors)
     assert _run_key(simulate(x0, cfg, arrays, t_end=t_end)) == _run_key(plain)
 
 
@@ -684,16 +730,15 @@ def test_decisions_and_monitors_csv_match_row_writer(tmp_path):
     np_cfg = dataclasses.replace(cfg, delta=np.float64(cfg.delta))
     plain = simulate([-0.3, 1.2], cfg, spec, t_end=1.0)
     f64 = np.float64
-    numpy = dataclasses.replace(  # every float field an np.float64
-        plain, samples=tuple(dataclasses.replace(s, t=f64(s.t)) for s in plain.samples),
-        decisions=tuple(dataclasses.replace(
+    numpy = dataclasses.replace(  # every float field of a decision an np.float64
+        plain, decisions=tuple(dataclasses.replace(
             d, h=f64(d.h), v_now=f64(d.v_now), c_val=f64(d.c_val),
             params=dataclasses.replace(d.params, epsilon=f64(d.params.epsilon)))
             for d in plain.decisions))
+    slacks = np.array([-0.0, 0.0, -1e-300, math.inf, 2.5])
+    extra = sim._records("flow-bound", np.full(5, 7), slacks, slacks > 0.0)
     for traj in (plain, simulate([-0.3, 1.2], np_cfg, spec, t_end=1.0), numpy):
-        extra = tuple(MonitorRecord("flow-bound", 7, s, bool(s > 0.0))
-                      for s in (-0.0, 0.0, -1e-300, math.inf, np.float64(2.5)))
-        traj = dataclasses.replace(traj, monitors=traj.monitors + extra)
+        traj = dataclasses.replace(traj, monitors=sim._joined(traj.monitors, extra))
         assert {d.used_fallback for d in traj.decisions} == {False, True}
         write_decisions_csv(tmp_path / "d.csv", traj)
         _write_rows(tmp_path / "d_rows.csv", ["j", "t", "h", "set_index", "epsilon",
@@ -703,7 +748,7 @@ def test_decisions_and_monitors_csv_match_row_writer(tmp_path):
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d_rows.csv").read_bytes()
         write_monitors_csv(tmp_path / "m.csv", traj)
         _write_rows(tmp_path / "m_rows.csv", ["monitor", "j", "slack", "passed"],
-                    ([r.monitor, r.j, r.slack, r.passed] for r in traj.monitors))
+                    traj.monitors.tolist())
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m_rows.csv").read_bytes()
 
 
@@ -734,7 +779,7 @@ def _reference_sample_decrease(traj, cfg):
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 30, 200])
-def test_sample_monitors_keep_the_per_sample_bits(m):
+def test_sample_monitors_keep_the_per_sample_bits(tmp_path, m):
     # the column form of monitor_sample_decrease has the records of the
     # per-sample loop: runs at window lengths below, at and above their
     # sample count, and a fabricated V history of ties, signed zeros and
@@ -752,15 +797,17 @@ def test_sample_monitors_keep_the_per_sample_bits(m):
                             lambda_cap_used=1.0, v_now=float(v), c_val=float(c))
             for h, i, v, c in zip(rng.uniform(0.0, 0.1, 80), rng.integers(0, 3, 80),
                                   vs, rng.choice([0.0, -0.0, 1.0, 2.5], size=80))]
-    runs.append(HybridTrajectory(
-        samples=tuple(Sample(t=0.1 * k, j=k + 1, x=np.zeros(2), v=float(v))
-                      for k, v in enumerate(vs)),
-        decisions=tuple(decs), flow_points=runs[0].flow_points))
+    k = np.arange(len(vs))
+    runs.append(HybridTrajectory(samples=_state_rows(0.1 * k, k + 1, np.zeros((len(vs), 2)), vs),
+                                 decisions=tuple(decs), flow_points=runs[0].flow_points))
     for traj in runs:
         records = sim.monitor_sample_decrease(traj, cfg)
-        assert all(type(r.slack) is float and type(r.passed) is bool and type(r.j) is int
-                   for r in records)
-        assert _monitor_key(records) == _reference_sample_decrease(traj, cfg)
+        reference = _reference_sample_decrease(traj, cfg)
+        assert _monitor_key(records) == reference
+        _write_rows(tmp_path / "rows.csv", ["monitor", "j", "slack", "passed"],
+                    ([name, j, np.frombuffer(slack)[0].item(), passed]
+                     for name, j, slack, passed in reference))
+        assert _monitor_csv(tmp_path / "m.csv", records) == (tmp_path / "rows.csv").read_bytes()
     assert not all(r.passed for r in sim.monitor_sample_decrease(runs[-1], cfg))
 
 
