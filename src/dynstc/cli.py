@@ -44,10 +44,11 @@ Exit codes: 0 success, 2 invalid or unreadable config, an --out that
 cannot be made a directory, an output path taken by a directory (all
 found before any synthesis or simulation, the stc block by
 ``StcConfig``'s own checks, but for the bound run.dt_flow <= t_min/16,
-which needs the family and is checked after synthesis; a command checks
-every artifact it reads or writes, and leaves --out as it was), or a
-missing or malformed artifact, 3 synthesis or verification failure,
-4 monitor violation, 5 numerical failure or out of memory.
+which needs the family: the simulator checks it at the first job, after
+synthesis and before any CSV is written; a command checks every artifact
+it reads or writes, and leaves --out as it was), or a missing or
+malformed artifact, 3 synthesis or verification failure, 4 monitor
+violation, 5 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -301,14 +302,12 @@ def cmd_run(args) -> int:
     mechanisms = ["dynamic"] + (["static", "periodic"] if block["baselines"] else [])
     jobs = [(f"run{idx}_{mech}", x0, mech) for idx, x0 in enumerate(block["x0"])
             for mech in mechanisms]
-    files = [[out / f"{stem}_{kind}.csv" for kind in ("trajectory", "monitors", "decisions")]
-             for stem, _, _ in jobs]
+    files = [[out / f"{stem}_{kind}.csv"  # a periodic run makes no decisions
+              for kind in ("trajectory", "monitors", "decisions")[:2 if mech == "periodic" else 3]]
+             for stem, _, mech in jobs]
     _check_paths([out / MANIFEST_NAME, *(path for paths in files for path in paths),
                   out / SUMMARY_NAME])
     cfg = _stc_config(doc, spec, out, reuse=True)
-    tmin = t_min_of(cfg)
-    if dt_flow is not None and dt_flow > tmin / 16.0:  # the one check that needs the family
-        raise ConfigError(f"'run.dt_flow' must lie in (0, t_min/16 = {tmin / 16.0:.6g}]")
     trajs = [_simulate(mech, x0, cfg, spec, t_end, dt_flow) for _, x0, mech in jobs]
     # with fewer jobs than CPUs, a job is `parts` items: item p writes the
     # p-th row range of its trajectory CSV to a temporary name of its own
@@ -321,7 +320,7 @@ def cmd_run(args) -> int:
     def temp(path, part=0):
         return path.with_name(f"{path.name}.{pid}{f'.{part}' if part else ''}.tmp")
 
-    # per job: its trajectory parts 0..parts-1, then its monitors and decisions
+    # per job: its trajectory parts 0..parts-1, then its monitors and any decisions
     temps = [[temp(paths[0], part) for part in range(parts)] + [temp(path) for path in paths[1:]]
              for paths in files]
 
@@ -330,24 +329,21 @@ def cmd_run(args) -> int:
         traj = trajs[i]
         write_trajectory_csv(temps[i][part], _row_part(traj, part, parts))
         if part == parts - 1:
-            *_, monitors, decisions = temps[i]
-            write_monitors_csv(monitors, traj)
-            if traj.decisions:  # a periodic run makes none
-                write_decisions_csv(decisions, traj)
+            for writer, path in zip((write_monitors_csv, write_decisions_csv), temps[i][parts:]):
+                writer(path, traj)
 
     try:
         parallel._fill_in_parallel(write, len(jobs) * parts)
         for temp_paths in temps:
             _join_parts(temp_paths[:parts])
-        for traj, paths, temp_paths in zip(trajs, files, temps):
-            for path, temp in zip(paths[:3 if traj.decisions else 2],
-                                  [temp_paths[0], *temp_paths[parts:]]):
+        for paths, temp_paths in zip(files, temps):
+            for path, temp in zip(paths, [temp_paths[0], *temp_paths[parts:]]):
                 temp.replace(path)
     finally:  # on every way out of this process but a signal that kills it
         for temp_paths in temps:
             for temp in temp_paths:
                 temp.unlink(missing_ok=True)
-    summary = {"t_min": tmin, "t_max_cap": t_max_cap(cfg),
+    summary = {"t_min": t_min_of(cfg), "t_max_cap": t_max_cap(cfg),
                "t_end": t_end, "runs": []}
     violations = 0
     for (_, x0, mech), traj in zip(jobs, trajs):
@@ -503,9 +499,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except SynthesisError as exc:
         print(f"synthesis failure: {exc}", file=sys.stderr)
         return 3
@@ -516,7 +509,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. a grid too large to allocate
         print(f"out of memory: {exc}", file=sys.stderr)
         return 5
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

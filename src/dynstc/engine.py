@@ -79,20 +79,10 @@ class DynamicVariable:
     eta: tuple = ()
 
     def __post_init__(self):
-        eta = tuple(float(v) for v in self.eta)
-        if any(not math.isfinite(v) or v < 0.0 for v in eta):
+        eta = tuple(map(float, self.eta))
+        if not all(0.0 <= v < math.inf for v in eta):
             raise ValueError("eta entries must be finite and non-negative")
         object.__setattr__(self, "eta", eta)
-
-    def _shifted(self, v: float) -> DynamicVariable:
-        """This register without its oldest entry and with v appended, v already checked.
-
-        The kept entries were checked when this register was made, so
-        ``__post_init__`` is not run on them again.
-        """
-        dyn = object.__new__(DynamicVariable)
-        object.__setattr__(dyn, "eta", self.eta[1:] + (v,))
-        return dyn
 
 
 def eta_initial(m: int, v0: float, policy: str = "v0") -> DynamicVariable:
@@ -114,13 +104,15 @@ def eta_initial(m: int, v0: float, policy: str = "v0") -> DynamicVariable:
 
 
 def update_eta(dyn: DynamicVariable, v_now: float) -> DynamicVariable:
-    """Shift register: drop the oldest entry, append v_now (finite and non-negative)."""
+    """Shift register: drop the oldest entry, append v_now (finite and non-negative).
+
+    v_now is checked here, since an m = 1 register, which holds no entry,
+    appends nothing.
+    """
     v = float(v_now)
     if not 0.0 <= v < math.inf:
         raise ValueError("energy must be finite and non-negative")
-    if len(dyn.eta) == 0:
-        return dyn
-    return dyn._shifted(v)
+    return DynamicVariable(eta=(dyn.eta + (v,))[1:])
 
 
 def window_average_c(v_now: float, dyn: DynamicVariable, c: float, m: int) -> float:

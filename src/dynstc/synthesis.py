@@ -204,8 +204,9 @@ class _LevelTables:
         """
         lo = b * _BLOCK
         xs, gs = self.xg[lo:lo + _BLOCK].tolist(), self.gx[lo:lo + _BLOCK].tolist()
-        for k, (x, g) in enumerate(zip(xs, gs)):
-            _row_terms(self.rhs, x, g, self.ec, self.base[k])
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            for k, (x, g) in enumerate(zip(xs, gs)):
+                _row_terms(self.rhs, x, g, self.ec, self.base[k])
         terms = self.base[:len(xs)]
         # min and max carry a NaN through, and show an infinity of either sign
         if not (math.isfinite(terms.min()) and math.isfinite(terms.max())):
@@ -517,11 +518,7 @@ def manifest_to_family(doc: dict) -> ParameterFamily:
         fallback_index = doc.get("fallback_index", 0)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter-family manifest: {exc}") from exc
-    try:
-        index = _manifest_number(fallback_index, "fallback_index", integral=True)
-    except ValueError:
-        index = None
-    if index != 0:
+    if isinstance(fallback_index, bool) or fallback_index != 0:  # 0, 0.0 or -0.0
         raise ValueError(f"malformed parameter-family manifest: fallback_index is "
                          f"{fallback_index!r}, but the fall-back must be set 0")
     return ParameterFamily(sets=sets)

@@ -63,11 +63,6 @@ def _check_rates(gamma: float, lambda_cap: float) -> None:
         raise ValueError(f"lambda_cap must be positive and finite, got {lambda_cap}")
 
 
-def _check_lam(lam: float) -> None:
-    if not (0.0 < lam < 1.0):
-        raise ValueError(f"lam must lie strictly inside (0, 1), got {lam}")
-
-
 def t_max(gamma: float, lambda_cap: float) -> float:
     """Largest valid flow horizon for the gain pair (gamma, lambda_cap).
 
@@ -96,7 +91,8 @@ def t_tilde_max(lam: float, gamma: float, lambda_cap: float) -> float:
     Strictly decreasing in ``lam``; tends to ``t_max(gamma, lambda_cap)``
     as ``lam -> 0`` and to zero as ``lam -> 1``.
     """
-    _check_lam(lam)
+    if not (0.0 < lam < 1.0):
+        raise ValueError(f"lam must lie strictly inside (0, 1), got {lam}")
     _check_rates(gamma, lambda_cap)
     q = gamma / lambda_cap
     r2 = q * q - 1.0
@@ -195,12 +191,11 @@ class PhiSolution:
     M^2 = (lambda_cap^2 - gamma^2) I, exp(tau*M) = C(tau) I + S(tau) M
     with (C, S) = (cos(w*tau), sin(w*tau)/w) for gamma > lambda_cap,
     (cosh(w*tau), sinh(w*tau)/w) for gamma < lambda_cap and (1, tau) at
-    equality, w^2 = |lambda_cap^2 - gamma^2|.  ``evaluate`` (also
-    available as call syntax) is :func:`phi_values` at this solution's
-    parameters: it accepts scalars and arrays, returns a float for a
-    scalar, and ``evaluate(0.0)`` returns ``1/lam`` exactly.  tau may lie
-    outside [0, horizon] by the solve's tolerance,
-    ``HORIZON_REL_TOL * max(1, tau)``.
+    equality, w^2 = |lambda_cap^2 - gamma^2|.  ``evaluate`` is
+    :func:`phi_values` at this solution's parameters: it accepts scalars
+    and arrays, returns a float for a scalar, and ``evaluate(0.0)``
+    returns ``1/lam`` exactly.  tau may lie outside [0, horizon] by the
+    solve's tolerance, ``HORIZON_REL_TOL * max(1, tau)``.
     """
 
     lam: float
@@ -212,12 +207,8 @@ class PhiSolution:
         out = phi_values(tau, self.lam, self.gamma, self.lambda_cap, self.horizon)
         return float(out) if out.ndim == 0 else out
 
-    __call__ = evaluate
-
 
 def phi_solve(lam: float, gamma: float, lambda_cap: float) -> PhiSolution:
     """Comparison function with phi(0) = 1/lam over its horizon t_tilde_max."""
-    _check_lam(lam)
-    _check_rates(gamma, lambda_cap)
     return PhiSolution(lam=lam, gamma=gamma, lambda_cap=lambda_cap,
                        horizon=t_tilde_max(lam, gamma, lambda_cap))

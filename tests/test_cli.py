@@ -557,6 +557,32 @@ def test_artifact_path_taken_by_a_directory_exits_2_before_any_work(
     assert _tree(out) == before
 
 
+def test_run_checks_only_the_csvs_it_writes(tmp_path, monkeypatch, capsys):
+    # a periodic run writes no decisions CSV, so a directory at that path
+    # stays as it was; one at a path the run writes still stops it before
+    # synthesis
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    (out / "run0_periodic_decisions.csv").mkdir(parents=True)
+    (out / "run0_periodic_decisions.csv" / "inside.txt").write_text("kept\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "run0_periodic_decisions.csv" / "inside.txt").read_text() == "kept\n"
+    assert [p.name for p in (out / "run0_periodic_decisions.csv").iterdir()] == ["inside.txt"]
+
+    def build_family(*args, **kwargs):
+        pytest.fail("synthesized past a directory in --out")
+
+    monkeypatch.setattr(cli, "build_family", build_family)
+    out = tmp_path / "out2"
+    (out / "run0_dynamic_decisions.csv").mkdir(parents=True)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"config error: artifact path "
+                                       f"{out / 'run0_dynamic_decisions.csv'} "
+                                       "is taken by a directory\n")
+    assert [p.name for p in out.iterdir()] == ["run0_dynamic_decisions.csv"]
+
+
 def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
 
@@ -647,6 +673,34 @@ def test_bad_run_block_exits_2_before_synthesis(tmp_path, monkeypatch, capsys, r
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and len(err.splitlines()) == 1
     assert _digests(out) == before
+
+
+def test_dt_flow_above_a_16th_of_t_min_exits_2_before_any_csv(tmp_path, capfd):
+    # the bound needs the family, so the simulator checks it at the first
+    # job: after synthesis, and before any CSV is written
+    cfg = _write_config(tmp_path / "cfg.json", run={
+        "x0": [[0.5]], "t_end": 10.0, "dt_flow": 1.0, "baselines": True})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    assert captured.err.startswith("config error: dt_flow must lie in (0, ")
+    assert len(captured.err.splitlines()) == 1
+    assert (out / "family.json").exists()
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.tmp"))
+
+
+def test_overflowing_grid_exits_2_with_one_line(tmp_path, capfd):
+    # a row term that overflows is reported once, by the grid's finiteness
+    # check, with no numpy warning before it from this process or a child
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "system": {"name": "van_der_pol", "c": 1.0, "p": [[1, 0], [0, 1e308]]},
+        "stc": {"delta": 0.999, "eps_ref": 0.01, "m": 5},
+        "synthesis": {"epsilons": [0.5, -1.0], "l_const": 0.05, "grid_density": 8}}))
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", str(path), "--out", str(out)]) == 2
+    assert capfd.readouterr() == (
+        "", "config error: non-finite certificate evaluation on the grid\n")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run"])

@@ -81,7 +81,9 @@ def test_update_eta():
 @pytest.mark.parametrize("size", [0, 1, 29])
 def test_update_eta_checks_the_appended_energy(size):
     # only the appended V is new: it must be finite and non-negative, for
-    # every register length; the shifted register is eta[1:] + (float(v),)
+    # every register length; the shifted register is eta[1:] + (float(v),),
+    # made and checked like any other register
+    assert not hasattr(DynamicVariable, "_shifted")
     rng = np.random.default_rng(size)
     dyn = DynamicVariable(eta=tuple(rng.uniform(0.0, 5.0, size)))
     for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf, np.float64(math.nan)):

@@ -812,7 +812,9 @@ def test_manifest_fallback_is_set_0():
     assert doc["fallback_index"] == 0
     del doc["fallback_index"]
     assert manifest_to_family(doc) == fam
-    for bad in (1, -1, "0", None, False, True):
+    for zero in (0, 0.0, -0.0):
+        assert manifest_to_family(dict(doc, fallback_index=zero)) == fam
+    for bad in (1, -1, 0.5, "0", None, False, True, [0], math.nan):
         with pytest.raises(ValueError, match="fall-back must be set 0"):
             manifest_to_family(dict(doc, fallback_index=bad))
 

@@ -236,6 +236,7 @@ def test_phi_initial_value_exact():
     for lam in (0.1, 0.5, 0.9):
         sol = phi_solve(lam, 2.0, 1.0)
         assert sol.evaluate(0.0) == 1.0 / lam
+        assert not callable(sol)  # evaluate has no second name
 
 
 def test_phi_endpoint_and_range():
