@@ -4,9 +4,11 @@ Between samples the state flows under x' = f(x, e(t)) with the hold
 error reconstructed exactly as e(t) = x(t_j) - x(t); at each scheduled
 instant a jump fires: the trigger of :mod:`dynstc.engine`, or a fixed
 period for the baseline, in one sampling loop.  There is a jump at t = 0,
-so sample k lives at hybrid time (t_k, k+1).  A trigger decision carries
-the (epsilon, gamma, L) set that issued it; flow records and monitors
-read their certificate from the decision, never from the family.
+so sample k lives at hybrid time (t_k, k+1).  Each sample row carries
+the interval h it issued, the index of the (epsilon, gamma, L) set that
+issued it (-1 in a periodic run) and the window average C (NaN in a
+periodic run); flow records and monitors read each set's parameters from
+the run's config (``traj.cfg``) by that index.
 
 Every run can be checked against the inequalities that back the design:
 
@@ -41,22 +43,22 @@ in the same order as numpy arithmetic on the state vectors, so every
 node state has the same bits.
 
 A run is three record arrays (``np.recarray``), each built once: its
-samples (t, j, x, V), flow records (t, j, x, V, U) and monitor records
-(monitor, j, slack, passed), with one array per field
+samples (t, j, x, V, h, set_index, C), flow records (t, j, x, V, U) and
+monitor records (monitor, j, slack, passed), with one array per field
 (``traj.monitors.slack``) and one record per row (``traj.samples[k].t``).
 The CSV writers read each field once and convert one flow segment
-(trajectory, decisions) or ``BLOCK_RECORDS`` rows (monitors) to Python
-objects at a time, never a whole run's.
+(trajectory), one sample (decisions) or ``BLOCK_RECORDS`` rows (monitors)
+to Python objects at a time, never a whole run's.
 
 Per segment the loop does only what the next jump and the escape rule
 need: the RK4 nodes, the non-finite and V <= c*(1 + tolerance) checks,
-and its decision's comparison function (``solve_lambda_for_horizon``,
-``phi_solve``).  U and the record columns, then the flow-bound and
-region records, are computed once per block of whole segments of at
-most ``BLOCK_RECORDS`` records (a longer segment is a block of its own):
-elementwise numpy over the block and ``reduceat`` at its segment edges,
-with the operations a segment alone would take, so every record keeps
-its bits whatever the block size.
+and the sample row.  Each segment's comparison function
+(``solve_lambda_for_horizon``, ``phi_solve``), U and the record columns,
+then the flow-bound and region records, are computed once per block of
+whole segments of at most ``BLOCK_RECORDS`` records (a longer segment is
+a block of its own): elementwise numpy over the block and ``reduceat`` at
+its segment edges, with the operations a segment alone would take, so
+every record keeps its bits whatever the block size.
 
 Per sample, the trigger takes log(C/V) once for all its sets and the
 register shift checks only the V it appends; per segment, the offsets
@@ -78,6 +80,7 @@ from .engine import (
     RegionEscapeError,
     StcConfig,
     eta_initial,
+    set_lambda_cap,
     stc_step,
     t_min_of,
 )
@@ -102,6 +105,8 @@ FLOW_RECORD_TARGET = 64  # dense records per segment before striding
 # flow records whose U and flow and region monitors are evaluated at once; a
 # block's temporaries grow the heap, and 4096 raised fleet's peak RSS by 0.3 MB
 BLOCK_RECORDS = 1024
+# the most samples a run may take: a million keep about 3 GB of flow records
+MAX_SAMPLES = 10 ** 6
 # the fields of a monitor record; "combined-decrease" is the longest name
 _MONITOR = [("monitor", "U17"), ("j", int), ("slack", float), ("passed", bool)]
 
@@ -112,17 +117,19 @@ class IntegrationBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class HybridTrajectory:
-    """A run as record arrays, with the trigger's decisions (none for a periodic run).
+    """A run as record arrays, with the trigger config that issued it (None: periodic).
 
-    samples has the fields t, j, x (n,) and v; flow_points the same and u;
-    monitors has monitor, j, slack and passed.
+    samples has the fields t, j, x (n,), v, h, set_index and c_val;
+    flow_points t, j, x, v and u; monitors monitor, j, slack and passed.
     """
     samples: np.recarray
-    decisions: tuple
     flow_points: np.recarray
     monitors: np.recarray | None = None  # set by simulate and simulate_periodic
-    kind: str = "dynamic"
-    period: float | None = None
+    cfg: StcConfig | None = None
+
+    @property
+    def kind(self) -> str:
+        return "periodic" if self.cfg is None else "dynamic"
 
     def intervals(self):
         return np.diff(self.samples.t).tolist()
@@ -187,10 +194,8 @@ def _rk4_segment(spec, x_hold, h, dt_flow):
     steps = [dt_flow] * n_full
     if rem > 1e-12 * h:
         steps.append(rem)
-    elif steps:
+    else:  # for h > 0, rem = h > 1e-12*h when there is no full step
         steps[-1] += rem
-    else:
-        steps = [h]
     n = len(x_hold)
     rows = _stepper(n)(component_rhs(spec), x_hold.tolist(), steps)
     # the offsets summed in step order, as np.cumsum would
@@ -239,20 +244,23 @@ def _blocks(edges):
         k0 = k1
 
 
-def _columns(samples, flows, phis) -> np.recarray:
+def _columns(samples, flows, cfg) -> np.recarray:
     """The flow records of the segments flows[k] = (offsets, states, V) of samples[k].
 
-    U = V + gamma*phi(tau)*W(e)^2 with segment k's comparison function
-    phis[k] (NaN where it is None: no trigger decision), computed for one
-    block of whole segments at a time, so the temporaries are one block's.
+    U = V + gamma*phi(tau)*W(e)^2 with the comparison function of segment
+    k's interval h and set (NaN in a periodic run, cfg None), computed for
+    one block of whole segments at a time, so the temporaries are one block's.
     """
     counts = np.array([len(tau) for tau, _, _ in flows], dtype=int)
     edges = np.concatenate([[0], np.cumsum(counts)])
-    fp = np.recarray(edges[-1], samples.dtype.descr + [("u", float)])
+    fp = np.recarray(edges[-1], samples.dtype.descr[:4] + [("u", float)])
     t, j, x, v, u = (fp[name] for name in fp.dtype.names)
     j[:] = np.repeat(np.arange(1, len(counts) + 1), counts)
     u[:] = math.nan
-    t_hold, x_hold = samples.t, samples.x
+    t_hold, x_hold, h, set_index = samples.t, samples.x, samples.h, samples.set_index
+    # each set's (gamma, rate cap), the pair the trigger puts into its decisions
+    sets = [] if cfg is None else [(ps.gamma, set_lambda_cap(cfg, i))
+                                   for i, ps in enumerate(cfg.family.sets)]
     for k0, k1 in _blocks(edges):
         rows, n = slice(edges[k0], edges[k1]), counts[k0:k1]
         taus, xs, vs = zip(*flows[k0:k1])
@@ -260,11 +268,11 @@ def _columns(samples, flows, phis) -> np.recarray:
         np.add(np.repeat(t_hold[k0:k1], n), tau, out=t[rows])
         np.concatenate(xs, out=x[rows])
         np.concatenate(vs, out=v[rows])
-        # Every segment of a run has a decision or none does (simulate
-        # always decides, simulate_periodic never), so phis[k0] speaks for the block.
-        if phis[k0] is not None:
+        if cfg is not None:
+            phis = [phi_solve(solve_lambda_for_horizon(hk, *sets[i]), *sets[i])
+                    for hk, i in zip(h[k0:k1].tolist(), set_index[k0:k1].tolist())]
             lam, gamma, cap, horizon = (
-                np.repeat([getattr(phi, f) for phi in phis[k0:k1]], n)
+                np.repeat([getattr(phi, f) for phi in phis], n)
                 for f in ("lam", "gamma", "lambda_cap", "horizon"))
             w = np.linalg.norm(np.repeat(x_hold[k0:k1], n, axis=0) - x[rows], axis=-1)
             np.add(v[rows], gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
@@ -272,12 +280,14 @@ def _columns(samples, flows, phis) -> np.recarray:
     return fp
 
 
-def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
+def _hybrid(x0, spec, cfg, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
     """The sampling loop: jump at t = 0, then flow and jump until a sample >= t_end.
 
-    ``jump(x)`` returns (h, decision or None, V(x)) at a sample.
-    dt_flow defaults to h_min/32 and is at most h_min/16, h_min being the
-    shortest interval the jump issues.
+    ``jump(x)`` returns (h, set_index, C, V(x)) at a sample, each a field
+    of its sample row.  dt_flow defaults to h_min/32 and is at most
+    h_min/16, h_min being the shortest interval the jump issues, and
+    t_end/h_min is below MAX_SAMPLES.  cfg is the trigger config, None in a
+    periodic run.
     """
     if not (0.0 <= t_end < math.inf):
         raise ValueError("t_end must be finite and non-negative")
@@ -286,6 +296,9 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
     if not (0.0 < dt_flow <= h_min / 16.0):
         raise ValueError(f"dt_flow must lie in (0, {h_min / 16.0:.6g}], "
                          "a 16th of the shortest interval")
+    if not t_end / h_min < MAX_SAMPLES:
+        raise ValueError(f"t_end = {t_end:.6g} s takes up to {t_end / h_min:.6g} samples of "
+                         f"{h_min:.6g} s; a run takes fewer than {MAX_SAMPLES}")
     x = np.asarray(x0, dtype=float)
     if x.shape != (spec.n_x,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite vector of shape ({spec.n_x},)")
@@ -294,29 +307,21 @@ def _hybrid(x0, spec, c, h_min, t_end, dt_flow, jump) -> HybridTrajectory:
         raise RegionEscapeError(f"V(x0) = {v:.6g} exceeds the region level c = {c:.6g}",
                                 t=0.0, x=x.copy(), v=v)
     t = 0.0
-    ts, xs, vs, decisions = [], [], [], []
-    flows, phis = [], []  # per segment: its kept nodes, and phi for its decision
+    rows, flows = [], []  # per sample its row, per segment its kept nodes
     while True:
-        h, dec, v = jump(x)
-        ts.append(t)
-        xs.append(x.copy())  # a view would keep its segment's nodes alive
-        vs.append(v)
-        if dec is not None:
-            decisions.append(dec)
+        h, i, c_val, v = jump(x)
+        # a copy: a view would keep its segment's nodes alive
+        rows.append((t, len(rows) + 1, x.copy(), v, h, i, c_val))
         if t >= t_end:
             break
         x, *kept = _flow(spec, x, h, dt_flow, c, t)
         flows.append(kept)
-        if dec is None:
-            phis.append(None)
-        else:
-            gamma, lam_cap = dec.params.gamma, dec.lambda_cap_used
-            phis.append(phi_solve(solve_lambda_for_horizon(h, gamma, lam_cap), gamma, lam_cap))
         t += h
-    samples = np.rec.fromarrays(
-        [ts, np.arange(1, len(ts) + 1), xs, vs],
-        dtype=[("t", float), ("j", int), ("x", float, (spec.n_x,)), ("v", float)])
-    return HybridTrajectory(samples, tuple(decisions), _columns(samples, flows, phis))
+    samples = np.rec.array(rows, dtype=[
+        ("t", float), ("j", int), ("x", float, (spec.n_x,)), ("v", float),
+        ("h", float), ("set_index", int), ("c_val", float)])
+    del rows  # released before the flow records are built
+    return HybridTrajectory(samples, _columns(samples, flows, cfg), cfg=cfg)
 
 
 def simulate(x0, cfg: StcConfig, spec, t_end: float,
@@ -334,9 +339,9 @@ def simulate(x0, cfg: StcConfig, spec, t_end: float,
         if dyn is None:  # the register starts from V(x0)
             dyn = eta_initial(cfg.m, float(spec.v(x)), cfg.eta_init)
         dec, dyn = stc_step(x, dyn, cfg, spec)
-        return dec.h, dec, dec.v_now
+        return dec.h, dec.set_index, dec.c_val, dec.v_now
 
-    traj = _hybrid(x0, spec, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
+    traj = _hybrid(x0, spec, cfg, cfg.c, t_min_of(cfg), t_end, dt_flow, jump)
     return replace(traj, monitors=run_monitors(traj, cfg))
 
 
@@ -345,11 +350,11 @@ def simulate_periodic(x0, spec, period: float, t_end: float,
     """Constant-interval baseline on {V <= spec.region_c}, same flow/jump machinery."""
     if not (0.0 < period < math.inf):
         raise ValueError("period must be positive and finite")
-    traj = _hybrid(x0, spec, spec.region_c, period, t_end, dt_flow,
-                   lambda x: (period, None, float(spec.v(x))))
+    traj = _hybrid(x0, spec, None, spec.region_c, period, t_end, dt_flow,
+                   lambda x: (period, -1, math.nan, float(spec.v(x))))
     monitors = _joined(*(_regions(recs, starts, spec.region_c)
                          for recs, starts, _, _ in _segment_blocks(traj)))
-    return replace(traj, monitors=monitors, kind="periodic", period=period)
+    return replace(traj, monitors=monitors)
 
 
 def _edges(traj: HybridTrajectory):
@@ -397,14 +402,18 @@ def _bounds(monitor, js, value, bound):
     return _records(monitor, js, bound - value, _within(value, bound))
 
 
-def _flow_bounds(recs, starts, decs, v_plus, t_start):
-    """Flow-bound record of each segment k of a block, from its decs[k], v_plus[k] and t_start[k].
+def _rate(ps, lambda_cap):
+    """The flow-bound rate max{-eps_i, 2(L_i - Lambda_i)} of set ps at its rate cap."""
+    return max(-ps.epsilon, 2.0 * (ps.l_const - lambda_cap))
+
+
+def _flow_bounds(recs, starts, rate, v_plus, t_start):
+    """Flow-bound record of each segment k of a block, from its rate[k], v_plus[k] and t_start[k].
 
     Checks U <= exp(rate*tau)*V(t_j+) and V <= U on each record by the
     one bound rule.  The slack is the least of the two columns' minima,
     compared in column order (a tie of zeros keeps the first's sign).
     """
-    rate = [max(-d.params.epsilon, 2.0 * (d.params.l_const - d.lambda_cap_used)) for d in decs]
     n = np.diff(starts, append=len(recs))
     env = np.exp(np.repeat(rate, n) * (recs.t - np.repeat(t_start, n))) * np.repeat(v_plus, n)
     slack_env = np.minimum.reduceat(env - recs.u, starts)
@@ -422,7 +431,8 @@ def monitor_flow_bound(seg, dec, v_plus, t_start):
     Every segment is checked, both inequalities by the one bound rule;
     this is the one-segment case of the block check runs use.
     """
-    return _flow_bounds(seg, np.zeros(1, dtype=int), [dec], [v_plus], [t_start])[0]
+    return _flow_bounds(seg, np.zeros(1, dtype=int), [_rate(dec.params, dec.lambda_cap_used)],
+                        [v_plus], [t_start])[0]
 
 
 def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
@@ -436,16 +446,17 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
     trigger held and of V(t_0) with its first: a "v0" pad repeats V(t_0),
     a "zero" pad lies below every V.  The bounds are columns over the
     samples, each exponential a ``math.exp`` (``np.exp`` differs from it
-    in the last bit on some arguments).
+    in the last bit on some arguments).  A sample's own bound reads its h,
+    set_index, V and C.
     """
     if not len(traj.samples):
         return _joined()
     tmin = t_min_of(cfg)
     eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
-    vs = traj.samples.v
-    decs = traj.decisions[:len(vs) - 1]
-    own = np.array([math.exp(-d.params.epsilon * d.h) * d.v_now if d.used_fallback
-                    else math.exp(-cfg.eps_ref * d.h) * d.c_val for d in decs], dtype=float)
+    vs, hs, cs = traj.samples.v, traj.samples.h[:-1], traj.samples.c_val[:-1]
+    fallback = traj.samples.set_index[:-1] == 0
+    rate = np.where(fallback, -cfg.family.fallback.epsilon, -cfg.eps_ref)
+    own = np.fromiter(map(math.exp, rate * hs), float, len(hs)) * np.where(fallback, vs[:-1], cs)
     # max{V_(k-m+1), .., V_k}, folded from V_k back: an older V wins a tie, as in
     # max() (np.maximum leaves the sign of tied zeros to the hardware)
     vmax = vs[:-1].copy()
@@ -462,9 +473,13 @@ def monitor_sample_decrease(traj: HybridTrajectory, cfg: StcConfig):
 
 
 def run_monitors(traj: HybridTrajectory, cfg: StcConfig):
-    """All monitor records for a dynamic trajectory."""
-    t_start, v_plus = traj.samples.t, traj.samples.v
-    return _joined(*((_flow_bounds(recs, starts, traj.decisions[k0:k1], v_plus[k0:k1],
+    """All monitor records for a dynamic trajectory.
+
+    A segment's flow-bound rate is its set's, from one table of cfg's sets.
+    """
+    rate = np.array([_rate(ps, set_lambda_cap(cfg, i)) for i, ps in enumerate(cfg.family.sets)])
+    t_start, v_plus, rate = traj.samples.t, traj.samples.v, rate[traj.samples.set_index]
+    return _joined(*((_flow_bounds(recs, starts, rate[k0:k1], v_plus[k0:k1],
                                    t_start[k0:k1]), _regions(recs, starts, cfg.c))
                      for recs, starts, k0, k1 in _segment_blocks(traj)),
                    monitor_sample_decrease(traj, cfg))
@@ -484,10 +499,8 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
     n = x.shape[1]
     header = ["t", "j"] + [f"x{i + 1}" for i in range(n)] + \
         ["V", "U", "interval", "set_index", "used_fallback"]
-    if traj.kind == "periodic":
-        tails = itertools.repeat(f"{float(traj.period)!r},-1,0")
-    else:
-        tails = (f"{float(d.h)!r},{d.set_index},{int(d.used_fallback)}" for d in traj.decisions)
+    tails = (f"{h.item()!r},{i},{int(i == 0)}"
+             for h, i in zip(traj.samples.h, traj.samples.set_index))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         edges = _edges(traj)
@@ -499,12 +512,13 @@ def write_trajectory_csv(path, traj: HybridTrajectory) -> None:
 
 
 def write_decisions_csv(path, traj: HybridTrajectory) -> None:
+    """One row per sample of a triggered run; epsilon is its set's in ``traj.cfg``."""
+    s, eps = traj.samples, [float(ps.epsilon) for ps in traj.cfg.family.sets]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("j,t,h,set_index,epsilon,used_fallback,V,C\n")
-        for j, t, d in zip(traj.samples.j, traj.samples.t, traj.decisions):
-            fh.write(f"{j},{float(t)!r},{float(d.h)!r},{d.set_index},"
-                     f"{float(d.params.epsilon)!r},{int(d.used_fallback)},"
-                     f"{float(d.v_now)!r},{float(d.c_val)!r}\n")
+        for row in zip(s.j, s.t, s.h, s.set_index, s.v, s.c_val):
+            j, t, h, i, v, c = (value.item() for value in row)
+            fh.write(f"{j},{t!r},{h!r},{i},{eps[i]!r},{int(i == 0)},{v!r},{c!r}\n")
 
 
 def write_monitors_csv(path, traj: HybridTrajectory) -> None:

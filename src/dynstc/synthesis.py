@@ -474,9 +474,7 @@ def default_epsilon_ladder(n: int = 21, eps_top: float = 0.01,
         raise ValueError("ladder needs at least one entry")
     if not (eps_top > 0.0 and eps_bottom < 0.0):
         raise ValueError("ladder runs from a positive rate down to a negative one")
-    if n == 1:
-        return [eps_top]
-    if n == 2:
+    if n == 2:  # the general tail below divides by n - 2; at n = 1 it is empty
         return [eps_top, eps_bottom]
     span = abs(eps_bottom) / eps_top
     tail = [-eps_top * span ** (k / (n - 2)) for k in range(n - 1)]

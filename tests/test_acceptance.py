@@ -306,15 +306,17 @@ def test_acceptance_8_refinement_stability(bench, capsys):
     t1 = simulate(X0, bench.cfg, bench.spec, 4.0, dt_flow=dt)
     t2 = simulate(X0, bench.cfg, bench.spec, 4.0, dt_flow=dt / 2.0)
     errs = []
-    if len(t1.decisions) != len(t2.decisions):
+    if len(t1.samples) != len(t2.samples):
         errs.append("decision counts differ")
-    for d1, d2 in zip(t1.decisions, t2.decisions):
-        if (d1.set_index, d1.used_fallback, d1.bound_type) != \
-                (d2.set_index, d2.used_fallback, d2.bound_type):
+    # a decision is its row's set (which fixes its fall-back flag and bound
+    # type) and interval
+    for (i1, h1), (i2, h2) in zip(zip(t1.samples.set_index.tolist(), t1.samples.h.tolist()),
+                                  zip(t2.samples.set_index.tolist(), t2.samples.h.tolist())):
+        if i1 != i2:
             errs.append("a trigger decision changed")
             break
-        if abs(d1.h - d2.h) > 1e-9 * max(d1.h, d2.h):
-            errs.append(f"interval moved by {abs(d1.h - d2.h):.3g}")
+        if abs(h1 - h2) > 1e-9 * max(h1, h2):
+            errs.append(f"interval moved by {abs(h1 - h2):.3g}")
             break
     m1 = {(r.monitor, r.j): r.slack for r in t1.monitors}
     m2 = {(r.monitor, r.j): r.slack for r in t2.monitors}
@@ -334,4 +336,4 @@ def test_acceptance_8_refinement_stability(bench, capsys):
                 break
     _verdict(capsys, 8, not errs,
              errs[0] if errs else
-             f"{len(t1.decisions)} decisions, {len(m1)} slacks stable")
+             f"{len(t1.samples)} decisions, {len(m1)} slacks stable")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dynstc import cli, parallel
-from dynstc.engine import StcConfig, TriggerDecision, set_lambda_cap, t_max_cap, t_min_of
+from dynstc.engine import StcConfig, t_max_cap, t_min_of
 from dynstc.sim import (
     HybridTrajectory,
     IntegrationBlowupError,
@@ -374,7 +374,7 @@ def test_malformed_artifacts_exit_2(tmp_path, capsys, command, artifact, doc):
     lambda d: d["synthesis"].pop("epsilons") and d["synthesis"].update(ladder=[["n", 3]]),
     lambda d: d.update(stc=None),
 ])
-def test_invalid_configs_exit_2(tmp_path, mangle):
+def test_invalid_configs_exit_2(tmp_path, capsys, mangle):
     cfg_path = tmp_path / "cfg.json"
     _write_config(cfg_path)
     doc = json.loads(cfg_path.read_text())
@@ -382,6 +382,22 @@ def test_invalid_configs_exit_2(tmp_path, mangle):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("synthesis, message", [
+    ({"epsilons": []}, "'synthesis.epsilons' must be non-empty"),
+    ({"l_const": 0}, "L must be positive"),
+], ids=["no epsilons", "L 0"])
+def test_bad_synthesis_block_exits_2_before_out_is_made(tmp_path, capsys, synthesis, message):
+    cfg = _write_config(tmp_path / "cfg.json", synthesis={
+        "epsilons": [0.5, -1.0, -5.0], "l_const": 0.05, "grid_density": 16, **synthesis})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -687,6 +703,44 @@ def test_dt_flow_above_a_16th_of_t_min_exits_2_before_any_csv(tmp_path, capfd):
     assert len(captured.err.splitlines()) == 1
     assert (out / "family.json").exists()
     assert not list(out.glob("*.csv")) and not list(out.glob("*.tmp"))
+
+
+def test_run_of_max_samples_exits_2_before_any_csv(tmp_path, capfd):
+    # epsilon = 1e300 gives the fall-back t_min = 6.87e-298 s, so a 1 s run
+    # could take 1.5e297 samples; the simulator refuses it at the first job
+    cfg = _write_config(tmp_path / "cfg.json", synthesis={
+        "epsilons": [1e300, -1.0], "l_const": 0.05, "grid_density": 8},
+        run={"x0": [[0.5]], "t_end": 1.0, "baselines": True})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("config error: t_end = 1 s takes up to 1.45") and \
+        err.endswith("samples of 6.87484e-298 s; a run takes fewer than 1000000\n")
+    assert len(err.splitlines()) == 1
+    assert sorted(path.name for path in out.iterdir()) == ["family.json"]
+
+
+def test_monitor_violations_exit_4(tmp_path, capsys):
+    # halving every gamma of family.json lengthens each set's t_max past
+    # what its certificate covers: the run writes every artifact, and its
+    # failed monitor records exit 4
+    cfg = _write_config(tmp_path / "cfg.json",
+                        run={"x0": [[0.5]], "t_end": 4.0, "baselines": False})
+    out = tmp_path / "out"
+    assert cli.main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "family.json").read_text())
+    for entry in manifest["sets"]:
+        entry["gamma"] *= 0.5
+    (out / "family.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "monitor violations: 10\n"
+    assert captured.out.endswith(", violations=10\n")
+    monitors = _read_csv(out / "run0_dynamic_monitors.csv")
+    assert sum(row["passed"] == "0" for row in monitors) == 10
+    summary = json.loads((out / "summary.json").read_text())
+    assert [run["violations"] for run in summary["runs"]] == [10]
 
 
 def test_overflowing_grid_exits_2_with_one_line(tmp_path, capfd):
@@ -1187,9 +1241,9 @@ def _read_csv(path):
 def _rebuilt_trajectory(out, stem, cfg):
     """Run `stem`'s HybridTrajectory in out, from its trajectory and decisions CSVs.
 
-    Each decision's set is cfg's (the family of family.json) and its rate
-    cap set_lambda_cap's; each sample's x is its segment's tau = 0 row, or
-    the last row for the final sample, which starts no segment.
+    Each sample's h, set_index and C are its decisions row's, and its set
+    is cfg's (the family of family.json); each sample's x is its segment's
+    tau = 0 row, or the last row for the final sample, which starts no segment.
     """
     rows = _read_csv(out / f"{stem}_trajectory.csv")
     decs = _read_csv(out / f"{stem}_decisions.csv")
@@ -1199,6 +1253,7 @@ def _rebuilt_trajectory(out, stem, cfg):
         return np.array([kind(row[key]) for row in table])
 
     state = [("t", float), ("j", int), ("x", float, (n_x,)), ("v", float)]
+    decision = [("h", float), ("set_index", int), ("c_val", float)]
     fp = np.rec.fromarrays([column("t"), column("j", int),
                             np.stack([column(f"x{i + 1}") for i in range(n_x)], axis=-1),
                             column("V"), column("U")], dtype=state + [("u", float)])
@@ -1208,12 +1263,9 @@ def _rebuilt_trajectory(out, stem, cfg):
     js = column("j", int, decs)
     samples = np.rec.fromarrays(
         [column("t", table=decs), js, fp.x[[first[j] if j < len(decs) else -1 for j in js]],
-         column("V", table=decs)], dtype=state)
-    decisions = tuple(TriggerDecision(h=float(d["h"]), set_index=i, params=cfg.family.sets[i],
-                                      lambda_cap_used=set_lambda_cap(cfg, i),
-                                      v_now=float(d["V"]), c_val=float(d["C"]))
-                      for d in decs for i in [int(d["set_index"])])
-    return HybridTrajectory(samples=samples, decisions=decisions, flow_points=fp)
+         column("V", table=decs), column("h", table=decs),
+         column("set_index", int, decs), column("C", table=decs)], dtype=state + decision)
+    return HybridTrajectory(samples=samples, flow_points=fp, cfg=cfg)
 
 
 # the pinned configs, and a register seeded with zeros under another window length
@@ -1348,7 +1400,7 @@ def test_row_parts_join_to_the_whole_csv(tmp_path):
     family = ParameterFamily(sets=tuple(ParameterSet(epsilon=eps, gamma=1.05, l_const=0.05)
                                         for eps in (0.5, -1.0, -5.0)))
     dynamic = simulate([0.8], StcConfig(family=family, c=1.0, m=5), linear_test(), 3.0)
-    assert len({(d.h, d.set_index) for d in dynamic.decisions}) > 1
+    assert len(set(zip(dynamic.samples.h.tolist(), dynamic.samples.set_index.tolist()))) > 1
     j, n_per = dynamic.flow_points.j, len(periodic.flow_points)
     assert all(j[len(j) * p // 4 - 1] == j[len(j) * p // 4] for p in (1, 2, 3))
 

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -10,7 +9,16 @@ import numpy as np
 import pytest
 
 from dynstc import sim
-from dynstc.engine import REGION_TOL_REL, StcConfig, TriggerDecision, t_max_cap, t_min_of
+from dynstc.engine import (
+    REGION_TOL_REL,
+    StcConfig,
+    TriggerDecision,
+    eta_initial,
+    set_lambda_cap,
+    stc_step,
+    t_max_cap,
+    t_min_of,
+)
 from dynstc.sim import (
     FLOW_RECORD_TARGET,
     HybridTrajectory,
@@ -43,15 +51,30 @@ def _linear_cfg(m=5, c=1.0):
 
 
 def _state_rows(t, j, x, v, *u):
-    """Samples (t, j, x, v), or flow records with u, as the simulator's record array."""
+    """Flow records (t, j, x, v, u), or without u, as the simulator's record array."""
     fields = [("t", float), ("j", int), ("x", float, (np.shape(x)[-1],)), ("v", float)]
     return np.rec.fromarrays([t, j, x, v, *u], dtype=fields + [("u", float)] * len(u))
 
 
+def _sample_rows(t, j, x, v, h, set_index, c_val):
+    """Samples (t, j, x, v, h, set_index, c_val) as the simulator's record array."""
+    fields = [("t", float), ("j", int), ("x", float, (np.shape(x)[-1],)), ("v", float),
+              ("h", float), ("set_index", int), ("c_val", float)]
+    return np.rec.fromarrays([t, j, x, v, h, set_index, c_val], dtype=fields)
+
+
+def _decision(traj, k):
+    """Sample k's decision as the trigger returns it: its row, and its set in traj.cfg."""
+    smp, cfg = traj.samples[k], traj.cfg
+    i = int(smp.set_index)
+    return TriggerDecision(h=float(smp.h), set_index=i, params=cfg.family.sets[i],
+                           lambda_cap_used=set_lambda_cap(cfg, i), v_now=float(smp.v),
+                           c_val=float(smp.c_val))
+
+
 def _monitor_csv(path, monitors):
     """The bytes write_monitors_csv gives for the monitor records."""
-    write_monitors_csv(path, HybridTrajectory(samples=None, decisions=(), flow_points=None,
-                                              monitors=monitors))
+    write_monitors_csv(path, HybridTrajectory(samples=None, flow_points=None, monitors=monitors))
     return path.read_bytes()
 
 
@@ -63,7 +86,9 @@ def test_initial_jump_and_termination():
     assert [s.j for s in traj.samples] == list(range(1, len(traj.samples) + 1))
     assert traj.samples[-1].t >= 3.0
     assert traj.samples[-2].t < 3.0
-    assert len(traj.decisions) == len(traj.samples)
+    assert traj.cfg is cfg and traj.kind == "dynamic"
+    # the jump at the last sample issues an interval too, so every row has one
+    assert traj.samples[-1].h >= t_min_of(cfg) and traj.samples[-1].set_index >= 0
 
 
 def test_equilibrium_run():
@@ -74,8 +99,8 @@ def test_equilibrium_run():
     assert np.all(fp.v == 0.0) and np.all(fp.u == 0.0)
     # at the origin every set certifies its full cap
     cap = t_max_cap(cfg)
-    for d in traj.decisions:
-        assert d.h == pytest.approx(cap, rel=1e-12)
+    for h in traj.samples.h:
+        assert h == pytest.approx(cap, rel=1e-12)
     assert not traj.violations()
 
 
@@ -86,7 +111,7 @@ def test_fallback_decrease_single_set():
     traj = simulate([0.9], cfg, spec, t_end=4.0)
     tmin = t_min_of(cfg)
     rho = math.exp(-0.5 * tmin)
-    assert all(d.used_fallback for d in traj.decisions)
+    assert np.all(traj.samples.set_index == 0)
     for a, b in zip(traj.samples, traj.samples[1:]):
         assert b.v <= rho * a.v * (1.0 + 1e-6)
     assert not traj.violations()
@@ -98,8 +123,8 @@ def test_sample_gaps_within_bounds():
     tmin, cap = t_min_of(cfg), t_max_cap(cfg)
     gaps = traj.intervals()
     assert gaps
-    for g, d in zip(gaps, traj.decisions):
-        assert g == pytest.approx(d.h, rel=1e-12)
+    for g, h in zip(gaps, traj.samples.h):
+        assert g == pytest.approx(h, rel=1e-12)
         assert tmin * (1 - 1e-12) <= g <= cap * (1 + 1e-12)
 
 
@@ -108,8 +133,8 @@ def test_window_lengthens_intervals():
     # negative-eps sets certify beyond the fall-back floor
     cfg, spec = _linear_cfg(m=5)
     traj = simulate([0.8], cfg, spec, t_end=6.0)
-    assert any(not d.used_fallback for d in traj.decisions)
-    assert max(d.h for d in traj.decisions) > t_min_of(cfg)
+    assert np.any(traj.samples.set_index != 0)
+    assert traj.samples.h.max() > t_min_of(cfg)
 
 
 def test_jump_and_flow_consistency():
@@ -140,11 +165,14 @@ def test_monitor_suite_passes_on_linear():
 
 
 def test_a_run_is_three_record_arrays():
+    assert [f.name for f in dataclasses.fields(HybridTrajectory)] == \
+        ["samples", "flow_points", "monitors", "cfg"]
     cfg, spec = _vdp_cfg()
     for traj in (simulate([-0.3, 1.2], cfg, spec, t_end=2.0),
                  simulate_periodic([-0.3, 1.2], spec, t_min_of(cfg), t_end=2.0)):
         samples, fp, monitors = traj.samples, traj.flow_points, traj.monitors
-        for records, names in ((samples, ("t", "j", "x", "v")), (fp, ("t", "j", "x", "v", "u")),
+        for records, names in ((samples, ("t", "j", "x", "v", "h", "set_index", "c_val")),
+                               (fp, ("t", "j", "x", "v", "u")),
                                (monitors, ("monitor", "j", "slack", "passed"))):
             assert type(records) is np.recarray and records.dtype.names == names
         assert samples.x.shape == (len(samples), 2) and fp.x.shape == (len(fp), 2)
@@ -312,10 +340,8 @@ def test_refinement_stability():
     a = simulate([0.9], cfg, spec, t_end=4.0, dt_flow=tmin / 32.0)
     b = simulate([0.9], cfg, spec, t_end=4.0, dt_flow=tmin / 64.0)
     assert len(a.samples) == len(b.samples)
-    for da, db in zip(a.decisions, b.decisions):
-        assert da.set_index == db.set_index
-        assert da.used_fallback == db.used_fallback
-        assert da.h == pytest.approx(db.h, rel=1e-9)
+    np.testing.assert_array_equal(a.samples.set_index, b.samples.set_index)
+    np.testing.assert_allclose(a.samples.h, b.samples.h, rtol=1e-9)
     sa = {(r.monitor, r.j): r.slack for r in a.monitors}
     sb = {(r.monitor, r.j): r.slack for r in b.monitors}
     assert set(sa) == set(sb)
@@ -396,16 +422,44 @@ def test_periodic_rejects_bad_horizon(period, t_end):
 def test_periodic_baseline():
     spec = linear_test()
     traj = simulate_periodic([0.5], spec, period=0.25, t_end=1.0)
-    assert traj.kind == "periodic"
-    assert traj.period == 0.25
+    assert traj.kind == "periodic" and traj.cfg is None
     np.testing.assert_allclose([s.t for s in traj.samples], [0.0, 0.25, 0.5, 0.75, 1.0])
     assert traj.n_samples_before(1.0) == 4
-    assert traj.decisions == ()
+    # each row carries the period and no set or window average
+    assert np.all(traj.samples.h == 0.25) and np.all(traj.samples.set_index == -1)
+    assert np.all(np.isnan(traj.samples.c_val))
     assert np.all(np.isnan(traj.flow_points.u))
     assert all(s.v <= 0.25 for s in traj.samples)   # contraction
     # equilibrium stays put
     still = simulate_periodic([0.0], spec, period=0.25, t_end=1.0)
     assert all(s.v == 0.0 for s in still.samples)
+
+
+def test_runs_of_max_samples_rejected():
+    # a run takes fewer than MAX_SAMPLES samples of its shortest interval,
+    # checked before the first jump
+    cfg, spec = _linear_cfg()
+    with pytest.raises(ValueError, match=f"a run takes fewer than {sim.MAX_SAMPLES}$"):
+        simulate([0.5], cfg, spec, t_end=2.0 * sim.MAX_SAMPLES * t_min_of(cfg))
+    with pytest.raises(ValueError, match="takes up to 1e[+]06 samples of 1e-06 s"):
+        simulate_periodic([0.5], spec, period=1e-6, t_end=1.0)
+
+
+def test_sample_rows_replay_the_trigger():
+    # stc_step, replayed over the samples' states from the register a run
+    # starts with, issues every row's h, set_index, C and V bit for bit:
+    # windowed runs under both initial registers, and a static (m = 1) run
+    cfg, spec = _vdp_cfg()
+    for run_cfg in (cfg, dataclasses.replace(cfg, eta_init="zero"),
+                    dataclasses.replace(cfg, m=1)):
+        s = simulate([-0.3, 1.2], run_cfg, spec, t_end=3.0).samples
+        assert len(s) > 10
+        dyn = eta_initial(run_cfg.m, float(s.v[0]), run_cfg.eta_init)
+        for k in range(len(s)):
+            dec, dyn = stc_step(s.x[k], dyn, run_cfg, spec)
+            assert [_bits(dec.h), dec.set_index, _bits(dec.c_val), _bits(dec.v_now)] == \
+                [_bits(s.h[k]), s.set_index[k], _bits(s.c_val[k]), _bits(s.v[k])]
+        assert (run_cfg.m == 1) == (set(s.set_index.tolist()) == {0})
 
 
 def test_periodic_region_escape():
@@ -427,7 +481,7 @@ def test_csv_writers(tmp_path):
     assert len(tlines) == 1 + len(traj.flow_points)
     dlines = dp.read_text().splitlines()
     assert dlines[0] == "j,t,h,set_index,epsilon,used_fallback,V,C"
-    assert len(dlines) == 1 + len(traj.decisions)
+    assert len(dlines) == 1 + len(traj.samples)
     assert dlines[1].startswith("1,0.0,")
     mlines = mp.read_text().splitlines()
     assert mlines[0] == "monitor,j,slack,passed"
@@ -456,21 +510,22 @@ def test_periodic_csv(tmp_path):
 def _long_run(n_segments):
     """A dynamic run of n_segments segments of 16 flow records and 6 monitor records each.
 
-    Its decisions cycle those of a short run; its records are seeded draws.
+    Its samples' decisions (h, set_index, V, C) cycle those of a short run;
+    its records are seeded draws.
     """
     cfg, spec = _linear_cfg()
-    short = simulate([0.9], cfg, spec, t_end=2.0)
+    short = simulate([0.9], cfg, spec, t_end=2.0).samples
     rng = np.random.default_rng(n_segments)
     n = 16 * n_segments
     fp = _state_rows(np.sort(rng.random(n)), np.repeat(np.arange(1, n_segments + 1), 16),
                      rng.random((n, 2)), rng.random(n), rng.random(n))
     k = np.arange(n_segments + 1)
-    samples = _state_rows(k, k + 1, np.zeros((n_segments + 1, 2)), np.ones(n_segments + 1))
-    decisions = tuple(itertools.islice(itertools.cycle(short.decisions), n_segments + 1))
+    cycled = short[np.arange(n_segments + 1) % len(short)]
+    samples = _sample_rows(k, k + 1, np.zeros((n_segments + 1, 2)), cycled.v, cycled.h,
+                           cycled.set_index, cycled.c_val)
     monitors = sim._records("region", np.arange(6 * n_segments), rng.random(6 * n_segments),
                             np.ones(6 * n_segments, dtype=bool))
-    return HybridTrajectory(samples=samples, decisions=decisions, flow_points=fp,
-                            monitors=monitors)
+    return HybridTrajectory(samples=samples, flow_points=fp, monitors=monitors, cfg=cfg)
 
 
 @pytest.mark.parametrize("write", [write_trajectory_csv, write_monitors_csv,
@@ -504,13 +559,13 @@ def _per_segment(traj, spec, dt_flow):
     """
     segs = []
     for k, smp in enumerate(traj.samples[:-1]):
-        dec = traj.decisions[k] if traj.decisions else None
-        h = traj.period if dec is None else dec.h
+        h = float(smp.h)
         xs, taus = _rk4_segment(spec, smp.x, h, dt_flow)
         vs = np.asarray(spec.v(xs), dtype=float)
-        if dec is None:
+        if traj.cfg is None:
             us = np.full(len(taus), math.nan)
         else:
+            dec = _decision(traj, k)
             gamma, cap = dec.params.gamma, dec.lambda_cap_used
             w = np.linalg.norm(smp.x - xs, axis=-1)
             sol = phi_solve(solve_lambda_for_horizon(h, gamma, cap), gamma, cap)
@@ -531,8 +586,8 @@ def _segment_monitors(segs, traj, c):
     lim = c * (1.0 + REGION_TOL_REL)
     for k, seg in enumerate(segs):
         smp = traj.samples[k]
-        if traj.decisions:
-            slack, passed = _head_flow(seg, traj.decisions[k], smp.v, smp.t)
+        if traj.cfg is not None:
+            slack, passed = _head_flow(seg, _decision(traj, k), smp.v, smp.t)
             monitors.append(("flow-bound", smp.j, _bits(slack), passed))
         vmax = seg.v.max()
         monitors.append(("region", smp.j, _bits(lim - vmax), bool(vmax <= lim)))
@@ -567,7 +622,7 @@ def test_blocks_keep_the_per_segment_bits(monkeypatch, block, case):
     else:
         dt_flow = t_min_of(cfg) / 20.0
         traj = simulate(x0, cfg, spec, t_end=40.0 if case == "linear" else 8.0, dt_flow=dt_flow)
-        assert {d.set_index for d in traj.decisions} != {0}
+        assert set(traj.samples.set_index.tolist()) != {0}
     fp = traj.flow_points
     assert len(fp) > 2 * sim.BLOCK_RECORDS or case in ("linear", "strided periodic")
     segs = _per_segment(traj, spec, dt_flow)
@@ -576,11 +631,11 @@ def test_blocks_keep_the_per_segment_bits(monkeypatch, block, case):
     cols = [want.t, want.j, want.x, want.v, want.u]
     assert [col.dtype for col in got] == [col.dtype for col in cols]
     assert [col.tobytes() for col in got] == [col.tobytes() for col in cols]
-    monitors = _segment_monitors(segs, traj, cfg.c if traj.decisions else spec.region_c)
+    dynamic = traj.cfg is not None
+    monitors = _segment_monitors(segs, traj, cfg.c if dynamic else spec.region_c)
     assert _monitor_key(traj.monitors[:len(monitors)]) == monitors
-    assert len(traj.monitors) == len(monitors) + (4 * len(traj.samples) - 2 if traj.decisions
-                                                  else 0)
-    if traj.decisions:
+    assert len(traj.monitors) == len(monitors) + (4 * len(traj.samples) - 2 if dynamic else 0)
+    if dynamic:
         # a flow bound that binds: with U = V = V(t_j+)*(1 + 2*tau) the
         # slacks are negative and differ with each segment's set and sample,
         # so a record checked against another segment's decision differs
@@ -621,7 +676,7 @@ def _csv_bytes(directory, traj):
     """The bytes of every CSV the writers produce for traj."""
     directory.mkdir()
     writers = [write_trajectory_csv, write_monitors_csv]
-    if traj.decisions:
+    if traj.cfg is not None:
         writers.append(write_decisions_csv)
     out = []
     for k, write in enumerate(writers):
@@ -637,7 +692,7 @@ def test_numpy_scalars_write_as_python_floats(tmp_path):
     np_cfg = StcConfig(family=cfg.family, c=cfg.c, m=cfg.m, delta=np.float64(cfg.delta))
     plain = simulate([0.9], cfg, spec, t_end=2.0)
     numpy = simulate([0.9], np_cfg, spec, t_end=2.0)
-    assert type(numpy.decisions[0].h) is np.float64
+    assert type(t_min_of(np_cfg)) is np.float64  # the fall-back interval
     assert _csv_bytes(tmp_path / "np", numpy) == _csv_bytes(tmp_path / "py", plain)
     plain = simulate_periodic([0.5], spec, period=0.25, t_end=1.0)
     numpy = simulate_periodic([0.5], spec, period=np.float64(0.25), t_end=1.0)
@@ -652,12 +707,9 @@ def _vdp_cfg():
 
 
 def _run_key(traj):
-    """Every sample, decision, flow record and monitor record, as exact text."""
-    return repr((
-        [[records[name].tolist() for name in records.dtype.names]
-         for records in (traj.samples, traj.flow_points, traj.monitors)],
-        [dataclasses.astuple(d) for d in traj.decisions],
-    ))
+    """Every sample with its decision, flow record and monitor record, as exact text."""
+    return repr([[records[name].tolist() for name in records.dtype.names]
+                 for records in (traj.samples, traj.flow_points, traj.monitors)])
 
 
 @pytest.mark.parametrize("setup, x0, t_end", [
@@ -682,11 +734,9 @@ def _reference_trajectory_csv(path, traj):
     for k in range(len(fp)):
         t, j, x, v, u = (fp.t[k].item(), fp.j[k].item(), fp.x[k].tolist(),
                          fp.v[k].item(), fp.u[k].item())
-        if traj.kind == "periodic":
-            interval, idx, fb = traj.period, -1, False
-        else:
-            dec = traj.decisions[j - 1]
-            interval, idx, fb = dec.h, dec.set_index, dec.used_fallback
+        smp = traj.samples[j - 1]
+        interval, idx = smp.h.item(), smp.set_index.item()
+        fb = idx == 0  # the fall-back is set 0; a periodic row's -1 is no set
         rows.append([t, j] + x + [v, u, interval, idx, fb])
     _write_rows(path, header, rows)
 
@@ -713,7 +763,7 @@ def test_trajectory_csv_matches_row_writer(tmp_path, kind):
     cfg, spec = _vdp_cfg()
     if kind == "dynamic":
         traj = simulate([-0.3, 1.2], cfg, spec, t_end=1.0)
-        assert {d.used_fallback for d in traj.decisions} == {False, True}
+        assert set((traj.samples.set_index == 0).tolist()) == {False, True}
     else:
         traj = simulate_periodic([-0.3, 1.2], spec, t_min_of(cfg), t_end=1.0)
     write_trajectory_csv(tmp_path / "stream.csv", traj)
@@ -729,22 +779,20 @@ def test_decisions_and_monitors_csv_match_row_writer(tmp_path):
     cfg, spec = _vdp_cfg()
     np_cfg = dataclasses.replace(cfg, delta=np.float64(cfg.delta))
     plain = simulate([-0.3, 1.2], cfg, spec, t_end=1.0)
-    f64 = np.float64
-    numpy = dataclasses.replace(  # every float field of a decision an np.float64
-        plain, decisions=tuple(dataclasses.replace(
-            d, h=f64(d.h), v_now=f64(d.v_now), c_val=f64(d.c_val),
-            params=dataclasses.replace(d.params, epsilon=f64(d.params.epsilon)))
-            for d in plain.decisions))
+    numpy = dataclasses.replace(  # every epsilon the writer reads from the config an np.float64
+        plain, cfg=dataclasses.replace(cfg, family=ParameterFamily(sets=tuple(
+            dataclasses.replace(ps, epsilon=np.float64(ps.epsilon)) for ps in cfg.family.sets))))
     slacks = np.array([-0.0, 0.0, -1e-300, math.inf, 2.5])
     extra = sim._records("flow-bound", np.full(5, 7), slacks, slacks > 0.0)
     for traj in (plain, simulate([-0.3, 1.2], np_cfg, spec, t_end=1.0), numpy):
         traj = dataclasses.replace(traj, monitors=sim._joined(traj.monitors, extra))
-        assert {d.used_fallback for d in traj.decisions} == {False, True}
+        decs = [_decision(traj, k) for k in range(len(traj.samples))]
+        assert {d.used_fallback for d in decs} == {False, True}
         write_decisions_csv(tmp_path / "d.csv", traj)
         _write_rows(tmp_path / "d_rows.csv", ["j", "t", "h", "set_index", "epsilon",
                                               "used_fallback", "V", "C"],
                     ([s.j, s.t, d.h, d.set_index, d.params.epsilon, d.used_fallback,
-                      d.v_now, d.c_val] for s, d in zip(traj.samples, traj.decisions)))
+                      d.v_now, d.c_val] for s, d in zip(traj.samples, decs)))
         assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "d_rows.csv").read_bytes()
         write_monitors_csv(tmp_path / "m.csv", traj)
         _write_rows(tmp_path / "m_rows.csv", ["monitor", "j", "slack", "passed"],
@@ -763,11 +811,11 @@ def _reference_sample_decrease(traj, cfg):
     eps_tilde = min(cfg.family.fallback.epsilon, cfg.eps_ref)
     vs = [s.v for s in traj.samples]
     for k in range(len(vs) - 1):
-        dec = traj.decisions[k]
-        if dec.used_fallback:
-            b = math.exp(-dec.params.epsilon * dec.h) * dec.v_now
+        smp = traj.samples[k]
+        if smp.set_index == 0:
+            b = math.exp(-cfg.family.sets[0].epsilon * smp.h) * smp.v
         else:
-            b = math.exp(-cfg.eps_ref * dec.h) * dec.c_val
+            b = math.exp(-cfg.eps_ref * smp.h) * smp.c_val
         records.append(bound("sample-decrease", k + 1, vs[k + 1], b))
         comb = math.exp(-eps_tilde * tmin) * max(vs[max(0, k - cfg.m + 1):k + 1])
         records.append(bound("combined-decrease", k + 1, vs[k + 1], comb))
@@ -793,13 +841,10 @@ def test_sample_monitors_keep_the_per_sample_bits(tmp_path, m):
     vs = np.concatenate([rng.choice([0.0, -0.0], size=40),
                          rng.choice([0.0, -0.0, 1.0, 2.0, 2.0 + 1e-7, 3.0], size=40)])
     vs[0] = -0.0
-    decs = [TriggerDecision(h=float(h), set_index=int(i), params=cfg.family.sets[i],
-                            lambda_cap_used=1.0, v_now=float(v), c_val=float(c))
-            for h, i, v, c in zip(rng.uniform(0.0, 0.1, 80), rng.integers(0, 3, 80),
-                                  vs, rng.choice([0.0, -0.0, 1.0, 2.5], size=80))]
     k = np.arange(len(vs))
-    runs.append(HybridTrajectory(samples=_state_rows(0.1 * k, k + 1, np.zeros((len(vs), 2)), vs),
-                                 decisions=tuple(decs), flow_points=runs[0].flow_points))
+    samples = _sample_rows(0.1 * k, k + 1, np.zeros((len(vs), 2)), vs, rng.uniform(0.0, 0.1, 80),
+                           rng.integers(0, 3, 80), rng.choice([0.0, -0.0, 1.0, 2.5], size=80))
+    runs.append(HybridTrajectory(samples=samples, flow_points=runs[0].flow_points, cfg=cfg))
     for traj in runs:
         records = sim.monitor_sample_decrease(traj, cfg)
         reference = _reference_sample_decrease(traj, cfg)

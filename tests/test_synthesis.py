@@ -754,6 +754,8 @@ def test_default_epsilon_ladder():
     mags = [abs(e) for e in lad[1:]]
     assert all(b > a for a, b in zip(mags, mags[1:]))
     assert default_epsilon_ladder(1) == [0.01]
+    assert default_epsilon_ladder(2) == [0.01, -40.0]
+    assert default_epsilon_ladder(3, 0.5, -2.0) == [0.5, -0.5, -2.0]
     with pytest.raises(ValueError):
         default_epsilon_ladder(0)
     with pytest.raises(ValueError):
