@@ -112,7 +112,11 @@ _MONITOR = [("monitor", "U17"), ("j", int), ("slack", float), ("passed", bool)]
 
 
 class IntegrationBlowupError(RuntimeError):
-    """Non-finite state encountered during flow integration."""
+    """A non-finite state during flow integration, or a non-finite U on a triggered flow.
+
+    U is not finite where the comparison function of a segment's interval
+    and set overflows, as it does for a gamma near 1e150.
+    """
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,7 @@ def _columns(samples, flows, cfg) -> np.recarray:
     U = V + gamma*phi(tau)*W(e)^2 with the comparison function of segment
     k's interval h and set (NaN in a periodic run, cfg None), computed for
     one block of whole segments at a time, so the temporaries are one block's.
+    Raises IntegrationBlowupError at the first segment whose U is not finite.
     """
     counts = np.array([len(tau) for tau, _, _ in flows], dtype=int)
     edges = np.concatenate([[0], np.cumsum(counts)])
@@ -275,8 +280,14 @@ def _columns(samples, flows, cfg) -> np.recarray:
                 np.repeat([getattr(phi, f) for phi in phis], n)
                 for f in ("lam", "gamma", "lambda_cap", "horizon"))
             w = np.linalg.norm(np.repeat(x_hold[k0:k1], n, axis=0) - x[rows], axis=-1)
-            np.add(v[rows], gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
-                   out=u[rows])
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                np.add(v[rows], gamma * phi_values(tau, lam, gamma, cap, horizon) * w * w,
+                       out=u[rows])
+            bad = np.flatnonzero(~np.isfinite(u[rows]))
+            if len(bad):
+                raise IntegrationBlowupError(
+                    f"U is not finite on segment {j[rows][bad[0]]}: the comparison "
+                    "function of its interval and set overflows")
     return fp
 
 

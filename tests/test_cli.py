@@ -34,6 +34,7 @@ from dynstc.synthesis import (
     _ratios,
     read_manifest,
     verify_family,
+    write_manifest,
 )
 from dynstc.systems import linear_test
 
@@ -608,6 +609,80 @@ def test_numerical_failure_exits_5(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "simulate", boom)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_overflowing_comparison_function_exits_5_with_one_line(tmp_path, capfd):
+    # a hand-written manifest whose fall-back gamma 3.675e150 overflows phi at
+    # the rate cap 5e299: the run stops at its first segment with one line and
+    # no numpy warning (tier-1 makes a RuntimeWarning an error), and writes no CSV
+    out = tmp_path / "out"
+    out.mkdir()
+    family = ParameterFamily(sets=(ParameterSet(1e300, 3.675e150, 0.05),
+                                   ParameterSet(-1.0, 1.05, 0.05)))
+    write_manifest(out / "family.json", family, 8)
+    t_end = 20 * t_min_of(StcConfig(family=family, c=1.0, m=5))
+    (out / "cfg.json").write_text(json.dumps({
+        "system": {"name": "linear_test", "c": 1.0}, "stc": {"m": 5},
+        "run": {"x0": [[0.5]], "t_end": t_end}}))
+    assert cli.main(["run", "--config", str(out / "cfg.json"), "--out", str(out)]) == 5
+    err = capfd.readouterr().err
+    assert err.startswith("numerical failure: U is not finite on segment 1: ")
+    assert len(err.splitlines()) == 1
+    assert sorted(path.name for path in out.iterdir()) == ["cfg.json", "family.json"]
+
+
+def _fresh_process(script, *args):
+    """The last stdout line of `script` run in a new interpreter, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_FREEZE_ONCE_SCRIPT = """
+import gc, json, sys
+from dynstc import cli
+try:
+    cli.main(["--help"])
+except SystemExit:
+    pass
+first = gc.get_freeze_count()
+code = cli.main(["compare", "--out", sys.argv[1]])
+print(json.dumps([first, gc.get_freeze_count(), code]))
+"""
+
+
+def test_main_freezes_the_heap_once_per_process(tmp_path):
+    # the first call freezes what the imports left; the second freezes
+    # nothing more, so the first call's garbage stays collectable
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {"runs": [], "t_min": 1.0, "t_max_cap": 1.5, "t_end": 10.0}))
+    first, second, code = _fresh_process(_FREEZE_ONCE_SCRIPT, tmp_path)
+    assert first > 0 and second == first and code == 0
+
+
+_PARSER_COLLECTED_SCRIPT = """
+import gc, json, sys, weakref
+from dynstc import cli
+parsers, build = [], cli._build_parser
+def keep_a_weakref():
+    parser = build()
+    parsers.append(weakref.ref(parser))
+    return parser
+cli._build_parser = keep_a_weakref
+tracked = len(gc.get_objects())
+code = cli.main(["compare", "--out", sys.argv[1]])
+gc.collect()
+print(json.dumps([code, gc.get_freeze_count() - tracked, parsers[0]() is None]))
+"""
+
+
+def test_main_freezes_before_it_builds_the_parser(tmp_path):
+    # what main makes is not frozen: the parser stays collectable, and the
+    # frozen objects are those tracked before the call (a freeze after
+    # _build_parser or after parse_args also freezes about 330 of argparse's)
+    code, extra, collected = _fresh_process(_PARSER_COLLECTED_SCRIPT, tmp_path / "nothing")
+    assert code == 2 and abs(extra) < 50 and collected
 
 
 @pytest.mark.parametrize("command", ["synthesize", "run"])

@@ -383,6 +383,15 @@ def test_integration_blowup():
         simulate([1e80], cfg, spec, t_end=5.0)
 
 
+def test_overflowing_comparison_function_raises():
+    # a fall-back gamma of 3.675e150 overflows phi at the rate cap 5e299, so U
+    # is not finite from the first segment on; tier-1 makes a numpy warning an
+    # error, so the raise comes with none
+    cfg = StcConfig(family=_family((1e300, 3.675e150, 0.05), (-1.0, 1.05, 0.05)), c=1.0, m=5)
+    with pytest.raises(IntegrationBlowupError, match="^U is not finite on segment 1: "):
+        simulate([0.5], cfg, linear_test(c=1.0), t_end=20 * t_min_of(cfg))
+
+
 def test_dt_flow_validation():
     cfg, spec = _linear_cfg()
     tmin = t_min_of(cfg)
@@ -443,6 +452,14 @@ def test_runs_of_max_samples_rejected():
         simulate([0.5], cfg, spec, t_end=2.0 * sim.MAX_SAMPLES * t_min_of(cfg))
     with pytest.raises(ValueError, match="takes up to 1e[+]06 samples of 1e-06 s"):
         simulate_periodic([0.5], spec, period=1e-6, t_end=1.0)
+
+
+def test_sample_decrease_of_no_samples_is_empty():
+    cfg, _ = _linear_cfg()
+    empty = _sample_rows([], [], np.empty((0, 1)), [], [], [], [])
+    records = sim.monitor_sample_decrease(HybridTrajectory(empty, None, cfg=cfg), cfg)
+    assert isinstance(records, np.recarray) and len(records) == 0
+    assert records.dtype == sim._MONITOR
 
 
 def test_sample_rows_replay_the_trigger():

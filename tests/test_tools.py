@@ -1,5 +1,6 @@
 """The repository's scripts under tools/."""
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -75,3 +76,19 @@ def test_unrun_lines_lists_the_statements_no_test_runs(tmp_path):
     assert [line for line in out.splitlines() if line.startswith(str(tmp_path))] == [
         f"{mod}:12: return 0.0", f"{mod}:18: y = (x", f"{mod}:20: return y"]
     assert out.splitlines()[-1] == "3 of 9 statements not run"
+
+
+STARTUP_COST = CODE_LINES.parent / "startup_cost.py"
+
+
+def test_startup_cost_prints_each_process_type():
+    # one round: a median per process type, then the derived teardown, which
+    # reads about 0 once main freezes the import-time heap, so only its form
+    # is checked; no timing is asserted
+    out = subprocess.run([sys.executable, str(STARTUP_COST), "1"],
+                         capture_output=True, text=True, check=True).stdout
+    rows = [line.split(" ms  ") for line in out.splitlines()]
+    assert [label for _, label in rows] == [
+        "pass", "import numpy", "dynstc --help", "dynstc --help, os._exit", "teardown"]
+    assert all(float(ms) > 0.0 for ms, _ in rows[:-1])
+    assert math.isfinite(float(rows[-1][0]))
